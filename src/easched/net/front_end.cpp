@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -164,13 +165,16 @@ std::size_t FrontEnd::acked_admits() const {
 
 std::size_t FrontEnd::audit_lost_acks() const {
   std::unordered_map<std::string, std::pair<std::size_t, TaskId>> acked;
+  std::unordered_set<std::uint64_t> retired;
   {
     std::lock_guard lock(acks_mutex_);
     acked = acked_;
+    retired = retired_;
   }
   std::unordered_map<std::size_t, std::unordered_set<TaskId>> committed;
   std::size_t lost = 0;
   for (const auto& [rid, where] : acked) {
+    if (retired.count(retired_key(where.first, where.second)) != 0) continue;
     auto it = committed.find(where.first);
     if (it == committed.end()) {
       const std::vector<TaskId> ids = supervisor_.shard(where.first).committed_ids();
@@ -513,7 +517,7 @@ std::string FrontEnd::handle_admit(const std::shared_ptr<Connection>& connection
       supervisor_.submit(request.tenant, request.task, request.rid, request.pressure);
 
   const AdmitResponse response = to_admit_response(decision, request.task);
-  if (response.status == Status::kOk && !request.rid.empty()) {
+  if (response.status == Status::kOk && !request.rid.empty() && !decision.retired) {
     const std::size_t shard = supervisor_.route(request.tenant);
     std::lock_guard lock(acks_mutex_);
     acked_[request.rid] = {shard, decision.id};
@@ -562,7 +566,7 @@ std::string FrontEnd::handle_admit_batch(const std::shared_ptr<Connection>& conn
     const AdmitBatchItem& item = request.items[i];
     const ServiceDecision& decision = decisions[i];
     response.items[i] = to_admit_response(decision, item.task);
-    if (response.items[i].status == Status::kOk && !item.rid.empty()) {
+    if (response.items[i].status == Status::kOk && !item.rid.empty() && !decision.retired) {
       const std::size_t shard = supervisor_.route(item.tenant);
       std::lock_guard lock(acks_mutex_);
       acked_[item.rid] = {shard, decision.id};
@@ -621,6 +625,11 @@ std::string FrontEnd::handle_task_op(const Frame& frame, bool complete) {
     std::lock_guard lock(stats_mutex_);
     ++(complete ? stats_.completes : stats_.cancels);
   }
+  // Service ids are non-negative `TaskId`s; narrowing any other wire id
+  // would alias a real task (2^32 names task 0), so it names none.
+  if (request.id < 0 || request.id > std::numeric_limits<TaskId>::max()) {
+    return encode_status_frame(op, frame.correlation, Status::kNotFound, "no such task");
+  }
   const TaskId id = static_cast<TaskId>(request.id);
   const std::optional<bool> removed = complete ? supervisor_.complete(request.tenant, id)
                                                : supervisor_.cancel(request.tenant, id);
@@ -630,6 +639,12 @@ std::string FrontEnd::handle_task_op(const Frame& frame, bool complete) {
   }
   if (!*removed) {
     return encode_status_frame(op, frame.correlation, Status::kNotFound, "no such task");
+  }
+  {
+    // A task finished over the wire is no longer owed to anyone: the
+    // audit skips its ack.
+    std::lock_guard lock(acks_mutex_);
+    retired_.insert(retired_key(supervisor_.route(request.tenant), id));
   }
   return encode_status_frame(op, frame.correlation, Status::kOk, {});
 }

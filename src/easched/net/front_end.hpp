@@ -45,6 +45,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "easched/net/event_loop.hpp"
@@ -144,9 +145,13 @@ class FrontEnd {
   std::size_t acked_admits() const;
 
   /// Re-check every acked admit against its shard's committed set and
-  /// return how many vanished. Call after a recovery sweep brought every
-  /// shard up; a non-zero answer means an acknowledged admission was lost
-  /// across a crash — the one thing the journal + rid dedup must prevent.
+  /// return how many vanished. Tasks a client completed or cancelled over
+  /// the wire are retired from the audit, and a dedup replay of a task
+  /// that had already finished (`ServiceDecision::retired`, e.g. before a
+  /// restart) is not recorded as an ack. Call after a recovery sweep
+  /// brought every shard up; a non-zero answer means an acknowledged
+  /// admission was lost across a crash — the one thing the journal + rid
+  /// dedup must prevent.
   std::size_t audit_lost_acks() const;
 
  private:
@@ -234,6 +239,12 @@ class FrontEnd {
   /// rid → (shard, id) for every admit acked over the wire.
   mutable std::mutex acks_mutex_;
   std::unordered_map<std::string, std::pair<std::size_t, TaskId>> acked_;
+  /// (shard, id) of every task completed or cancelled over the wire, as
+  /// `retired_key`; the audit does not expect those to be committed.
+  std::unordered_set<std::uint64_t> retired_;
+  static std::uint64_t retired_key(std::size_t shard, TaskId id) {
+    return (static_cast<std::uint64_t>(shard) << 32) | static_cast<std::uint32_t>(id);
+  }
 };
 
 }  // namespace easched::net

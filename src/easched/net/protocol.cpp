@@ -50,6 +50,8 @@ Status admit_status(const ServiceDecision& decision, const Task& task) {
                  : Status::kOverload;
     case AdmissionErrorKind::kPlanning:
       return Status::kPlanningFailed;
+    case AdmissionErrorKind::kInvalid:
+      return Status::kRejectedInvalid;
     case AdmissionErrorKind::kContract:
     case AdmissionErrorKind::kInternal:
       return Status::kInternalError;

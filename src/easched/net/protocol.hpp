@@ -83,7 +83,8 @@ enum class Status : std::uint8_t {
   /// fit it (flow test / frequency ceiling). Not retryable.
   kRejectedInfeasible = 1,
   /// Validation failure: the task itself is malformed (non-finite fields,
-  /// work <= 0, deadline <= release). Not retryable.
+  /// work <= 0, deadline <= release), or the rid is one the journal cannot
+  /// store (a byte <= 0x20 or 0x7f). Not retryable.
   kRejectedInvalid = 2,
   /// The routed shard is down (crash containment) or the request was lost;
   /// retry with the same rid.

@@ -33,6 +33,11 @@
 /// preserves a rid→id mapping whose admit record was compacted away (the
 /// task completed, but a late client retry must still dedup, not re-admit).
 ///
+/// Numbers are written in their shortest round-trip form (`std::to_chars`),
+/// so replay restores every double bit-exactly; replay also reads the
+/// 17-significant-digit form older writers used. A rid is one field:
+/// it may contain no byte <= 0x20 and no 0x7f (`storable_request_id`).
+///
 /// The leading checksum covers the rest of the line. Replay distinguishes
 /// two failure shapes: a *torn tail* (bad line(s) with no valid record after
 /// them — the expected wreckage of a mid-append crash, silently dropped and
@@ -67,6 +72,12 @@ struct JournalCorruption {
 
   friend bool operator==(const JournalCorruption&, const JournalCorruption&) = default;
 };
+
+/// True when `rid` can ride in a journal record as one field: it contains no
+/// byte <= 0x20 (space, newline and other controls) and no 0x7f. Such a byte
+/// would split the record on replay, losing its dedup key or the whole
+/// admit, so the service refuses those rids before planning anything.
+bool storable_request_id(std::string_view rid);
 
 /// What `AdmissionJournal::recover` rebuilds from a log.
 struct JournalRecovery {
@@ -106,7 +117,7 @@ class AdmissionJournal {
   explicit AdmissionJournal(std::string path);
 
   /// Append (and flush) one admit record. A non-empty `rid` (client request
-  /// id; must contain no whitespace) rides inside the record so the
+  /// id; must pass `storable_request_id`) rides inside the record so the
   /// admit→rid binding is atomic — there is no crash window in which the
   /// admit is durable but its dedup key is not.
   void append_admit(TaskId id, const Task& task, std::string_view rid = {});
@@ -120,14 +131,16 @@ class AdmissionJournal {
   /// Records appended through this handle (excludes pre-existing ones).
   std::uint64_t appended() const;
 
-  /// Current size of the journal file in bytes (compaction threshold input).
+  /// Current size of the journal file in bytes (compaction threshold input):
+  /// the size at open plus every line appended since, reset by `compact()`.
+  /// Tracked by the handle, so reading it touches no file.
   std::uint64_t size_bytes() const;
 
   /// Rewrite the journal in place against a fresh snapshot: the new file
   /// holds only a `next` record pinning the id counter, the caller's `live`
-  /// admits (empty when a just-written snapshot already covers the live
-  /// set), and `dedup` records for every rid→id mapping so late retries
-  /// still dedup. Atomic via write-temp-then-rename; the handle stays open
+  /// admits (in id order; empty when a just-written snapshot already covers
+  /// the live set), and `dedup` records for every rid→id mapping so late
+  /// retries still dedup. Atomic via write-temp-then-rename; the handle stays open
   /// for appending afterwards.
   JournalCompaction compact(TaskId next_id,
                             const std::vector<std::pair<TaskId, Task>>& live,
@@ -138,13 +151,13 @@ class AdmissionJournal {
   static JournalRecovery recover(const std::string& path);
 
  private:
-  void append_line(const std::string& payload, const char* pre_point,
-                   const char* post_point);
+  void append_line(std::string_view payload, const char* pre_point, const char* post_point);
 
   std::string path_;
   mutable std::mutex mutex_;
   std::ofstream out_;
   std::uint64_t appended_ = 0;
+  std::uint64_t bytes_ = 0;  ///< file size: at open, plus every line since
 };
 
 }  // namespace easched

@@ -42,6 +42,8 @@ std::string_view admission_error_kind_name(AdmissionErrorKind kind) {
       return "internal";
     case AdmissionErrorKind::kUnavailable:
       return "unavailable";
+    case AdmissionErrorKind::kInvalid:
+      return "invalid";
   }
   return "unknown";
 }

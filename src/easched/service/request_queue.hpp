@@ -60,6 +60,7 @@ enum class AdmissionErrorKind {
   kContract,     ///< a contract violation surfaced during admission
   kInternal,     ///< any other exception during admission
   kUnavailable,  ///< the routed shard is down (crashed, restart pending) — retry
+  kInvalid,      ///< the request itself is unusable (a rid the journal cannot store)
 };
 
 /// Stable display name ("none", "overload", ...), also the metric suffix of
@@ -88,6 +89,10 @@ struct ServiceDecision {
   /// same request id (idempotent re-admission): `id` is the original task's
   /// id and nothing was re-committed or re-journaled.
   bool deduplicated = false;
+  /// With `deduplicated`: the original task has since left the committed
+  /// set (completed or cancelled, in this incarnation or an earlier one),
+  /// so the replayed ack names finished work, not a live commitment.
+  bool retired = false;
   /// Brownout ladder level of the deciding service at decision time
   /// (`brownout.hpp`); clients stretch their retry backoff as it rises.
   int brownout_level = 0;

@@ -50,6 +50,19 @@ const char* plan_latency_metric(PlanRung rung) {
 }  // namespace
 
 SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions options)
+    : SchedulerService(power, std::move(options), nullptr) {}
+
+SchedulerService::SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
+                                   ServiceOptions options)
+    : SchedulerService(power,
+                       [&] {
+                         options.cores = snapshot.cores;
+                         return std::move(options);
+                       }(),
+                       &snapshot) {}
+
+SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions options,
+                                   const ServiceSnapshot* base)
     : power_(power),
       options_(std::move(options)),
       queue_(options_.queue_capacity),
@@ -73,50 +86,32 @@ SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions optio
     delta_options.cores = options_.cores;
     delta_planner_.emplace(power_, delta_options);
   }
-  if (!options_.journal_path.empty()) {
-    {
-      std::lock_guard lock(state_mutex_);
-      replay_journal_locked();
-      refresh_gauges_locked();
+  if (base != nullptr || !options_.journal_path.empty()) {
+    std::lock_guard lock(state_mutex_);
+    if (base != nullptr) {
+      committed_ = base->committed;
+      std::sort(committed_.begin(), committed_.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      next_id_ = base->next_id;
+      for (const auto& [id, task] : committed_) {
+        EASCHED_EXPECTS_MSG(id < next_id_, "snapshot id at or above next_id");
+      }
+      // Re-seed monotone counters from the snapshot *before* replay, so
+      // replay increments (and the restore marker below) land on top of the
+      // totals the previous incarnation had already accumulated.
+      for (const auto& [name, value] : base->counters) metrics_.set_counter(name, value);
     }
-    journal_.emplace(options_.journal_path);
+    // The journal is the log of everything that happened since it was
+    // compacted, so it replays *over* the snapshot base, once. The plan is
+    // not restored: the first request derives it from the recovered set.
+    replay_journal_locked();
+    if (base != nullptr) metrics_.increment("restores_total");
+    refresh_gauges_locked();
   }
+  if (!options_.journal_path.empty()) journal_.emplace(options_.journal_path);
   if (!options_.manual_dispatch) {
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
   }
-}
-
-SchedulerService::SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
-                                   ServiceOptions options)
-    : SchedulerService(power, [&] {
-        options.cores = snapshot.cores;
-        return options;
-      }()) {
-  std::lock_guard lock(state_mutex_);
-  committed_ = snapshot.committed;
-  std::sort(committed_.begin(), committed_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  next_id_ = snapshot.next_id;
-  for (const auto& [id, task] : committed_) {
-    EASCHED_EXPECTS_MSG(id < next_id_, "snapshot id at or above next_id");
-  }
-  // Re-seed monotone counters from the snapshot *before* replay, so replay
-  // increments (and the restore marker below) land on top of the totals the
-  // previous incarnation had already accumulated.
-  for (const auto& [name, value] : snapshot.counters) {
-    metrics_.set_counter(name, value);
-  }
-  // The journal is the log of everything that happened since it was
-  // opened, so it replays *over* the snapshot: removals first, surviving
-  // admits second (the delegated constructor already replayed it into the
-  // empty set; re-applying over the snapshot base is idempotent).
-  replay_journal_locked();
-  // Pre-seed the cache so the first post-restart request re-plans nothing.
-  if (!committed_.empty() && !snapshot.plan.empty()) {
-    cache_.insert(committed_signature_locked(), CachedPlan{snapshot.energy, snapshot.plan});
-  }
-  metrics_.increment("restores_total");
-  refresh_gauges_locked();
 }
 
 SchedulerService::~SchedulerService() { shutdown(); }
@@ -140,28 +135,25 @@ AdmissionDecision SchedulerService::quote(const Task& task) {
   return evaluate_locked(task, base.energy, /*commit=*/false, nullptr);
 }
 
-bool SchedulerService::complete(TaskId id) {
-  std::lock_guard lock(state_mutex_);
-  auto it = std::find_if(committed_.begin(), committed_.end(),
-                         [id](const auto& entry) { return entry.first == id; });
-  if (it == committed_.end()) return false;
-  committed_.erase(it);
-  committed_signature_valid_ = false;
-  if (journal_) journal_->append_complete(id);
-  metrics_.increment("completions_total");
-  refresh_gauges_locked();
-  return true;
+bool SchedulerService::complete(TaskId id) { return remove_committed(id, "completions_total"); }
+
+bool SchedulerService::cancel(TaskId id) { return remove_committed(id, "cancellations_total"); }
+
+std::vector<std::pair<TaskId, Task>>::iterator SchedulerService::find_committed_locked(
+    TaskId id) {
+  const auto it = std::lower_bound(committed_.begin(), committed_.end(), id,
+                                   [](const auto& entry, TaskId key) { return entry.first < key; });
+  return it != committed_.end() && it->first == id ? it : committed_.end();
 }
 
-bool SchedulerService::cancel(TaskId id) {
+bool SchedulerService::remove_committed(TaskId id, const char* counter) {
   std::lock_guard lock(state_mutex_);
-  auto it = std::find_if(committed_.begin(), committed_.end(),
-                         [id](const auto& entry) { return entry.first == id; });
+  const auto it = find_committed_locked(id);
   if (it == committed_.end()) return false;
   committed_.erase(it);
   committed_signature_valid_ = false;
   if (journal_) journal_->append_complete(id);
-  metrics_.increment("cancellations_total");
+  metrics_.increment(counter);
   refresh_gauges_locked();
   return true;
 }
@@ -225,12 +217,13 @@ ServiceSnapshot SchedulerService::snapshot() {
   snap.cores = options_.cores;
   snap.next_id = next_id_;
   snap.committed = committed_;
-  const CachedPlan plan = plan_for_committed_locked();
-  snap.plan = plan.schedule;
-  snap.energy = plan.energy;
   metrics_.increment("snapshots_total");
   snap.counters = metrics_.snapshot().counters;
   return snap;
+}
+
+std::uint64_t SchedulerService::journal_size_bytes() const {
+  return journal_ ? journal_->size_bytes() : 0;
 }
 
 std::size_t SchedulerService::pump() {
@@ -359,40 +352,52 @@ void SchedulerService::run_batch(std::vector<PendingRequest> batch) {
       decision.sequence = request.sequence;
       decision.batch = batch_index;
       decision.brownout_level = brownout_level_.load(std::memory_order_relaxed);
+      // A rid the journal cannot store would split its admit record on
+      // replay — losing the dedup key or the whole acked admit — so it is
+      // refused here, where every admission path converges, before
+      // anything is planned or journaled.
+      const bool bad_rid = !storable_request_id(request.rid);
       // Idempotent re-admission: a rid the service has already committed —
       // in this incarnation or any journaled predecessor — replays the
       // original ack instead of evaluating (and double-committing) again.
-      if (!request.rid.empty()) {
+      if (!request.rid.empty() && !bad_rid) {
         if (const auto hit = dedup_.find(request.rid); hit != dedup_.end()) {
           decision.admission.admitted = true;
           decision.id = hit->second;
           decision.deduplicated = true;
+          decision.retired = find_committed_locked(hit->second) == committed_.end();
           metrics_.increment("request_dedup_hits_total");
           request_span.set_status("deduplicated");
           outcomes.emplace_back(std::move(request.promise), std::move(decision));
           continue;
         }
       }
-      try {
-        if (baseline_failed) throw PlanningError(baseline_reason);
-        decision.admission = evaluate_locked(request.task, energy_before, /*commit=*/true,
-                                             &decision.id, &decision.plan_rung);
-      } catch (const InjectedCrash&) {
-        // Crash simulation must observe real durability: rethrow so the
-        // "process" dies here with this decision unacknowledged.
-        throw;
-      } catch (const PlanningError& e) {
-        decision.admission.admitted = false;
-        decision.admission.rejection_reason = std::string("planning failed: ") + e.what();
-        decision.error_kind = AdmissionErrorKind::kPlanning;
-      } catch (const ContractViolation& e) {
-        decision.admission.admitted = false;
-        decision.admission.rejection_reason = std::string("admission error: ") + e.what();
-        decision.error_kind = AdmissionErrorKind::kContract;
-      } catch (const std::exception& e) {
-        decision.admission.admitted = false;
-        decision.admission.rejection_reason = std::string("admission error: ") + e.what();
-        decision.error_kind = AdmissionErrorKind::kInternal;
+      if (bad_rid) {
+        decision.admission.rejection_reason =
+            "invalid request id (no byte <= 0x20 or 0x7f allowed)";
+        decision.error_kind = AdmissionErrorKind::kInvalid;
+      } else {
+        try {
+          if (baseline_failed) throw PlanningError(baseline_reason);
+          decision.admission = evaluate_locked(request.task, energy_before, /*commit=*/true,
+                                               &decision.id, &decision.plan_rung);
+        } catch (const InjectedCrash&) {
+          // Crash simulation must observe real durability: rethrow so the
+          // "process" dies here with this decision unacknowledged.
+          throw;
+        } catch (const PlanningError& e) {
+          decision.admission.admitted = false;
+          decision.admission.rejection_reason = std::string("planning failed: ") + e.what();
+          decision.error_kind = AdmissionErrorKind::kPlanning;
+        } catch (const ContractViolation& e) {
+          decision.admission.admitted = false;
+          decision.admission.rejection_reason = std::string("admission error: ") + e.what();
+          decision.error_kind = AdmissionErrorKind::kContract;
+        } catch (const std::exception& e) {
+          decision.admission.admitted = false;
+          decision.admission.rejection_reason = std::string("admission error: ") + e.what();
+          decision.error_kind = AdmissionErrorKind::kInternal;
+        }
       }
       if (decision.error_kind != AdmissionErrorKind::kNone) {
         metrics_.increment("admission_errors_total");
@@ -582,30 +587,35 @@ const std::string& SchedulerService::committed_signature_locked() {
 
 void SchedulerService::replay_journal_locked() {
   if (options_.journal_path.empty()) return;
-  const JournalRecovery recovery = AdmissionJournal::recover(options_.journal_path);
+  JournalRecovery recovery = AdmissionJournal::recover(options_.journal_path);
   if (recovery.records == 0 && recovery.dropped_lines == 0 && recovery.corruptions.empty()) {
     return;
   }
-  // Removals first (a task the journal saw completed must not survive from
-  // a snapshot base), then the surviving admits, id order kept.
-  for (const TaskId id : recovery.removed_ids) {
-    auto it = std::find_if(committed_.begin(), committed_.end(),
-                           [id](const auto& entry) { return entry.first == id; });
-    if (it != committed_.end()) committed_.erase(it);
-  }
-  for (const auto& [id, task] : recovery.committed) {
-    auto it = std::lower_bound(committed_.begin(), committed_.end(), id,
-                               [](const auto& entry, TaskId key) { return entry.first < key; });
-    if (it != committed_.end() && it->first == id) {
-      it->second = task;
-    } else {
-      committed_.insert(it, {id, task});
+  // One merge of three id-sorted lists: a base entry the journal re-admits
+  // takes the journal's task, one it removed is dropped (a task the journal
+  // saw completed must not survive from a snapshot base), the rest stay.
+  std::vector<std::pair<TaskId, Task>> merged;
+  merged.reserve(committed_.size() + recovery.committed.size());
+  auto admitted = recovery.committed.begin();
+  auto removed = recovery.removed_ids.begin();
+  for (const auto& entry : committed_) {
+    while (admitted != recovery.committed.end() && admitted->first < entry.first) {
+      merged.push_back(*admitted++);
     }
+    if (admitted != recovery.committed.end() && admitted->first == entry.first) {
+      merged.push_back(*admitted++);
+      continue;
+    }
+    while (removed != recovery.removed_ids.end() && *removed < entry.first) ++removed;
+    if (removed == recovery.removed_ids.end() || *removed != entry.first) merged.push_back(entry);
   }
+  merged.insert(merged.end(), admitted, recovery.committed.end());
+  committed_ = std::move(merged);
   next_id_ = std::max(next_id_, recovery.next_id);
   // Re-seed the dedup map: a client retrying an admit that was acked by the
   // previous incarnation must get the same id back, not a second commit.
-  for (const auto& [rid, id] : recovery.request_ids) dedup_[rid] = id;
+  dedup_.reserve(dedup_.size() + recovery.request_ids.size());
+  for (auto& [rid, id] : recovery.request_ids) dedup_.insert_or_assign(std::move(rid), id);
   committed_signature_valid_ = false;
   metrics_.increment("journal_replays_total");
   metrics_.increment("journal_records_replayed_total", recovery.records);

@@ -83,7 +83,7 @@ namespace easched {
 /// be planned (the committed baseline or a merged candidate set). Batch
 /// processing converts it into a reasoned rejection with
 /// `AdmissionErrorKind::kPlanning`; direct readers (`current_plan`,
-/// `quote`, `snapshot`) let it propagate.
+/// `current_energy`, `quote`) let it propagate.
 class PlanningError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -164,9 +164,11 @@ class SchedulerService {
  public:
   explicit SchedulerService(const PowerModel& power, ServiceOptions options = {});
 
-  /// Resume from a snapshot: the committed set and id counter are restored
-  /// and the snapshot's plan pre-seeds the cache, so the first request
-  /// after restart does not pay a cold re-plan. `options.cores` is
+  /// Resume from a snapshot: the committed set, id counter and metric
+  /// counters are restored and the journal (if any) is replayed once over
+  /// them. Nothing is planned here: the first request that needs the plan
+  /// derives it through the ordinary cache and delta-planner path, so the
+  /// plan is always that of the recovered set. `options.cores` is
   /// overridden by the snapshot's core count.
   SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
                    ServiceOptions options = {});
@@ -182,10 +184,13 @@ class SchedulerService {
 
   /// Enqueue an admission request. The future resolves after the batch
   /// containing the request is processed. A non-empty `rid` (client
-  /// request id, no whitespace) makes the admission *idempotent*: a retry
-  /// carrying the same rid — in this incarnation or after a crash/restart
-  /// over the same journal — resolves to the original task id with
-  /// `ServiceDecision::deduplicated` set instead of double-committing.
+  /// request id) makes the admission *idempotent*: a retry carrying the
+  /// same rid — in this incarnation or after a crash/restart over the same
+  /// journal — resolves to the original task id with
+  /// `ServiceDecision::deduplicated` set instead of double-committing. A rid
+  /// the journal cannot store (a byte <= 0x20 or 0x7f, see
+  /// `storable_request_id`) is rejected with `AdmissionErrorKind::kInvalid`
+  /// before anything is planned or journaled.
   /// Throws `std::runtime_error` after `shutdown()`.
   std::future<ServiceDecision> submit(const Task& task, std::string rid = {});
 
@@ -226,8 +231,12 @@ class SchedulerService {
   /// counters and reclaimed-slack / sleep-residency histograms land in
   /// `metrics()` (see `record_runtime_metrics`).
   RuntimeReport simulate_runtime(const RuntimeOptions& runtime_options = {});
-  /// Serialize current state for restart (see `snapshot.hpp`).
+  /// Serialize current state for restart (see `snapshot.hpp`). Plans
+  /// nothing: the plan is derived state and is not part of a snapshot.
   ServiceSnapshot snapshot();
+  /// Size of the journal file in bytes (0 when journaling is off), as
+  /// tracked by the journal handle — no file-system call.
+  std::uint64_t journal_size_bytes() const;
   MetricsRegistry& metrics() { return metrics_; }
   const ServiceOptions& options() const { return options_; }
   /// @}
@@ -270,6 +279,18 @@ class SchedulerService {
   /// @}
 
  private:
+  /// Both public constructors land here; `base` (nullable) is the snapshot
+  /// to resume from.
+  SchedulerService(const PowerModel& power, ServiceOptions options,
+                   const ServiceSnapshot* base);
+
+  /// `complete` / `cancel`: drop `id` from the committed set and journal
+  /// the removal, counting it under `counter`.
+  bool remove_committed(TaskId id, const char* counter);
+  /// `id`'s entry in the id-sorted committed set, or `committed_.end()`.
+  /// Caller holds `state_mutex_`.
+  std::vector<std::pair<TaskId, Task>>::iterator find_committed_locked(TaskId id);
+
   void dispatcher_loop();
   void process_batch(std::vector<PendingRequest> batch);
   void run_batch(std::vector<PendingRequest> batch);
@@ -290,8 +311,9 @@ class SchedulerService {
   /// Caller holds `state_mutex_`.
   const std::string& committed_signature_locked();
   /// Replay the journal at `options_.journal_path` over the current
-  /// committed set (removals first, surviving admits second). Caller holds
-  /// `state_mutex_` (or is the constructor).
+  /// committed set in one merge: removals drop base entries, surviving
+  /// admits replace or join them. Caller holds `state_mutex_` (or is the
+  /// constructor).
   void replay_journal_locked();
   /// Admission core shared by batches and quotes. Evaluates `candidate`
   /// against the committed set; when `commit` is set and the candidate is

@@ -18,18 +18,6 @@ double slack_ratio(const Task& task) {
   return window > 0.0 ? (window - task.work) / window : 0.0;
 }
 
-std::uint64_t file_size_bytes(const std::string& path) {
-  std::ifstream probe(path, std::ios::binary | std::ios::ate);
-  if (!probe.is_open()) return 0;
-  const auto size = probe.tellg();
-  return size > 0 ? static_cast<std::uint64_t>(size) : 0;
-}
-
-/// Journal growth is checked every this many served ops, not every op: the
-/// file-size probe opens the WAL, which is too heavy for the admission
-/// fast path but negligible amortized.
-constexpr std::uint64_t kSizeCheckPeriod = 32;
-
 }  // namespace
 
 ServiceShard::ServiceShard(const PowerModel& power, ShardOptions options)
@@ -78,10 +66,7 @@ ServiceDecision ServiceShard::submit(const Task& task, std::string rid, std::siz
     ServiceDecision decision = service_->submit_wait(task, std::move(rid));
     decision.brownout_level = level;
     last_activity_ = std::chrono::steady_clock::now();
-    if (options_.journal_compact_bytes > 0 && ++ops_since_size_check_ >= kSizeCheckPeriod) {
-      ops_since_size_check_ = 0;
-      if (over_compact_threshold_locked()) snapshot_and_compact_locked();
-    }
+    compact_if_over_threshold_locked();
     return decision;
   } catch (const InjectedCrash& crash) {
     ++stats_.crashes_contained;
@@ -177,13 +162,7 @@ std::vector<ServiceDecision> ServiceShard::submit_batch(
   }
 
   last_activity_ = std::chrono::steady_clock::now();
-  if (!crashed && options_.journal_compact_bytes > 0) {
-    ops_since_size_check_ += items.size();
-    if (ops_since_size_check_ >= kSizeCheckPeriod) {
-      ops_since_size_check_ = 0;
-      if (over_compact_threshold_locked()) snapshot_and_compact_locked();
-    }
-  }
+  if (!crashed) compact_if_over_threshold_locked();
   return out;
 }
 
@@ -193,6 +172,7 @@ std::optional<bool> ServiceShard::complete(TaskId id) {
   try {
     const bool ok = service_->complete(id);
     last_activity_ = std::chrono::steady_clock::now();
+    compact_if_over_threshold_locked();
     return ok;
   } catch (const InjectedCrash& crash) {
     ++stats_.crashes_contained;
@@ -207,6 +187,7 @@ std::optional<bool> ServiceShard::cancel(TaskId id) {
   try {
     const bool ok = service_->cancel(id);
     last_activity_ = std::chrono::steady_clock::now();
+    compact_if_over_threshold_locked();
     return ok;
   } catch (const InjectedCrash& crash) {
     ++stats_.crashes_contained;
@@ -376,13 +357,14 @@ void ServiceShard::snapshot_and_compact_locked() {
   }
 }
 
-bool ServiceShard::over_compact_threshold_locked() const {
+void ServiceShard::compact_if_over_threshold_locked() {
+  if (options_.journal_compact_bytes == 0) return;
   // Hysteresis (see `compact_floor_bytes_`): durable state the compacted
   // log must keep can sit above the configured threshold; only re-compact
   // once the journal has doubled past the last compaction's result.
   const std::uint64_t threshold =
       std::max(options_.journal_compact_bytes, 2 * compact_floor_bytes_);
-  return file_size_bytes(options_.journal_path) > threshold;
+  if (service_->journal_size_bytes() > threshold) snapshot_and_compact_locked();
 }
 
 void ServiceShard::apply_brownout_locked(int level) {

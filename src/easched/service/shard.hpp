@@ -22,15 +22,16 @@
 /// countdown.
 ///
 /// **Recovery.** Restart rebuilds the service from its snapshot file plus
-/// the journal replayed over it — every acked admit survives, and the
+/// the journal replayed over it once — every acked admit survives, and the
 /// journal's rid→id records make retried acks dedup instead of
-/// double-committing. After a successful restart the shard writes a fresh
-/// snapshot and compacts the journal, so recovery time is bounded by live
-/// state, not history. The same compaction runs when the journal grows past
-/// `journal_compact_bytes`. Kill points `shard.submit` (on arrival, before
-/// anything commits) and `shard.restart.replay` (between snapshot load and
-/// journal replay) extend the crash-boundary coverage to the supervisor
-/// era.
+/// double-committing. Restart plans nothing: the first request routed to
+/// the shard plans the recovered set. After a successful restart the shard
+/// writes a fresh snapshot and compacts the journal, so recovery time is
+/// bounded by live state, not history. The same compaction runs when the
+/// journal grows past `journal_compact_bytes`. Kill points `shard.submit`
+/// (on arrival, before anything commits) and `shard.restart.replay`
+/// (between snapshot load and journal replay) extend the crash-boundary
+/// coverage to the supervisor era.
 ///
 /// **Brownout.** Each shard runs its own `BrownoutLadder`, fed the
 /// supervisor's in-flight pressure at every decision point. The level
@@ -182,9 +183,11 @@ class ServiceShard {
   /// Snapshot + compact (threshold or restart path). Caller holds the lock
   /// and the service is up.
   void snapshot_and_compact_locked();
-  /// Threshold-compaction trigger with hysteresis: fires when the journal
-  /// exceeds `max(journal_compact_bytes, 2 × last compacted size)`.
-  bool over_compact_threshold_locked() const;
+  /// Threshold compaction with hysteresis, checked after every served op
+  /// (the journal tracks its own size, so the check is free): snapshot +
+  /// compact when the journal exceeds `max(journal_compact_bytes, 2 × last
+  /// compacted size)`. Caller holds the lock and the service is up.
+  void compact_if_over_threshold_locked();
   /// Apply a (possibly new) ladder level to the inner service + tracing.
   void apply_brownout_locked(int level);
   ServiceDecision unavailable_decision_locked(std::string reason);
@@ -203,11 +206,10 @@ class ServiceShard {
   BrownoutLadder ladder_;
   ShardStats stats_;
   std::uint64_t restart_countdown_ = 0;  ///< valid while down
-  std::uint64_t ops_since_size_check_ = 0;
   /// Journal size after the last compaction. Durable state the compacted
   /// log must keep (live tasks + the dedup ledger) can exceed the
-  /// configured threshold; re-compacting every size check in that regime
-  /// rewrites an ever-growing file every 32 ops — quadratic over the
+  /// configured threshold; re-compacting at every check in that regime
+  /// rewrites an ever-growing file on every op — quadratic over the
   /// shard's lifetime. The trigger instead waits for the journal to double
   /// past this floor: rewrite cost stays amortized O(1) per journaled byte
   /// and the file stays bounded by 2× its compacted state.

@@ -1,114 +1,162 @@
 #include "easched/service/snapshot.hpp"
 
-#include <cstdlib>
-#include <sstream>
+#include <cmath>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
+#include "easched/common/charconv.hpp"
 #include "easched/common/csv.hpp"
+#include "easched/sched/schedule.hpp"
 #include "easched/sched/schedule_io.hpp"
-#include "easched/tasksys/task_set.hpp"
-#include "easched/tasksys/trace_io.hpp"
 
 namespace easched {
 
 namespace {
 
-constexpr const char* kHeader = "# easched-service-snapshot v1";
-constexpr const char* kTasksMarker = "--- tasks ---";
-constexpr const char* kPlanMarker = "--- plan ---";
+constexpr std::string_view kHeader = "# easched-service-snapshot v1";
+constexpr std::string_view kTasksMarker = "--- tasks ---";
+constexpr std::string_view kPlanMarker = "--- plan ---";
+/// Header row of the embedded task-trace CSV (`trace_io`).
+constexpr std::string_view kTaskHeader = "release,deadline,work";
 
-std::string trimmed(const std::string& line) {
-  const auto begin = line.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  const auto end = line.find_last_not_of(" \t\r");
-  return line.substr(begin, end - begin + 1);
+std::string_view trimmed(std::string_view text) {
+  const auto begin = text.find_first_not_of(" \t\r");
+  if (begin == std::string_view::npos) return {};
+  const auto end = text.find_last_not_of(" \t\r");
+  return text.substr(begin, end - begin + 1);
+}
+
+/// Parse `text` as a number of the snapshot header field `what`.
+template <typename T>
+T header_number(std::string_view text, const char* what) {
+  T value{};
+  if (!parse_number(trimmed(text), value)) {
+    throw std::runtime_error(std::string("malformed '# ") + what + "' line in snapshot");
+  }
+  return value;
+}
+
+/// Parse the tasks section off the front of `rest`, up to the plan marker
+/// or the end: the task-trace CSV `release,deadline,work` ('#' comment and
+/// blank lines skipped), one task per row.
+std::vector<Task> parse_tasks(std::string_view& rest) {
+  std::vector<Task> tasks;
+  bool saw_header = false;
+  while (!rest.empty()) {
+    const std::string_view line = trimmed(take_field(rest, '\n'));
+    if (line == kPlanMarker) break;
+    if (line.empty() || line.front() == '#') continue;
+    if (!saw_header) {
+      if (line != kTaskHeader) throw std::runtime_error("snapshot task table has a bad header");
+      saw_header = true;
+      continue;
+    }
+    std::string_view row = line;
+    Task task;
+    const bool parsed = parse_number(trimmed(take_field(row, ',')), task.release) &&
+                        parse_number(trimmed(take_field(row, ',')), task.deadline) &&
+                        parse_number(trimmed(take_field(row, ',')), task.work) && row.empty();
+    // The checks a `TaskSet` applies: finite, work > 0, deadline > release.
+    if (!parsed || !std::isfinite(task.release) || !std::isfinite(task.deadline) ||
+        !std::isfinite(task.work) || !(task.work > 0.0) || !(task.deadline > task.release)) {
+      throw std::runtime_error("malformed task row in snapshot: " + std::string(line));
+    }
+    tasks.push_back(task);
+  }
+  if (!saw_header) throw std::runtime_error("snapshot task table has no header row");
+  return tasks;
 }
 
 }  // namespace
 
 std::string snapshot_to_text(const ServiceSnapshot& snapshot) {
-  std::ostringstream out;
-  out.precision(17);
-  out << kHeader << "\n";
-  out << "# cores=" << snapshot.cores << "\n";
-  out << "# next_id=" << snapshot.next_id << "\n";
-  out << "# energy=" << snapshot.energy << "\n";
-  out << "# ids=";
+  std::string out;
+  out.reserve(256 + 64 * (snapshot.committed.size() + snapshot.counters.size()));
+  out += kHeader;
+  out += "\n# cores=";
+  append_number(out, snapshot.cores);
+  out += "\n# next_id=";
+  append_number(out, snapshot.next_id);
+  out += "\n# ids=";
   for (std::size_t i = 0; i < snapshot.committed.size(); ++i) {
-    if (i > 0) out << ",";
-    out << snapshot.committed[i].first;
+    if (i > 0) out += ',';
+    append_number(out, snapshot.committed[i].first);
   }
-  out << "\n";
+  out += '\n';
   // Counters ride in header comments so the v1 parser shape is unchanged;
   // readers that predate them skip unknown '# ' lines.
   for (const auto& [name, value] : snapshot.counters) {
-    out << "# counter=" << name << " " << value << "\n";
+    out += "# counter=";
+    out += name;
+    out += ' ';
+    append_number(out, value);
+    out += '\n';
   }
-  out << kTasksMarker << "\n";
-  std::vector<Task> tasks;
-  tasks.reserve(snapshot.committed.size());
-  for (const auto& [id, task] : snapshot.committed) tasks.push_back(task);
-  out << task_set_to_csv(TaskSet(std::move(tasks)));
-  out << kPlanMarker << "\n";
-  out << schedule_to_csv(snapshot.plan);
-  return out.str();
+  out += kTasksMarker;
+  out += '\n';
+  out += kTaskHeader;
+  out += '\n';
+  for (const auto& [id, task] : snapshot.committed) {
+    append_number(out, task.release);
+    out += ',';
+    append_number(out, task.deadline);
+    out += ',';
+    append_number(out, task.work);
+    out += '\n';
+  }
+  // An empty plan table keeps the document valid for readers that require
+  // the section.
+  out += kPlanMarker;
+  out += '\n';
+  out += schedule_to_csv(Schedule(snapshot.cores));
+  return out;
 }
 
 ServiceSnapshot snapshot_from_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || trimmed(line) != kHeader) {
+  std::string_view rest = text;
+  if (trimmed(take_field(rest, '\n')) != kHeader) {
     throw std::runtime_error("not an easched-service-snapshot v1 document");
   }
 
   ServiceSnapshot snapshot;
   std::vector<TaskId> ids;
   bool saw_ids = false;
+  bool saw_tasks = false;
 
-  // Header comments until the tasks marker.
-  while (std::getline(in, line)) {
-    const std::string t = trimmed(line);
-    if (t == kTasksMarker) break;
-    if (t.rfind("# cores=", 0) == 0) {
-      snapshot.cores = std::atoi(t.c_str() + 8);
-    } else if (t.rfind("# next_id=", 0) == 0) {
-      snapshot.next_id = static_cast<TaskId>(std::atoi(t.c_str() + 10));
-    } else if (t.rfind("# energy=", 0) == 0) {
-      snapshot.energy = std::atof(t.c_str() + 9);
-    } else if (t.rfind("# counter=", 0) == 0) {
-      const std::string body = t.substr(10);
-      const auto space = body.find(' ');
-      if (space == std::string::npos || space == 0) {
+  // Header comments until the tasks marker. Unknown lines (`# energy=` of
+  // documents that stored a plan, among others) are skipped.
+  while (!rest.empty()) {
+    const std::string_view t = trimmed(take_field(rest, '\n'));
+    if (t == kTasksMarker) {
+      saw_tasks = true;
+      break;
+    }
+    if (t.starts_with("# cores=")) {
+      snapshot.cores = header_number<int>(t.substr(8), "cores=");
+    } else if (t.starts_with("# next_id=")) {
+      snapshot.next_id = header_number<TaskId>(t.substr(10), "next_id=");
+    } else if (t.starts_with("# counter=")) {
+      std::string_view body = t.substr(10);
+      const std::string_view name = take_field(body, ' ');
+      if (name.empty() || body.empty()) {
         throw std::runtime_error("malformed '# counter=' line in snapshot");
       }
-      snapshot.counters[body.substr(0, space)] =
-          static_cast<std::uint64_t>(std::strtoull(body.c_str() + space + 1, nullptr, 10));
-    } else if (t.rfind("# ids=", 0) == 0) {
+      snapshot.counters[std::string(name)] = header_number<std::uint64_t>(body, "counter=");
+    } else if (t.starts_with("# ids=")) {
       saw_ids = true;
-      std::istringstream id_stream(t.substr(6));
-      std::string token;
-      while (std::getline(id_stream, token, ',')) {
-        if (!token.empty()) ids.push_back(static_cast<TaskId>(std::atoi(token.c_str())));
+      std::string_view list = t.substr(6);
+      while (!list.empty()) {
+        const std::string_view token = take_field(list, ',');
+        if (!token.empty()) ids.push_back(header_number<TaskId>(token, "ids="));
       }
     }
   }
   if (!saw_ids) throw std::runtime_error("snapshot missing the '# ids=' header line");
+  if (!saw_tasks) throw std::runtime_error("snapshot missing the tasks section");
 
-  // Tasks section until the plan marker; plan section until EOF.
-  std::ostringstream tasks_csv;
-  bool in_plan = false;
-  std::ostringstream plan_csv;
-  while (std::getline(in, line)) {
-    if (trimmed(line) == kPlanMarker) {
-      in_plan = true;
-      continue;
-    }
-    (in_plan ? plan_csv : tasks_csv) << line << "\n";
-  }
-  if (!in_plan) throw std::runtime_error("snapshot missing the plan section");
-
-  const TaskSet tasks = task_set_from_csv(tasks_csv.str());
+  // Tasks section until the plan marker; any plan section is skipped.
+  const std::vector<Task> tasks = parse_tasks(rest);
   if (tasks.size() != ids.size()) {
     throw std::runtime_error("snapshot id count does not match task count");
   }
@@ -119,7 +167,6 @@ ServiceSnapshot snapshot_from_text(const std::string& text) {
     }
     snapshot.committed.emplace_back(ids[i], tasks[i]);
   }
-  snapshot.plan = schedule_from_csv(plan_csv.str());
   return snapshot;
 }
 

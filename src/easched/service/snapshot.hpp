@@ -1,14 +1,23 @@
 #pragma once
 
 /// \file snapshot.hpp
-/// \brief Durable service state: committed set + current plan, round-trippable.
+/// \brief Durable service state: committed set, ids, id counter and metric
+///        counters, round-trippable.
 ///
 /// A restarted service must resume mid-horizon: the tasks it already
-/// admitted are commitments, and re-deriving their plan must not wait for
-/// the next request. The snapshot is a single text document embedding the
-/// two existing CSV formats — the task trace (`trace_io`) and the schedule
-/// (`schedule_io`) — plus the service-id mapping and the id counter, so ids
-/// handed to clients stay valid across the restart.
+/// admitted are commitments, and ids handed to clients must stay valid
+/// across the restart. The snapshot holds exactly that — the service ids,
+/// `next_id`, the committed tasks (exact: every number is written in its
+/// shortest round-trip form) and the metric counters. The plan is derived
+/// state and is not stored: on restart the journal (`journal.hpp`) is
+/// replayed once over the snapshot, and the first request that needs the
+/// plan re-derives it through the ordinary plan cache and delta planner.
+///
+/// The format is one text document embedding the task-trace CSV
+/// (`trace_io`). For older readers the writer still ends it with a
+/// `--- plan ---` section holding an empty schedule table; the reader skips
+/// any plan section and `# energy=` line it finds, so documents written
+/// with a stored plan still load.
 
 #include <cstdint>
 #include <map>
@@ -16,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "easched/sched/schedule.hpp"
 #include "easched/tasksys/task.hpp"
 
 namespace easched {
@@ -28,11 +36,6 @@ struct ServiceSnapshot {
   TaskId next_id = 0;
   /// Committed tasks with their service ids, in id order.
   std::vector<std::pair<TaskId, Task>> committed;
-  /// The current plan for `committed` (task indices are positions in
-  /// `committed`, not service ids).
-  Schedule plan;
-  /// F2 energy of `plan`.
-  double energy = 0.0;
   /// Metric counters at snapshot time. A service restored from the snapshot
   /// re-seeds its registry with them, so monotone totals (admits,
   /// rejections, journal replays, ...) survive recovery instead of
@@ -45,7 +48,7 @@ struct ServiceSnapshot {
 std::string snapshot_to_text(const ServiceSnapshot& snapshot);
 
 /// Parse a snapshot document. Throws `std::runtime_error` on malformed
-/// input (bad header, id/task count mismatch, malformed embedded CSV).
+/// input (bad header, id/task count mismatch, malformed task rows).
 ServiceSnapshot snapshot_from_text(const std::string& text);
 
 /// File-based convenience wrappers.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -285,6 +286,28 @@ TEST(JournalTest, RidRidesInsideTheAdmitRecord) {
   ASSERT_EQ(recovery.request_ids.size(), 1u);
   EXPECT_EQ(recovery.request_ids[0].first, "client-3-attempt-1");
   EXPECT_EQ(recovery.request_ids[0].second, 7);
+}
+
+TEST(JournalTest, SizeBytesTracksTheFileWithoutReopeningIt) {
+  const std::string path = fresh_path("journal_size.log");
+  AdmissionJournal journal(path);
+  EXPECT_EQ(journal.size_bytes(), std::filesystem::file_size(path));  // header only
+  for (TaskId id = 0; id < 20; ++id) {
+    journal.append_admit(id, Task{0.1 * id, 0.1 * id + 10.0 / 3.0, 1.0 / 7.0}, "rid");
+    if (id % 3 == 0) journal.append_complete(id);
+    EXPECT_EQ(journal.size_bytes(), std::filesystem::file_size(path));
+  }
+
+  const JournalCompaction compaction = journal.compact(20, {{4, Task{0.4, 4.0, 1.0}}}, {});
+  EXPECT_EQ(compaction.bytes_after, std::filesystem::file_size(path));
+  EXPECT_EQ(journal.size_bytes(), compaction.bytes_after);
+  journal.append_complete(4);
+  EXPECT_EQ(journal.size_bytes(), std::filesystem::file_size(path));
+
+  AdmissionJournal reopened(path);
+  EXPECT_EQ(reopened.size_bytes(), std::filesystem::file_size(path));
+  reopened.append_admit(20, Task{2.0, 12.0, 1.0});
+  EXPECT_EQ(reopened.size_bytes(), std::filesystem::file_size(path));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -417,6 +418,150 @@ TEST(NetE2eTest, NoAckedAdmitIsLostUnderKillRestartChaos) {
   EXPECT_EQ(server.front_end->acked_admits(), static_cast<std::size_t>(acked));
   EXPECT_EQ(server.front_end->audit_lost_acks(), 0u);
   EXPECT_GE(server.supervisor.stats().crashes_contained, 1u);
+}
+
+TEST(NetE2eTest, RidsTheJournalCannotStoreAreRejectedInvalid) {
+  // Same rule as in process, seen through the wire: single and batched
+  // admits answer non-retryable kRejectedInvalid with a reason, nothing is
+  // committed or journaled, and the earlier ack survives a restart.
+  const SupervisorOptions options = fleet_options("net_bad_rid", 1);
+  const std::string wal = options.data_dir + "/shard0.wal";
+  AdmitRequest good;
+  good.tenant = "t";
+  good.rid = "good-rid";
+  good.task = easy_task(0);
+  std::int64_t acked = -1;
+  for (const bool restarted : {false, true}) {
+    SCOPED_TRACE(restarted ? "after restart" : "first incarnation");
+    Supervisor supervisor(test_power(), options);
+    FrontEnd front_end(supervisor, FrontEndOptions{});
+    front_end.start();
+    BlockingClient client;
+    client.connect("127.0.0.1", front_end.port());
+
+    const AdmitResponse ok = client.admit(good);
+    ASSERT_EQ(ok.status, Status::kOk);
+    EXPECT_EQ(ok.deduplicated, restarted);
+    if (!restarted) acked = ok.id;
+    EXPECT_EQ(ok.id, acked);
+
+    const auto wal_bytes = std::filesystem::file_size(wal);
+    for (const std::string rid : {"has space", "has\nnewline"}) {
+      AdmitRequest bad = good;
+      bad.rid = rid;
+      bad.task = easy_task(1);
+      const AdmitResponse single = client.admit(bad);
+      EXPECT_EQ(single.status, Status::kRejectedInvalid);
+      EXPECT_FALSE(is_retryable(single.status));
+      EXPECT_FALSE(single.admitted);
+      EXPECT_FALSE(single.reason.empty());
+
+      AdmitBatchRequest batch;
+      batch.items.push_back({"t", rid, easy_task(2)});
+      const AdmitBatchResponse batched = client.admit_batch(batch);
+      ASSERT_EQ(batched.status, Status::kOk);
+      ASSERT_EQ(batched.items.size(), 1u);
+      EXPECT_EQ(batched.items[0].status, Status::kRejectedInvalid);
+      EXPECT_FALSE(batched.items[0].reason.empty());
+    }
+    EXPECT_EQ(supervisor.committed_total(), 1u);
+    EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);  // nothing journaled
+    EXPECT_EQ(front_end.audit_lost_acks(), 0u);
+    client.close();
+    front_end.stop();
+  }
+}
+
+TEST(NetE2eTest, TaskOpIdsOutsideTheTaskIdRangeNameNoTask) {
+  // The wire id is an int64; narrowing 2^32 to a TaskId would name task 0.
+  Server server("net_task_op_range", 1);
+  BlockingClient client = server.connect();
+  AdmitRequest admit;
+  admit.tenant = "t";
+  admit.rid = "range-0";
+  admit.task = easy_task(0);
+  const AdmitResponse first = client.admit(admit);
+  ASSERT_EQ(first.status, Status::kOk);
+  ASSERT_EQ(first.id, 0);
+
+  for (const std::int64_t id : {std::int64_t{1} << 32, (std::int64_t{1} << 32) + 1,
+                                std::int64_t{-1}, std::numeric_limits<std::int64_t>::min()}) {
+    TaskOpRequest op;
+    op.tenant = "t";
+    op.id = id;
+    EXPECT_EQ(client.complete_task(op).status, Status::kNotFound) << id;
+    EXPECT_EQ(client.cancel_task(op).status, Status::kNotFound) << id;
+  }
+  EXPECT_EQ(server.supervisor.shard(0).committed_ids(), (std::vector<TaskId>{0}));
+}
+
+TEST(NetE2eTest, AuditRetiresTasksCompletedOverTheWire) {
+  Server server("net_audit_retire", 2);
+  BlockingClient client = server.connect();
+  std::vector<AdmitRequest> admits;
+  std::vector<std::int64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    AdmitRequest admit;
+    admit.tenant = "tenant-" + std::to_string(i);
+    admit.rid = "retire-" + std::to_string(i);
+    admit.task = easy_task(i);
+    const AdmitResponse response = client.admit(admit);
+    ASSERT_EQ(response.status, Status::kOk);
+    admits.push_back(admit);
+    ids.push_back(response.id);
+  }
+  TaskOpRequest complete;
+  complete.tenant = admits[0].tenant;
+  complete.id = ids[0];
+  ASSERT_EQ(client.complete_task(complete).status, Status::kOk);
+  TaskOpRequest cancel;
+  cancel.tenant = admits[1].tenant;
+  cancel.id = ids[1];
+  ASSERT_EQ(client.cancel_task(cancel).status, Status::kOk);
+  EXPECT_EQ(server.front_end->audit_lost_acks(), 0u);
+
+  // A dedup replay of a retired rid re-records its ack; still not lost.
+  const AdmitResponse replay = client.admit(admits[0]);
+  ASSERT_EQ(replay.status, Status::kOk);
+  EXPECT_TRUE(replay.deduplicated);
+  EXPECT_EQ(server.front_end->audit_lost_acks(), 0u);
+
+  // A task removed behind the wire's back is still a lost ack.
+  ASSERT_EQ(server.supervisor.complete(admits[2].tenant, static_cast<TaskId>(ids[2])),
+            std::optional<bool>(true));
+  EXPECT_EQ(server.front_end->audit_lost_acks(), 1u);
+}
+
+TEST(NetE2eTest, DedupReplaysOfTasksFinishedBeforeARestartAreNotLostAcks) {
+  // The first incarnation admits and completes a task; after a restart on
+  // the same data dir, a client's dedup replay of that rid acks finished
+  // work, which the new ledger must not expect to find committed.
+  const SupervisorOptions options = fleet_options("net_audit_restart", 1);
+  AdmitRequest admit;
+  admit.tenant = "t";
+  admit.rid = "finished-0";
+  admit.task = easy_task(0);
+  for (const bool restarted : {false, true}) {
+    SCOPED_TRACE(restarted ? "after restart" : "first incarnation");
+    Supervisor supervisor(test_power(), options);
+    FrontEnd front_end(supervisor, FrontEndOptions{});
+    front_end.start();
+    BlockingClient client;
+    client.connect("127.0.0.1", front_end.port());
+    const AdmitResponse ack = client.admit(admit);
+    ASSERT_EQ(ack.status, Status::kOk);
+    EXPECT_EQ(ack.deduplicated, restarted);
+    if (!restarted) {
+      TaskOpRequest complete;
+      complete.tenant = admit.tenant;
+      complete.id = ack.id;
+      ASSERT_EQ(client.complete_task(complete).status, Status::kOk);
+    }
+    EXPECT_EQ(supervisor.committed_total(), 0u);
+    EXPECT_EQ(front_end.audit_lost_acks(), 0u);
+    client.close();
+    front_end.stop();
+  }
 }
 
 }  // namespace

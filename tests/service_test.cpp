@@ -170,9 +170,7 @@ TEST(SchedulerServiceTest, SnapshotRoundTripsThroughText) {
   EXPECT_EQ(parsed.next_id, snap.next_id);
   ASSERT_EQ(parsed.committed.size(), snap.committed.size());
   EXPECT_EQ(parsed.committed[0].first, snap.committed[0].first);
-  EXPECT_NEAR(parsed.committed[0].second.work, snap.committed[0].second.work, 1e-8);
-  EXPECT_EQ(parsed.plan.segments().size(), snap.plan.segments().size());
-  EXPECT_NEAR(parsed.energy, snap.energy, 1e-9);
+  EXPECT_EQ(parsed.committed[0].second.work, snap.committed[0].second.work);
 }
 
 TEST(SchedulerServiceTest, SnapshotRejectsMalformedDocuments) {
@@ -182,25 +180,17 @@ TEST(SchedulerServiceTest, SnapshotRejectsMalformedDocuments) {
 }
 
 TEST(SchedulerServiceTest, RestoredServiceResumesWithIdsAndPlanIntact) {
-  ServiceSnapshot snap;
-  {
-    SchedulerService service(test_power(), manual_options());
-    service.submit_wait(Task{0.0, 10.0, 8.0});
-    service.submit_wait(Task{2.0, 18.0, 14.0});
-    snap = service.snapshot();
-  }
+  SchedulerService original(test_power(), manual_options());
+  original.submit_wait(Task{0.0, 10.0, 8.0});
+  original.submit_wait(Task{2.0, 18.0, 14.0});
+  const ServiceSnapshot snap = original.snapshot();
 
   SchedulerService restored(snap, test_power(), manual_options());
   EXPECT_EQ(restored.committed_count(), 2u);
   EXPECT_EQ(restored.committed_ids(), (std::vector<TaskId>{0, 1}));
-  // The snapshot pre-seeds the cache AND re-seeds counter totals, so the
-  // cache assertions are deltas over the restored values: reading the plan
-  // is a hit, never a re-plan.
-  const std::uint64_t misses_restored = snap.counters.at("plan_cache_misses_total");
-  const std::uint64_t hits_restored = snap.counters.at("plan_cache_hits_total");
-  EXPECT_EQ(restored.metrics().counter("plan_cache_misses_total"), misses_restored);
-  EXPECT_NEAR(restored.current_energy(), snap.energy, 1e-6);
-  EXPECT_EQ(restored.metrics().counter("plan_cache_hits_total"), hits_restored + 1);
+  // The plan is re-derived from the restored set, bit-identical to the
+  // plan the original service holds for the same set.
+  EXPECT_EQ(restored.current_energy(), original.current_energy());
 
   // New admissions continue the id sequence rather than reusing ids.
   const ServiceDecision next = restored.submit_wait(Task{1.0, 30.0, 5.0});

@@ -315,5 +315,37 @@ TEST(SupervisorTest, ThresholdCompactionBoundsTheJournal) {
   EXPECT_EQ(ids.front(), live.id);
 }
 
+TEST(SupervisorTest, RidsTheJournalCannotStoreAreRejectedBeforeAnything) {
+  // A space would split the admit record (the retry then misses dedup); a
+  // newline would tear it (the acked admit is lost on restart). Both are
+  // refused before planning or journaling, on the single and batch paths.
+  const SupervisorOptions options = fleet_options("sup_bad_rid", 1);
+  const std::string wal = options.data_dir + "/shard0.wal";
+  TaskId acked = -1;
+  for (const bool restarted : {false, true}) {
+    SCOPED_TRACE(restarted ? "after restart" : "first incarnation");
+    Supervisor supervisor(test_power(), options);
+    const ServiceDecision good = supervisor.submit("t", rich_task(0), "good-rid");
+    ASSERT_TRUE(good.admission.admitted);
+    EXPECT_EQ(good.deduplicated, restarted);
+    if (!restarted) acked = good.id;
+    EXPECT_EQ(good.id, acked);
+
+    const auto wal_bytes = std::filesystem::file_size(wal);
+    for (const std::string rid : {"has space", "has\nnewline"}) {
+      const ServiceDecision single = supervisor.submit("t", rich_task(1), rid);
+      EXPECT_FALSE(single.admission.admitted);
+      EXPECT_EQ(single.error_kind, AdmissionErrorKind::kInvalid);
+      EXPECT_FALSE(single.admission.rejection_reason.empty());
+      const std::vector<ServiceDecision> batch =
+          supervisor.submit_batch({{"t", rich_task(2), rid}});
+      EXPECT_FALSE(batch[0].admission.admitted);
+      EXPECT_EQ(batch[0].error_kind, AdmissionErrorKind::kInvalid);
+    }
+    EXPECT_EQ(supervisor.committed_total(), 1u);
+    EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);  // nothing journaled
+  }
+}
+
 }  // namespace
 }  // namespace easched
