@@ -7,9 +7,12 @@
 
 /// Stable LSD radix sorting of (u64 key, u32 index) pairs, shared by the
 /// allocator's descending-DER order (Algorithm 2) and `Schedule::validate`'s
-/// start-time ordering. Both sort a few hundred to a few hundred thousand
-/// keys on every plan, where the byte-histogram passes beat a comparison
-/// sort's cache-hostile indirection.
+/// start-time ordering. Each pass pays a fixed 256-bucket histogram, so it
+/// wins only on larger inputs: `Schedule::validate` sorts every segment of a
+/// plan (thousands and more), while the allocator sorts one heavy
+/// subinterval's positive DERs at a time — a handful on the service's sets,
+/// hundreds on the paper's dense ones — and uses this only above
+/// `kDerRadixCutoff` keys (`sched/allocation.hpp`), a comparison sort below.
 
 namespace easched {
 

@@ -118,11 +118,14 @@ void der_ration_into(const std::vector<double>& ders, int cores, double length,
 
   // Algorithm 2: greatest DER first; each task requests its proportional
   // share of the *remaining* capacity, capped at the subinterval length.
-  // Descending-DER order with ascending index as tie-break, via a stable
-  // radix sort on the bit-flipped IEEE key: positive doubles order like
-  // their bit patterns, so ascending `~bits` is descending value, and two
-  // positive doubles are equal iff their bits are — the order matches a
-  // stable descending-value sort of the indices exactly. Zero-DER tasks are
+  // Descending-DER order with ascending index as tie-break, via an
+  // ascending sort of (bit-flipped IEEE key, index) pairs: positive doubles
+  // order like their bit patterns, so ascending `~bits` is descending value,
+  // and two positive doubles are equal iff their bits are — the order
+  // matches a stable descending-value sort of the indices exactly. The
+  // indices are distinct, so the pairs are totally ordered: a comparison
+  // sort of the pairs and the stable radix sort of the keys agree, and the
+  // cutoff picks whichever is faster for the count. Zero-DER tasks are
   // left out entirely: they would sort last, receive
   // `min(length, capacity·0/der) = 0`, and change neither remainder — their
   // rations are already the zeros `assign` wrote. At n = 10000 roughly a
@@ -135,7 +138,11 @@ void der_ration_into(const std::vector<double>& ders, int cores, double length,
           {~std::bit_cast<std::uint64_t>(ders[i]), static_cast<std::uint32_t>(i)});
     }
   }
-  radix_sort_keys(scratch.order, scratch.swap);
+  if (scratch.order.size() <= kDerRadixCutoff) {
+    std::sort(scratch.order.begin(), scratch.order.end());
+  } else {
+    radix_sort_keys(scratch.order, scratch.swap);
+  }
 
   scratch.ration.assign(ders.size(), 0.0);
   double remaining_capacity = static_cast<double>(cores) * length;
@@ -165,6 +172,43 @@ Availability allocate_available_time(const TaskSet& tasks,
   return allocate_available_time(tasks, subintervals, cores, ideal, method, Exec::serial());
 }
 
+void allocate_column(const SubintervalDecomposition& subintervals, std::size_t j, int cores,
+                     const IdealCase& ideal, AllocationMethod method, Availability& avail) {
+  const Subinterval& si = subintervals[j];
+  if (si.overlapping.empty()) return;
+
+  if (!si.heavy(cores)) {
+    // Observation 2: each overlapping task may occupy a whole core.
+    for (const TaskId i : si.overlapping) {
+      avail.set_in_column(static_cast<std::size_t>(i), j, si.length());
+    }
+    return;
+  }
+
+  // Thread-local scratch: each worker reuses one set of rationing buffers
+  // across its subintervals instead of allocating fresh vectors per heavy
+  // subinterval. The computed values are independent of the buffers'
+  // history, so the result stays bit-identical at any pool size.
+  thread_local RationScratch scratch;
+  thread_local std::vector<double> ders;
+  if (method == AllocationMethod::kEven) {
+    const double share = std::min(si.length(), static_cast<double>(cores) * si.length() /
+                                                   static_cast<double>(si.overlapping.size()));
+    scratch.ration.assign(si.overlapping.size(), share);
+  } else {
+    ders.clear();
+    for (const TaskId i : si.overlapping) {
+      // DER (equation (24)): ideal execution time in this subinterval,
+      // scaled by the ideal frequency.
+      ders.push_back(ideal.execution_time_in(i, si.begin, si.end) * ideal.frequency(i));
+    }
+    der_ration_into(ders, cores, si.length(), scratch);
+  }
+  for (std::size_t k = 0; k < si.overlapping.size(); ++k) {
+    avail.set_in_column(static_cast<std::size_t>(si.overlapping[k]), j, scratch.ration[k]);
+  }
+}
+
 Availability allocate_available_time(const TaskSet& tasks,
                                      const SubintervalDecomposition& subintervals, int cores,
                                      const IdealCase& ideal, AllocationMethod method,
@@ -174,40 +218,7 @@ Availability allocate_available_time(const TaskSet& tasks,
 
   Availability avail(tasks, subintervals);
   exec.loop(subintervals.size(), [&](std::size_t j) {
-    const Subinterval& si = subintervals[j];
-    if (si.overlapping.empty()) return;
-
-    if (!si.heavy(cores)) {
-      // Observation 2: each overlapping task may occupy a whole core.
-      for (const TaskId i : si.overlapping) {
-        avail.set_in_column(static_cast<std::size_t>(i), j, si.length());
-      }
-      return;
-    }
-
-    // Thread-local scratch: each worker reuses one set of rationing buffers
-    // across its subintervals instead of allocating fresh vectors per heavy
-    // subinterval. The computed values are independent of the buffers'
-    // history, so the result stays bit-identical at any pool size.
-    thread_local RationScratch scratch;
-    thread_local std::vector<double> ders;
-    if (method == AllocationMethod::kEven) {
-      const double share =
-          std::min(si.length(), static_cast<double>(cores) * si.length() /
-                                    static_cast<double>(si.overlapping.size()));
-      scratch.ration.assign(si.overlapping.size(), share);
-    } else {
-      ders.clear();
-      for (const TaskId i : si.overlapping) {
-        // DER (equation (24)): ideal execution time in this subinterval,
-        // scaled by the ideal frequency.
-        ders.push_back(ideal.execution_time_in(i, si.begin, si.end) * ideal.frequency(i));
-      }
-      der_ration_into(ders, cores, si.length(), scratch);
-    }
-    for (std::size_t k = 0; k < si.overlapping.size(); ++k) {
-      avail.set_in_column(static_cast<std::size_t>(si.overlapping[k]), j, scratch.ration[k]);
-    }
+    allocate_column(subintervals, j, cores, ideal, method, avail);
   });
   avail.finalize_row_sums(exec);
   return avail;

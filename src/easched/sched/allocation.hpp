@@ -185,6 +185,26 @@ Availability allocate_available_time(const TaskSet& tasks,
                                      const IdealCase& ideal, AllocationMethod method,
                                      const Exec& exec);
 
+/// Ration one subinterval: write column `subinterval` of `avail` exactly as
+/// `allocate_available_time` fills it (the full length per task when light,
+/// `method`'s share when heavy). Updates the column sum but no row sum —
+/// call `finalize_row_sums` or `rebuild_sums` once every column is written.
+/// The delta planner recomputes its dirty columns through this, so they
+/// match a from-scratch fill bit for bit.
+void allocate_column(const SubintervalDecomposition& subintervals, std::size_t subinterval,
+                     int cores, const IdealCase& ideal, AllocationMethod method,
+                     Availability& avail);
+
+/// Up to this many positive DERs, Algorithm 2's descending-DER order comes
+/// from a comparison sort; above it, from the radix sort. Both produce the
+/// same order. A radix pass costs a fixed 256-bucket histogram, so eight of
+/// them dwarf a handful of comparisons: on a 4-vCPU x86 host the two broke
+/// even near 100 keys (96 for random doubles, about 128 for the DERs of
+/// the paper's uniform n = 1000 set), and at 64 the comparison sort took
+/// half the radix's time. The service's dense sets see about five keys per
+/// heavy subinterval, the paper's uniform n = 1000–10000 sets hundreds.
+inline constexpr std::size_t kDerRadixCutoff = 64;
+
 /// The heavy-subinterval DER rationing in isolation (Algorithm 2): given each
 /// task's DER and the capacity `cores·length`, return per-task allocations
 /// (same order as `ders`), each in `[0, length]`, summing to at most the

@@ -142,15 +142,15 @@ bool attempt_exact(const TaskSet& tasks, const SubintervalDecomposition& subs, i
   }
 }
 
-/// A heuristic rung (F2/DER or F1/even) riding the existing pipeline.
+/// A heuristic rung (F2/DER or F1/even): the pipeline's final plan alone.
 bool attempt_heuristic(const TaskSet& tasks, const SubintervalDecomposition& subs, int cores,
                        const PowerModel& power, const IdealCase& ideal, AllocationMethod method,
                        const FallbackOptions& options, const Exec& exec, RungAttempt& attempt,
                        FallbackPlan& plan) {
   attempt.rung = method == AllocationMethod::kDer ? PlanRung::kDer : PlanRung::kEven;
   try {
-    MethodResult result = schedule_with_method(tasks, subs, cores, power, ideal, method, exec);
-    return try_serve(tasks, std::move(result.final_schedule), result.final_energy,
+    FinalPlan result = plan_final(tasks, subs, cores, power, ideal, method, exec);
+    return try_serve(tasks, std::move(result.schedule), result.refinement.energy,
                      options.validate_tol, attempt, plan);
   } catch (const std::exception& e) {
     attempt.failure = RungFailure::kException;

@@ -8,7 +8,6 @@
 #include "easched/common/math.hpp"
 #include "easched/obs/trace.hpp"
 #include "easched/parallel/exec.hpp"
-#include "easched/sched/packing.hpp"
 #include "easched/sched/pipeline.hpp"
 
 namespace easched {
@@ -71,7 +70,7 @@ Availability DeltaPlanner::refined_allocation() const {
     const std::span<const double> src = avail_.row(i);
     const std::span<double> dst = refined.row_values(i);
     EASCHED_ASSERT(src.size() == dst.size());
-    for (std::size_t k = 0; k < src.size(); ++k) dst[k] = src[k] * task_scale_[i];
+    for (std::size_t k = 0; k < src.size(); ++k) dst[k] = src[k] * refinement_.scale[i];
   }
   return refined;
 }
@@ -146,37 +145,12 @@ void DeltaPlanner::full_rebuild(const TaskSet& live, const Exec& exec) {
   }
   ideal_.emplace(task_set_, power_);
 
-  MethodResult result = schedule_with_method(task_set_, *subs_, options_.cores, power_, *ideal_,
-                                             options_.method, exec);
-  avail_ = std::move(result.availability);
-  schedule_ = std::move(result.final_schedule);
-  refine(exec);  // recomputes what `result` carried, from identical inputs
-  EASCHED_ASSERT(final_energy_ == result.final_energy);
+  FinalPlan plan =
+      plan_final(task_set_, *subs_, options_.cores, power_, *ideal_, options_.method, exec);
+  avail_ = std::move(plan.availability);
+  refinement_ = std::move(plan.refinement);
+  schedule_ = std::move(plan.schedule);
   has_state_ = true;
-}
-
-void DeltaPlanner::refine(const Exec& exec) {
-  // The F2 refinement (equations (22)-(23)), expression for expression the
-  // loop in `schedule_with_method`: per-task slots filled independently,
-  // then one serial ascending-index energy fold.
-  const std::size_t n = task_set_.size();
-  total_available_.resize(n);
-  final_frequency_.resize(n);
-  task_scale_.resize(n);
-  task_energy_.resize(n);
-  exec.loop(n, [&](std::size_t i) {
-    const double a_total = avail_.row_sum(i);
-    EASCHED_ASSERT(a_total > 0.0);
-    total_available_[i] = a_total;
-    const double f = power_.optimal_frequency(task_set_[i].work, a_total);
-    final_frequency_[i] = f;
-    task_energy_[i] = power_.energy_for_work(task_set_[i].work, f);
-    const double used = task_set_[i].work / f;
-    EASCHED_ASSERT(leq_tol(used, a_total, 1e-9 * a_total));
-    task_scale_[i] = std::min(1.0, used / a_total);
-  });
-  final_energy_ = 0.0;
-  for (std::size_t i = 0; i < n; ++i) final_energy_ += task_energy_[i];
 }
 
 void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count,
@@ -205,41 +179,16 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
     std::copy(src.begin(), src.end(), dst.begin());
   });
   exec.loop(d1_count, [&](std::size_t k) {
-    // The allocator's per-column rationing, verbatim (allocation.cpp): the
-    // recomputed cells must match a from-scratch fill bit for bit.
-    const std::size_t j = d1_first + k;
-    const Subinterval& si = (*subs_)[j];
-    if (si.overlapping.empty()) return;
-    if (!si.heavy(options_.cores)) {
-      for (const TaskId i : si.overlapping) {
-        fresh.set_in_column(static_cast<std::size_t>(i), j, si.length());
-      }
-      return;
-    }
-    thread_local std::vector<double> ders;
-    thread_local std::vector<double> ration;
-    if (options_.method == AllocationMethod::kEven) {
-      const double share =
-          std::min(si.length(), static_cast<double>(options_.cores) * si.length() /
-                                    static_cast<double>(si.overlapping.size()));
-      ration.assign(si.overlapping.size(), share);
-    } else {
-      ders.clear();
-      for (const TaskId i : si.overlapping) {
-        ders.push_back(ideal_->execution_time_in(i, si.begin, si.end) * ideal_->frequency(i));
-      }
-      ration = der_ration(ders, options_.cores, si.length());
-    }
-    for (std::size_t m = 0; m < si.overlapping.size(); ++m) {
-      fresh.set_in_column(static_cast<std::size_t>(si.overlapping[m]), j, ration[m]);
-    }
+    // The allocator's own per-column rationing: the recomputed cells match a
+    // from-scratch fill bit for bit.
+    allocate_column(*subs_, d1_first + k, options_.cores, *ideal_, options_.method, fresh);
   });
   fresh.rebuild_sums(*subs_, exec);
   avail_ = std::move(fresh);
 
   // --- Refinement: O(n) closed form; recomputing every task (not just the
   // dirty ones) costs microseconds and is trivially from-scratch-identical.
-  refine(exec);
+  refine_final(task_set_, power_, avail_, exec, refinement_);
 
   // --- Schedule splice. Index the old schedule's (task, core) groups.
   const std::size_t stride = static_cast<std::size_t>(options_.cores) + 1;
@@ -341,26 +290,10 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
     kept += (g.pre_end - g.begin) + (g.end - g.suf_begin);
   }
 
-  // Repack the window columns from the fresh state — the same generator the
-  // pipeline feeds the packer, restricted to [jlo, jhi].
-  const auto window_items = [&](std::size_t j) -> std::span<const PackItem> {
-    if (j < jlo || j > jhi) return {};
-    thread_local std::vector<PackItem> items;
-    items.clear();
-    const Subinterval& si = (*subs_)[j];
-    for (const TaskId id : si.overlapping) {
-      const auto i = static_cast<std::size_t>(id);
-      const double budget = avail_(i, j);
-      if (budget <= 0.0) continue;
-      const double time = std::min(budget * task_scale_[i], si.length());
-      if (!(time > 0.0)) continue;
-      items.push_back({id, time, final_frequency_[i]});
-    }
-    return items;
-  };
+  // Repack the window columns from the fresh state — the pipeline's own
+  // final pack, restricted to [jlo, jhi].
   const Schedule middle =
-      have_window ? pack_subintervals_coalesced(*subs_, options_.cores, window_items,
-                                                static_cast<TaskId>(n) - 1, exec)
+      have_window ? pack_final(*subs_, options_.cores, avail_, refinement_, jlo, jhi + 1, exec)
                   : Schedule(options_.cores, std::vector<Segment>{});
   const std::vector<Segment>& msegs = middle.segments();
   struct MidGroup {
@@ -625,7 +558,7 @@ DeltaPlan DeltaPlanner::plan_to(const TaskSet& live, const Exec& exec, DeltaOutc
   }
   span.arg("delta", out.delta ? 1.0 : 0.0);
   span.arg("ops", static_cast<double>(out.ops));
-  return {final_energy_, schedule_};
+  return {refinement_.energy, schedule_};
 }
 
 }  // namespace easched

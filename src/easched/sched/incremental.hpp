@@ -44,6 +44,7 @@
 #include "easched/power/power_model.hpp"
 #include "easched/sched/allocation.hpp"
 #include "easched/sched/ideal.hpp"
+#include "easched/sched/pipeline.hpp"
 #include "easched/sched/schedule.hpp"
 #include "easched/tasksys/subintervals.hpp"
 #include "easched/tasksys/task_set.hpp"
@@ -149,7 +150,6 @@ class DeltaPlanner {
   void rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count,
                           const std::vector<char>& in_dirty_set, TaskId removed_old,
                           const Exec& exec, DeltaOutcome& out);
-  void refine(const Exec& exec);
   /// True when `value` can be spliced into the boundary array without
   /// violating the constructor's merge invariant (every pair of distinct
   /// values farther apart than `merge_tol`).
@@ -174,11 +174,7 @@ class DeltaPlanner {
   std::optional<SubintervalDecomposition> subs_;
   std::optional<IdealCase> ideal_;
   Availability avail_;
-  std::vector<double> total_available_;
-  std::vector<double> final_frequency_;
-  std::vector<double> task_scale_;
-  std::vector<double> task_energy_;
-  double final_energy_ = 0.0;
+  FinalRefinement refinement_;
   Schedule schedule_;
 
   /// Pending `reserve` request, applied when the decomposition exists.

@@ -4,6 +4,7 @@
 
 #include "easched/common/contracts.hpp"
 #include "easched/common/math.hpp"
+#include "easched/parallel/exec.hpp"
 #include "easched/sched/ideal.hpp"
 #include "easched/sched/pipeline.hpp"
 #include "easched/solver/yds.hpp"
@@ -72,7 +73,7 @@ OnlineResult schedule_online(const TaskSet& tasks, int cores, const PowerModel& 
       const SubintervalDecomposition subs(sub);
       const IdealCase ideal(sub, power);
       planned =
-          schedule_with_method(sub, subs, cores, power, ideal, options.method).final_schedule;
+          plan_final(sub, subs, cores, power, ideal, options.method, Exec::serial()).schedule;
     }
 
     // Execute the plan until the next arrival invalidates it.
@@ -154,7 +155,7 @@ OnlineResult schedule_online_adaptive(const TaskSet& tasks,
     const SubintervalDecomposition subs(sub);
     const IdealCase ideal(sub, power);
     const Schedule planned =
-        schedule_with_method(sub, subs, cores, power, ideal, options.method).final_schedule;
+        plan_final(sub, subs, cores, power, ideal, options.method, Exec::serial()).schedule;
 
     // Sweep the plan's breakpoints; stop at the first actual completion.
     std::vector<double> breakpoints{now};

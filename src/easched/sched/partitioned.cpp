@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "easched/common/contracts.hpp"
+#include "easched/parallel/exec.hpp"
 #include "easched/sched/ideal.hpp"
 #include "easched/sched/pipeline.hpp"
 #include "easched/tasksys/subintervals.hpp"
@@ -86,9 +87,9 @@ PartitionedResult schedule_partitioned(const TaskSet& tasks, int cores,
     const TaskSet sub(std::move(mine));
     const SubintervalDecomposition subs(sub);
     const IdealCase ideal(sub, power);
-    const MethodResult per_core = schedule_with_method(sub, subs, 1, power, ideal, method);
-    result.total_energy += per_core.final_energy;
-    for (const Segment& seg : per_core.final_schedule.segments()) {
+    const FinalPlan per_core = plan_final(sub, subs, 1, power, ideal, method, Exec::serial());
+    result.total_energy += per_core.refinement.energy;
+    for (const Segment& seg : per_core.schedule.segments()) {
       result.schedule.add({original[static_cast<std::size_t>(seg.task)], core, seg.start,
                            seg.end, seg.frequency});
     }

@@ -1,6 +1,7 @@
 #include "easched/sched/pipeline.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "easched/common/contracts.hpp"
 #include "easched/common/math.hpp"
@@ -120,9 +121,71 @@ MethodResult schedule_with_method(const TaskSet& tasks, const SubintervalDecompo
   return schedule_with_method(tasks, subs, cores, power, ideal, method, Exec::serial());
 }
 
-MethodResult schedule_with_method(const TaskSet& tasks, const SubintervalDecomposition& subs,
-                                  int cores, const PowerModel& power, const IdealCase& ideal,
-                                  AllocationMethod method, const Exec& exec) {
+void refine_final(const TaskSet& tasks, const PowerModel& power, const Availability& avail,
+                  const Exec& exec, FinalRefinement& out) {
+  // Equations (22)-(23). Each task's total availability, frequency, and
+  // energy land in per-task slots; the energy sum then reduces serially in
+  // task order, matching the serial loop bit for bit. The used time
+  // T_i = C_i/f distributes over the task's availability proportionally
+  // (`scale`), so per-subinterval budgets and capacity stay respected.
+  const std::size_t n = tasks.size();
+  EASCHED_EXPECTS(avail.task_count() == n);
+  out.total_available.resize(n);
+  out.frequency.resize(n);
+  out.scale.resize(n);
+  out.task_energy.resize(n);
+  exec.loop(n, [&](std::size_t i) {
+    const double a_total = avail.row_sum(i);
+    EASCHED_ASSERT(a_total > 0.0);  // every task covers at least one subinterval
+    out.total_available[i] = a_total;
+    const double f = power.optimal_frequency(tasks[i].work, a_total);
+    out.frequency[i] = f;
+    out.task_energy[i] = power.energy_for_work(tasks[i].work, f);
+    const double used = tasks[i].work / f;
+    EASCHED_ASSERT(leq_tol(used, a_total, 1e-9 * a_total));
+    out.scale[i] = std::min(1.0, used / a_total);
+  });
+  out.energy = 0.0;
+  for (std::size_t i = 0; i < n; ++i) out.energy += out.task_energy[i];
+}
+
+Schedule pack_final(const SubintervalDecomposition& subs, int cores, const Availability& avail,
+                    const FinalRefinement& refinement, std::size_t begin, std::size_t end,
+                    const Exec& exec) {
+  EASCHED_EXPECTS(begin <= end && end <= subs.size());
+  const std::size_t n = refinement.frequency.size();
+  EASCHED_EXPECTS(n > 0 && refinement.scale.size() == n);
+  // Final pieces, generated on demand per subinterval. Walking each
+  // subinterval's overlap row visits the same (task, subinterval) cells as a
+  // task-major piece loop would, and the ascending-TaskId rows yield each
+  // slice's items in exactly the order that loop's stable subinterval
+  // bucketing produced — the packed schedule is identical, without a
+  // task-major piece list *or* the flat CSR item buffer (~0.8 GB at
+  // n = 10000; regenerating a slice is a few row reads). The generator is a
+  // pure function of the refinement arrays, so the packer may re-invoke it
+  // per pass; the thread_local buffer keeps concurrent invocations (one per
+  // pool worker) disjoint.
+  const auto items_of = [&](std::size_t j) -> std::span<const PackItem> {
+    if (j < begin || j >= end) return {};
+    thread_local std::vector<PackItem> items;
+    items.clear();
+    const Subinterval& si = subs[j];
+    for (const TaskId id : si.overlapping) {
+      const auto i = static_cast<std::size_t>(id);
+      const double budget = avail(i, j);
+      if (budget <= 0.0) continue;
+      const double time = std::min(budget * refinement.scale[i], si.length());
+      if (!(time > 0.0)) continue;
+      items.push_back({id, time, refinement.frequency[i]});
+    }
+    return items;
+  };
+  return pack_subintervals_coalesced(subs, cores, items_of, static_cast<TaskId>(n) - 1, exec);
+}
+
+FinalPlan plan_final(const TaskSet& tasks, const SubintervalDecomposition& subs, int cores,
+                     const PowerModel& power, const IdealCase& ideal, AllocationMethod method,
+                     const Exec& exec) {
   EASCHED_EXPECTS(!tasks.empty());
   EASCHED_EXPECTS(cores > 0);
 
@@ -131,80 +194,45 @@ MethodResult schedule_with_method(const TaskSet& tasks, const SubintervalDecompo
   method_span.arg("tasks", static_cast<double>(tasks.size()));
   method_span.arg("subintervals", static_cast<double>(subs.size()));
 
+  FinalPlan plan;
+  {
+    obs::Span span("kernel.allocation");
+    plan.availability = allocate_available_time(tasks, subs, cores, ideal, method, exec);
+  }
+  {
+    obs::Span span("kernel.f2_reopt");
+    refine_final(tasks, power, plan.availability, exec, plan.refinement);
+  }
+  {
+    obs::Span span("kernel.pack");
+    plan.schedule =
+        pack_final(subs, cores, plan.availability, plan.refinement, 0, subs.size(), exec);
+    span.arg("segments", static_cast<double>(plan.schedule.segments().size()));
+  }
+  return plan;
+}
+
+MethodResult schedule_with_method(const TaskSet& tasks, const SubintervalDecomposition& subs,
+                                  int cores, const PowerModel& power, const IdealCase& ideal,
+                                  AllocationMethod method, const Exec& exec) {
+  FinalPlan plan = plan_final(tasks, subs, cores, power, ideal, method, exec);
+
   MethodResult result;
   result.method = method;
   {
-    obs::Span span("kernel.allocation");
-    result.availability = allocate_available_time(tasks, subs, cores, ideal, method, exec);
-  }
-
-  // Intermediate scheduling.
-  {
     obs::Span span("kernel.intermediate_pieces");
     result.intermediate_pieces =
-        make_intermediate_pieces(subs, cores, ideal, result.availability, exec);
+        make_intermediate_pieces(subs, cores, ideal, plan.availability, exec);
     span.arg("pieces", static_cast<double>(result.intermediate_pieces.size()));
   }
   result.intermediate_energy = pieces_energy(result.intermediate_pieces, power, exec);
   result.intermediate_schedule = materialize(subs, cores, result.intermediate_pieces, exec);
 
-  obs::Span reopt_span("kernel.f2_reopt");
-
-  // Final frequency refinement (equations (22)-(23)). Each task's total
-  // availability, frequency, and energy land in per-task slots; the energy
-  // sum then reduces serially in task order, matching the serial loop bit
-  // for bit. The used time T_i = C_i/f distributes over the task's
-  // availability proportionally (`scale`), so per-subinterval budgets and
-  // capacity stay respected.
-  const std::size_t n = tasks.size();
-  result.total_available.resize(n);
-  result.final_frequency.resize(n);
-  std::vector<double> task_energy(n);
-  std::vector<double> task_scale(n);
-  exec.loop(n, [&](std::size_t i) {
-    const double a_total = result.availability.row_sum(i);
-    EASCHED_ASSERT(a_total > 0.0);  // every task covers at least one subinterval
-    result.total_available[i] = a_total;
-    const double f = power.optimal_frequency(tasks[i].work, a_total);
-    result.final_frequency[i] = f;
-    task_energy[i] = power.energy_for_work(tasks[i].work, f);
-    const double used = tasks[i].work / f;
-    EASCHED_ASSERT(leq_tol(used, a_total, 1e-9 * a_total));
-    task_scale[i] = std::min(1.0, used / a_total);
-  });
-  for (std::size_t i = 0; i < n; ++i) result.final_energy += task_energy[i];
-
-  // Final pieces, generated on demand per subinterval: task i's budget in
-  // subinterval j becomes min(budget·scale_i, |s_j|) at frequency f_i.
-  // Walking each subinterval's overlap row visits the same
-  // (task, subinterval) cells as a task-major piece loop would, and the
-  // ascending-TaskId rows yield each slice's items in exactly the order that
-  // loop's stable subinterval bucketing produced — the packed schedule is
-  // identical, without a task-major piece list *or* the flat CSR item buffer
-  // (~0.8 GB at n = 10000; regenerating a slice is a few row reads). The
-  // generator is a pure function of the refinement arrays, so the packer may
-  // re-invoke it per pass; the thread_local buffer keeps concurrent
-  // invocations (one per pool worker) disjoint.
-  const auto final_items_of = [&](std::size_t j) -> std::span<const PackItem> {
-    thread_local std::vector<PackItem> items;
-    items.clear();
-    const Subinterval& si = subs[j];
-    for (const TaskId id : si.overlapping) {
-      const auto i = static_cast<std::size_t>(id);
-      const double budget = result.availability(i, j);
-      if (budget <= 0.0) continue;
-      const double time = std::min(budget * task_scale[i], si.length());
-      if (!(time > 0.0)) continue;
-      items.push_back({id, time, result.final_frequency[i]});
-    }
-    return items;
-  };
-  {
-    obs::Span span("kernel.pack");
-    result.final_schedule = pack_subintervals_coalesced(
-        subs, cores, final_items_of, static_cast<TaskId>(n) - 1, exec);
-    span.arg("segments", static_cast<double>(result.final_schedule.segments().size()));
-  }
+  result.availability = std::move(plan.availability);
+  result.total_available = std::move(plan.refinement.total_available);
+  result.final_frequency = std::move(plan.refinement.frequency);
+  result.final_energy = plan.refinement.energy;
+  result.final_schedule = std::move(plan.schedule);
   return result;
 }
 

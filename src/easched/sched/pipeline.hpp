@@ -12,6 +12,10 @@
 ///  4. *final* schedule (`S^{F}`): re-optimize one frequency per task against
 ///     its total available time `A_i` (equations (22)–(23)), then materialize
 ///     a collision-free `Schedule` via Algorithm 1.
+///
+/// Step 4 does not read step 3, so the plan a scheduler serves is steps 2
+/// and 4 alone (`plan_final`); `schedule_with_method` adds step 3 for the
+/// experiments that compare I1/I2 with F1/F2.
 
 #include <vector>
 
@@ -37,6 +41,50 @@ struct IntermediatePiece {
 
   double work() const { return time * frequency; }
 };
+
+/// The final frequency refinement (equations (22)–(23)) of one allocation:
+/// per task, its total available time, one frequency, and the share of the
+/// available time that frequency uses.
+struct FinalRefinement {
+  std::vector<double> total_available;  ///< `A_i = Σ_j avail(i, j)`.
+  std::vector<double> frequency;        ///< `f_i = max(f*, C_i/A_i)`.
+  std::vector<double> scale;            ///< `min(1, (C_i/f_i)/A_i)`.
+  std::vector<double> task_energy;      ///< `C_i(γf_i^{α−1}+p0/f_i)`.
+  double energy = 0.0;                  ///< `task_energy` summed in task order.
+};
+
+/// Refine `avail` for `tasks` into `out`, reusing its buffers. The per-task
+/// slots fill independently over `exec` and the energy sums serially in
+/// task order, so the result is bit-identical at any pool size.
+void refine_final(const TaskSet& tasks, const PowerModel& power, const Availability& avail,
+                  const Exec& exec, FinalRefinement& out);
+
+/// Pack subintervals `[begin, end)` of a refined allocation with Algorithm 1
+/// and coalesce: task `i`'s budget in subinterval `j` runs
+/// `min(avail(i, j)·scale_i, |s_j|)` at `f_i`. Subintervals outside the range
+/// yield no segments. The whole horizon gives the final schedule; a window
+/// gives the delta planner's repack.
+Schedule pack_final(const SubintervalDecomposition& subs, int cores, const Availability& avail,
+                    const FinalRefinement& refinement, std::size_t begin, std::size_t end,
+                    const Exec& exec);
+
+/// The plan one allocation method serves: F1 (even) or F2 (DER).
+struct FinalPlan {
+  /// Available execution time per (task, subinterval), row-compressed to
+  /// each task's live subinterval range.
+  Availability availability;
+  FinalRefinement refinement;
+  Schedule schedule;  ///< materialized, collision-free.
+};
+
+/// Allocation → final refinement → final pack, with no intermediate
+/// schedule: what the fallback chain's heuristic rungs and the delta planner
+/// serve. Per-subinterval and per-task stages fan out over `exec`;
+/// bit-identical at any pool size, and to `schedule_with_method`'s final
+/// fields.
+FinalPlan plan_final(const TaskSet& tasks, const SubintervalDecomposition& subs, int cores,
+                     const PowerModel& power, const IdealCase& ideal, AllocationMethod method,
+                     const Exec& exec);
 
 /// Full output of one allocation method's pipeline.
 struct MethodResult {
@@ -66,7 +114,8 @@ struct PipelineResult {
   MethodResult der;           ///< I2 / F2
 };
 
-/// Run one allocation method end to end.
+/// Run one allocation method end to end: `plan_final` plus the
+/// intermediate pieces, energy and schedule.
 MethodResult schedule_with_method(const TaskSet& tasks, const SubintervalDecomposition& subs,
                                   int cores, const PowerModel& power, const IdealCase& ideal,
                                   AllocationMethod method);

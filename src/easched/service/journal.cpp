@@ -316,6 +316,7 @@ JournalRecovery AdmissionJournal::recover(const std::string& path) {
   LiveSet live;
   std::vector<JournalCorruption> unclassified;
   std::uint64_t offset = kHeader.size() + 1;
+  recovery.valid_bytes = offset;
   std::size_t line_number = 1;
   while (!rest.empty()) {
     const std::string_view line = take_field(rest, '\n');
@@ -328,6 +329,7 @@ JournalRecovery AdmissionJournal::recover(const std::string& path) {
       unclassified.push_back({line_number, line_offset, reason});
       continue;
     }
+    recovery.valid_bytes = offset;
     std::move(unclassified.begin(), unclassified.end(),
               std::back_inserter(recovery.corruptions));
     unclassified.clear();
@@ -358,6 +360,24 @@ JournalRecovery AdmissionJournal::recover(const std::string& path) {
   std::sort(removed.begin(), removed.end());
   removed.erase(std::unique(removed.begin(), removed.end()), removed.end());
   return recovery;
+}
+
+void AdmissionJournal::trim_to_replayed(const std::string& path,
+                                        const JournalRecovery& recovery) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size == recovery.valid_bytes) return;
+  if (size > recovery.valid_bytes) {
+    std::filesystem::resize_file(path, recovery.valid_bytes);
+    return;
+  }
+  // Only the final newline is missing: replay already committed the record
+  // before it, so it stays, terminated, and a retry of its rid dedups.
+  EASCHED_ASSERT(size + 1 == recovery.valid_bytes);
+  std::ofstream out(path, std::ios::app | std::ios::binary);
+  out << '\n';
+  out.flush();
+  if (!out) throw std::runtime_error("cannot terminate the journal's last record: " + path);
 }
 
 }  // namespace easched

@@ -40,11 +40,12 @@
 ///
 /// The leading checksum covers the rest of the line. Replay distinguishes
 /// two failure shapes: a *torn tail* (bad line(s) with no valid record after
-/// them — the expected wreckage of a mid-append crash, silently dropped and
-/// counted in `dropped_lines`) and *mid-file corruption* (a bad line with
-/// valid records after it — bit rot or truncation-and-append, surfaced as a
-/// structured `JournalCorruption` entry with line number + byte offset while
-/// replay skips the bad line and recovers every valid record).
+/// them — the expected wreckage of a mid-append crash, dropped, counted in
+/// `dropped_lines`, and cut from the file by `trim_to_replayed` before the
+/// next append) and *mid-file corruption* (a bad line with valid records
+/// after it — bit rot or truncation-and-append, surfaced as a structured
+/// `JournalCorruption` entry with line number + byte offset while replay
+/// skips the bad line and recovers every valid record).
 ///
 /// Crash points: `append_admit` / `append_complete` visit the fault
 /// injector's kill points `journal.admit.pre` / `journal.admit.post` (and
@@ -99,6 +100,11 @@ struct JournalRecovery {
   std::size_t records = 0;
   /// Trailing lines discarded as torn/corrupt.
   std::size_t dropped_lines = 0;
+  /// Length of the log through the newline that ends the last valid record
+  /// (or the header when no record is valid): the bytes past it are the
+  /// torn tail. A log one byte shorter ends in a valid record whose newline
+  /// never landed. 0 when there is no log.
+  std::uint64_t valid_bytes = 0;
 };
 
 /// What `AdmissionJournal::compact` did, for logs and metrics.
@@ -149,6 +155,15 @@ class AdmissionJournal {
   /// Replay the log at `path`. A missing file recovers to the empty state;
   /// a present file with a bad header throws (that is not a journal).
   static JournalRecovery recover(const std::string& path);
+
+  /// Make the log at `path` end where `recovery` (its replay) ended: cut the
+  /// torn tail after the last valid record, or add the newline a final
+  /// valid record lacks. Without this, the first record appended after a
+  /// mid-append crash would extend the torn line and fail its checksum on
+  /// the next replay — an acked admit lost. Run it between replay and the
+  /// first append; a log that already ends at a record boundary is not
+  /// touched.
+  static void trim_to_replayed(const std::string& path, const JournalRecovery& recovery);
 
  private:
   void append_line(std::string_view payload, const char* pre_point, const char* post_point);

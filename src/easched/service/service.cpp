@@ -588,6 +588,10 @@ const std::string& SchedulerService::committed_signature_locked() {
 void SchedulerService::replay_journal_locked() {
   if (options_.journal_path.empty()) return;
   JournalRecovery recovery = AdmissionJournal::recover(options_.journal_path);
+  // Before anything appends: a record appended onto a torn tail would fail
+  // its checksum on the next replay, losing an admit this incarnation acked.
+  AdmissionJournal::trim_to_replayed(options_.journal_path, recovery);
+  replayed_corruptions_ = recovery.corruptions.size();
   if (recovery.records == 0 && recovery.dropped_lines == 0 && recovery.corruptions.empty()) {
     return;
   }

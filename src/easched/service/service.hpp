@@ -237,6 +237,9 @@ class SchedulerService {
   /// Size of the journal file in bytes (0 when journaling is off), as
   /// tracked by the journal handle — no file-system call.
   std::uint64_t journal_size_bytes() const;
+  /// Mid-file corrupt records the construction-time journal replay skipped
+  /// (0 without a journal). They stay in the file until it is compacted.
+  std::size_t replayed_corruptions() const { return replayed_corruptions_; }
   MetricsRegistry& metrics() { return metrics_; }
   const ServiceOptions& options() const { return options_; }
   /// @}
@@ -312,8 +315,9 @@ class SchedulerService {
   const std::string& committed_signature_locked();
   /// Replay the journal at `options_.journal_path` over the current
   /// committed set in one merge: removals drop base entries, surviving
-  /// admits replace or join them. Caller holds `state_mutex_` (or is the
-  /// constructor).
+  /// admits replace or join them. Then trims the file to the records it
+  /// replayed, so the first append starts a fresh line. Caller holds
+  /// `state_mutex_` (or is the constructor).
   void replay_journal_locked();
   /// Admission core shared by batches and quotes. Evaluates `candidate`
   /// against the committed set; when `commit` is set and the candidate is
@@ -355,6 +359,7 @@ class SchedulerService {
   std::optional<DeltaPlanner> delta_planner_;
   std::uint64_t batches_ = 0;
   std::uint64_t decided_requests_ = 0;
+  std::size_t replayed_corruptions_ = 0;  ///< set once, by the constructor
 
   std::atomic<int> brownout_level_{0};
   std::atomic<bool> shutdown_{false};

@@ -311,7 +311,15 @@ bool ServiceShard::start_service_locked() {
     // A restarted incarnation resumes at the ladder's current level.
     if (ladder_.level() > 0) service_->set_brownout_level(ladder_.level());
     if (stats_.crashes_contained + stats_.restart_failures > 0) ++stats_.restarts;
-    if (options_.compact_on_restart) snapshot_and_compact_locked();
+    // The snapshot file always names the recovered state, id counter
+    // included (the e2e benchmark's replay reads it from there). The journal
+    // is rewritten only when it needs to be: replay skipped corrupt records,
+    // which compaction drops, or it is past the threshold every op checks.
+    if (service_->replayed_corruptions() > 0 || journal_over_threshold_locked()) {
+      snapshot_and_compact_locked();
+    } else {
+      write_snapshot_locked();
+    }
     last_activity_ = std::chrono::steady_clock::now();
     return true;
   } catch (const InjectedCrash&) {
@@ -343,28 +351,36 @@ bool ServiceShard::tick_down_locked() {
   return true;
 }
 
+void ServiceShard::write_snapshot_locked() {
+  if (!options_.snapshot_path.empty()) {
+    write_snapshot(options_.snapshot_path, service_->snapshot());
+  }
+}
+
 void ServiceShard::snapshot_and_compact_locked() {
   if (!service_) return;
   // Fresh snapshot first, then the journal is rewritten against it — the
   // pre-compaction snapshot would resurrect completed tasks (the compacted
   // log has no removal records).
-  if (!options_.snapshot_path.empty()) {
-    write_snapshot(options_.snapshot_path, service_->snapshot());
-  }
+  write_snapshot_locked();
   if (const auto compaction = service_->compact_journal()) {
     ++stats_.compactions;
     compact_floor_bytes_ = compaction->bytes_after;
   }
 }
 
-void ServiceShard::compact_if_over_threshold_locked() {
-  if (options_.journal_compact_bytes == 0) return;
+bool ServiceShard::journal_over_threshold_locked() const {
+  if (options_.journal_compact_bytes == 0) return false;
   // Hysteresis (see `compact_floor_bytes_`): durable state the compacted
   // log must keep can sit above the configured threshold; only re-compact
   // once the journal has doubled past the last compaction's result.
   const std::uint64_t threshold =
       std::max(options_.journal_compact_bytes, 2 * compact_floor_bytes_);
-  if (service_->journal_size_bytes() > threshold) snapshot_and_compact_locked();
+  return service_->journal_size_bytes() > threshold;
+}
+
+void ServiceShard::compact_if_over_threshold_locked() {
+  if (journal_over_threshold_locked()) snapshot_and_compact_locked();
 }
 
 void ServiceShard::apply_brownout_locked(int level) {

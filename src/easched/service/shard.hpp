@@ -24,14 +24,18 @@
 /// **Recovery.** Restart rebuilds the service from its snapshot file plus
 /// the journal replayed over it once — every acked admit survives, and the
 /// journal's rid→id records make retried acks dedup instead of
-/// double-committing. Restart plans nothing: the first request routed to
-/// the shard plans the recovered set. After a successful restart the shard
-/// writes a fresh snapshot and compacts the journal, so recovery time is
-/// bounded by live state, not history. The same compaction runs when the
-/// journal grows past `journal_compact_bytes`. Kill points `shard.submit`
-/// (on arrival, before anything commits) and `shard.restart.replay`
-/// (between snapshot load and journal replay) extend the crash-boundary
-/// coverage to the supervisor era.
+/// double-committing. A torn tail left by a mid-append crash is cut before
+/// the first append. Restart plans nothing: the first request routed to
+/// the shard plans the recovered set. It writes a snapshot of the recovered
+/// state, but rewrites the journal only when the journal needs it: replay
+/// skipped mid-file corrupt records (compaction drops them), or the journal
+/// is past the compaction threshold — the same threshold every served op
+/// checks: `max(journal_compact_bytes, 2 × the last compacted size)`. So
+/// the journal, and with it recovery time, stays bounded by the threshold
+/// and by twice the compacted state (live tasks plus the dedup ledger).
+/// Kill points `shard.submit` (on arrival, before anything commits) and
+/// `shard.restart.replay` (between snapshot load and journal replay) extend
+/// the crash-boundary coverage to the supervisor era.
 ///
 /// **Brownout.** Each shard runs its own `BrownoutLadder`, fed the
 /// supervisor's in-flight pressure at every decision point. The level
@@ -71,10 +75,9 @@ struct ShardOptions {
   /// unless `force_brownout_level` is called.
   bool brownout_enabled = true;
   /// Compact the journal (and re-snapshot) when it grows past this many
-  /// bytes. 0 disables threshold compaction.
+  /// bytes, checked after every served op and at restart. 0 disables
+  /// threshold compaction.
   std::uint64_t journal_compact_bytes = std::uint64_t{1} << 20;
-  /// Compact (and re-snapshot) as part of every restart.
-  bool compact_on_restart = true;
 };
 
 /// Monotone per-shard counters, read by the supervisor's aggregation.
@@ -180,13 +183,20 @@ class ServiceShard {
   /// Down-path bookkeeping for one routed op: ticks the countdown and
   /// restarts when it expires. Returns true when the shard is up after it.
   bool tick_down_locked();
-  /// Snapshot + compact (threshold or restart path). Caller holds the lock
-  /// and the service is up.
+  /// Write the service's snapshot to `snapshot_path` (if any). Caller
+  /// holds the lock and the service is up.
+  void write_snapshot_locked();
+  /// Snapshot + compact (threshold, corruption or restart path). Caller
+  /// holds the lock and the service is up.
   void snapshot_and_compact_locked();
-  /// Threshold compaction with hysteresis, checked after every served op
-  /// (the journal tracks its own size, so the check is free): snapshot +
-  /// compact when the journal exceeds `max(journal_compact_bytes, 2 × last
-  /// compacted size)`. Caller holds the lock and the service is up.
+  /// True when the journal exceeds `max(journal_compact_bytes, 2 × last
+  /// compacted size)` — threshold compaction with hysteresis. The journal
+  /// tracks its own size, so the check is free. Caller holds the lock and
+  /// the service is up.
+  bool journal_over_threshold_locked() const;
+  /// Threshold compaction, checked after every served op: snapshot +
+  /// compact when `journal_over_threshold_locked()`. Caller holds the lock
+  /// and the service is up.
   void compact_if_over_threshold_locked();
   /// Apply a (possibly new) ladder level to the inner service + tracing.
   void apply_brownout_locked(int level);

@@ -49,7 +49,6 @@ Supervisor::Supervisor(const PowerModel& power, SupervisorOptions options)
     shard_options.brownout = options_.brownout;
     shard_options.brownout_enabled = options_.brownout_enabled;
     shard_options.journal_compact_bytes = options_.journal_compact_bytes;
-    shard_options.compact_on_restart = options_.compact_on_restart;
     shards_.push_back(std::make_unique<ServiceShard>(power, std::move(shard_options)));
     in_flight_.push_back(std::make_unique<std::atomic<std::size_t>>(0));
     shard_level_.push_back(std::make_unique<std::atomic<int>>(shards_.back()->brownout_level()));

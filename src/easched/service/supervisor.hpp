@@ -78,8 +78,6 @@ struct SupervisorOptions {
   std::chrono::milliseconds watchdog_deadline{250};
   /// Per-shard journal compaction threshold (see `ShardOptions`).
   std::uint64_t journal_compact_bytes = std::uint64_t{1} << 20;
-  /// Compact + re-snapshot as part of every shard restart.
-  bool compact_on_restart = true;
 };
 
 /// Point-in-time supervision summary, aggregated over `ShardStats`.

@@ -4,7 +4,12 @@
 
 #include "easched/common/contracts.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "easched/common/rng.hpp"
 #include "easched/parallel/exec.hpp"
@@ -140,6 +145,71 @@ TEST(DerRationTest, MonotoneInDer) {
   EXPECT_LE(r[0], r[2] + 1e-12);
   EXPECT_LE(r[2], r[3] + 1e-12);
   EXPECT_LE(r[3], r[1] + 1e-12);
+}
+
+/// Algorithm 2 as the paper states it: every index in a stable
+/// descending-DER order, zeros included, each granted its share of what
+/// remains.
+std::vector<double> reference_der_ration(const std::vector<double>& ders, int cores,
+                                         double length) {
+  double total_der = 0.0;
+  for (const double d : ders) total_der += d;
+  const double capacity = static_cast<double>(cores) * length;
+  if (total_der <= 0.0) {
+    return std::vector<double>(ders.size(),
+                               std::min(length, capacity / static_cast<double>(ders.size())));
+  }
+  std::vector<std::size_t> order(ders.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return ders[a] > ders[b]; });
+  std::vector<double> ration(ders.size(), 0.0);
+  double remaining_capacity = capacity;
+  double remaining_der = total_der;
+  for (const std::size_t i : order) {
+    if (remaining_der <= 0.0 || remaining_capacity <= 0.0) break;
+    const double granted = std::min(length, remaining_capacity * ders[i] / remaining_der);
+    ration[i] = granted;
+    remaining_capacity -= granted;
+    remaining_der -= ders[i];
+  }
+  return ration;
+}
+
+TEST(DerRationTest, OrderMatchesAStableDescendingSortAtEverySize) {
+  // Sizes on both sides of the comparison-sort/radix cutoff (which counts
+  // the positive DERs), with ties, zeros and subnormals mixed in. The
+  // rations depend on the visiting order, so bit-equal rations pin it.
+  Rng rng(Rng::seed_of("der-order", 0));
+  const double tie_pool[] = {0.75, 1.0 / 3.0, 2.5, std::numeric_limits<double>::denorm_min()};
+  for (std::size_t n = 1; n <= 2 * kDerRadixCutoff; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const double zero_share = 0.1 * trial;
+      std::vector<double> ders(n);
+      for (double& d : ders) {
+        const double u = rng.uniform();
+        if (u < zero_share) {
+          d = 0.0;
+        } else if (u < zero_share + 0.25) {
+          d = tie_pool[rng.uniform_index(4)];
+        } else if (u < zero_share + 0.35) {
+          d = std::numeric_limits<double>::denorm_min() *
+              static_cast<double>(1 + rng.uniform_index(1000));
+        } else {
+          d = rng.uniform(1e-3, 4.0);
+        }
+      }
+      const int cores = 1 + static_cast<int>(rng.uniform_index(8));
+      const double length = rng.uniform(0.1, 5.0);
+      const std::vector<double> actual = der_ration(ders, cores, length);
+      const std::vector<double> expected = reference_der_ration(ders, cores, length);
+      ASSERT_EQ(actual.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(actual[i]), std::bit_cast<std::uint64_t>(expected[i]))
+            << "n=" << n << " trial=" << trial << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(AllocateAvailableTimeTest, LightIntervalsGrantFullLength) {

@@ -2,8 +2,11 @@
 // and counters but no plan; the journal replays once over it; the first
 // request re-derives the plan. Pins compatibility with data dirs written in
 // the older formats (17-digit journal records, snapshots with a stored
-// plan), bit-exact record round-trips, and that a restarted shard plans the
-// set it recovered rather than the one its snapshot saw.
+// plan), bit-exact record round-trips, that a restarted shard plans the set
+// it recovered rather than the one its snapshot saw, when a restart rewrites
+// the journal (mid-file corruption, or past the compaction threshold — never
+// a clean journal under it), and that a torn tail is cut before the next
+// append.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -44,6 +48,11 @@ SupervisorOptions one_shard(const std::string& data_dir) {
   options.service.f_max = kInf;
   options.service.use_thread_pool = false;
   return options;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 std::vector<std::string> read_lines(const std::string& path) {
@@ -207,13 +216,23 @@ TEST(RestartTest, RestartedShardPlansTheRecoveredSetNotTheSnapshots) {
     for (int i = 0; i < 20; ++i) both(first, i);
   }
   {
-    Supervisor second(test_power(), restarting);  // bring-up snapshots 20 tasks
+    // A bring-up that finds the journal past a tiny threshold compacts it
+    // and snapshots the 20 tasks.
+    SupervisorOptions compacting = restarting;
+    compacting.journal_compact_bytes = 1;
+    Supervisor snapshotting(test_power(), compacting);
+    ASSERT_EQ(snapshotting.shard(0).stats().compactions, 1u);
+  }
+  {
+    Supervisor second(test_power(), restarting);
     for (int i = 20; i < 40; ++i) both(second, i);
     for (const TaskId id : {3, 21, 30}) {
       ASSERT_EQ(second.complete("t", id), std::optional<bool>(true));
       ASSERT_EQ(never_restarted.complete("t", id), std::optional<bool>(true));
     }
+    ASSERT_EQ(second.shard(0).stats().compactions, 0u);
   }  // the journal now holds 20 admits and 3 completions past the snapshot
+  ASSERT_EQ(read_snapshot(restarting.data_dir + "/shard0.snap").committed.size(), 20u);
 
   // Two rebuilds over copies of the same data dir: one reads the plan
   // first, the other admits first.
@@ -238,6 +257,165 @@ TEST(RestartTest, RestartedShardPlansTheRecoveredSetNotTheSnapshots) {
   EXPECT_EQ(restored.id, reference.id);
   EXPECT_EQ(restored.admission.energy_before, reference.admission.energy_before);
   EXPECT_EQ(restored.admission.energy_after, reference.admission.energy_after);
+}
+
+std::vector<TaskId> fill(Supervisor& fleet, const std::string& rid_prefix, int admits,
+                         const std::vector<TaskId>& completes) {
+  for (int i = 0; i < admits; ++i) {
+    EXPECT_TRUE(
+        fleet.submit("t", churn_task(i), rid_prefix + std::to_string(i)).admission.admitted);
+  }
+  for (const TaskId id : completes) EXPECT_EQ(fleet.complete("t", id), std::optional<bool>(true));
+  return fleet.shard(0).committed_ids();
+}
+
+TEST(RestartTest, CleanJournalUnderTheThresholdIsLeftByteIdentical) {
+  const SupervisorOptions options = one_shard(fresh_dir("restart_clean"));
+  const std::string wal = options.data_dir + "/shard0.wal";
+  std::vector<TaskId> live;
+  {
+    Supervisor fleet(test_power(), options);
+    live = fill(fleet, "clean-", 30, {4, 9, 17});
+  }
+  const std::string before = read_bytes(wal);
+  ASSERT_LT(before.size(), options.journal_compact_bytes);
+
+  Supervisor fleet(test_power(), options);
+  EXPECT_EQ(read_bytes(wal), before);
+  EXPECT_EQ(fleet.shard(0).stats().compactions, 0u);
+  EXPECT_EQ(fleet.shard(0).committed_ids(), live);
+}
+
+TEST(RestartTest, JournalOverTheThresholdCompactsOnRestart) {
+  SupervisorOptions options = one_shard(fresh_dir("restart_over_threshold"));
+  const std::string wal = options.data_dir + "/shard0.wal";
+  std::vector<TaskId> live;
+  {
+    Supervisor fleet(test_power(), options);
+    live = fill(fleet, "over-", 30, {4, 9, 17});
+  }
+  const std::uintmax_t before = std::filesystem::file_size(wal);
+  options.journal_compact_bytes = before / 2;
+
+  Supervisor fleet(test_power(), options);
+  EXPECT_EQ(fleet.shard(0).stats().compactions, 1u);
+  EXPECT_LT(std::filesystem::file_size(wal), before);  // the completions are gone
+  EXPECT_EQ(fleet.shard(0).committed_ids(), live);
+  for (int i = 0; i < 30; ++i) {
+    const ServiceDecision retry = fleet.submit("t", churn_task(i), "over-" + std::to_string(i));
+    EXPECT_TRUE(retry.deduplicated) << i;
+    EXPECT_EQ(retry.id, i);
+  }
+}
+
+TEST(RestartTest, CorruptJournalCompactsAndTheNextRestartFindsNone) {
+  const SupervisorOptions options = one_shard(fresh_dir("restart_corrupt"));
+  const std::string wal = options.data_dir + "/shard0.wal";
+  {
+    Supervisor fleet(test_power(), options);
+    fill(fleet, "corrupt-", 10, {});
+  }
+  // Break the checksum of line 4 (the admit of id 2) with valid records
+  // after it: mid-file corruption, not a torn tail. Checksums are written
+  // without leading zeros, so a leading '0' never matches.
+  std::string text = read_bytes(wal);
+  std::size_t line_start = 0;
+  for (int line = 1; line < 4; ++line) line_start = text.find('\n', line_start) + 1;
+  text[line_start] = '0';
+  std::ofstream(wal, std::ios::binary | std::ios::trunc) << text;
+  ASSERT_EQ(AdmissionJournal::recover(wal).corruptions.size(), 1u);
+
+  const std::vector<TaskId> survivors = {0, 1, 3, 4, 5, 6, 7, 8, 9};
+  {
+    Supervisor fleet(test_power(), options);
+    EXPECT_EQ(fleet.shard(0).stats().compactions, 1u);
+    EXPECT_EQ(fleet.shard(0).committed_ids(), survivors);
+  }
+  EXPECT_TRUE(AdmissionJournal::recover(wal).corruptions.empty());
+  Supervisor fleet(test_power(), options);
+  EXPECT_EQ(fleet.shard(0).stats().compactions, 0u);
+  EXPECT_EQ(fleet.shard(0).committed_ids(), survivors);
+  EXPECT_EQ(fleet.submit("t", churn_task(10), "corrupt-10").id, 10);
+}
+
+ServiceOptions journaled(const std::string& wal) {
+  ServiceOptions options;
+  options.cores = 2;
+  options.f_max = kInf;
+  options.use_thread_pool = false;
+  options.manual_dispatch = true;
+  options.journal_path = wal;
+  return options;
+}
+
+TEST(RestartTest, TornTailIsCutBeforeTheNextAppend) {
+  // A crash mid-append leaves the last record torn. Had the next
+  // incarnation appended onto that line, its acked admit would fail the
+  // checksum on the replay after, and a retry of its rid would commit it
+  // again under a new id.
+  for (const std::uintmax_t cut : {std::uintmax_t{9}, std::uintmax_t{1}}) {
+    SCOPED_TRACE(cut == 1 ? "only the final newline lost" : "last record torn");
+    const std::string wal =
+        fresh_dir("restart_torn_service_" + std::to_string(cut)) + "/service.wal";
+    {
+      SchedulerService service(test_power(), journaled(wal));
+      ASSERT_EQ(service.submit_wait(churn_task(0), "a").id, 0);
+      ASSERT_EQ(service.submit_wait(churn_task(1), "b").id, 1);
+    }
+    std::filesystem::resize_file(wal, std::filesystem::file_size(wal) - cut);
+    // Without only its newline, b's record is whole and replay commits it.
+    std::vector<TaskId> expected = cut == 1 ? std::vector<TaskId>{0, 1} : std::vector<TaskId>{0};
+    {
+      SchedulerService service(test_power(), journaled(wal));
+      ASSERT_EQ(service.committed_ids(), expected);
+      const ServiceDecision c = service.submit_wait(churn_task(2), "c");
+      ASSERT_TRUE(c.admission.admitted);
+      ASSERT_FALSE(c.deduplicated);
+      expected.push_back(c.id);
+    }
+    SchedulerService service(test_power(), journaled(wal));
+    EXPECT_EQ(service.committed_ids(), expected);
+    EXPECT_TRUE(AdmissionJournal::recover(wal).corruptions.empty());
+    const ServiceDecision retry = service.submit_wait(churn_task(2), "c");
+    EXPECT_TRUE(retry.deduplicated);
+    EXPECT_EQ(retry.id, expected.back());
+    if (cut == 1) {
+      const ServiceDecision b = service.submit_wait(churn_task(1), "b");
+      EXPECT_TRUE(b.deduplicated);
+      EXPECT_EQ(b.id, 1);
+    }
+    EXPECT_EQ(service.committed_count(), expected.size());
+  }
+}
+
+TEST(RestartTest, SupervisedShardCutsATornTailWithoutCompacting) {
+  const SupervisorOptions options = one_shard(fresh_dir("restart_torn_shard"));
+  const std::string wal = options.data_dir + "/shard0.wal";
+  std::string through_a;
+  {
+    Supervisor fleet(test_power(), options);
+    ASSERT_EQ(fleet.submit("t", churn_task(0), "a").id, 0);
+    through_a = read_bytes(wal);
+    ASSERT_EQ(fleet.submit("t", churn_task(1), "b").id, 1);
+  }
+  std::filesystem::resize_file(wal, std::filesystem::file_size(wal) - 9);
+
+  TaskId c_id = -1;
+  {
+    Supervisor fleet(test_power(), options);
+    // The torn record is cut off, not compacted away: the journal ends
+    // where it did before b's append began.
+    EXPECT_EQ(read_bytes(wal), through_a);
+    EXPECT_EQ(fleet.shard(0).stats().compactions, 0u);
+    const ServiceDecision c = fleet.submit("t", churn_task(2), "c");
+    ASSERT_TRUE(c.admission.admitted);
+    c_id = c.id;
+  }
+  Supervisor fleet(test_power(), options);
+  EXPECT_EQ(fleet.shard(0).committed_ids(), (std::vector<TaskId>{0, c_id}));
+  const ServiceDecision retry = fleet.submit("t", churn_task(2), "c");
+  EXPECT_TRUE(retry.deduplicated);
+  EXPECT_EQ(retry.id, c_id);
 }
 
 }  // namespace

@@ -284,11 +284,10 @@ TEST(SupervisorTest, MergedMetricsCarryShardPrefixesAndFleetGauges) {
 TEST(SupervisorTest, ThresholdCompactionBoundsTheJournal) {
   SupervisorOptions options = fleet_options("sup_compact", 1);
   options.journal_compact_bytes = 2048;  // tiny: force threshold compactions
-  options.compact_on_restart = false;
   Supervisor supervisor(test_power(), options);
 
   // Admit + complete churn grows the WAL with records whose net state is
-  // tiny; the size check (every 32 ops) must keep compacting it back down.
+  // tiny; the size check after every op must keep compacting it back down.
   for (int i = 0; i < 200; ++i) {
     const ServiceDecision d = supervisor.submit("t", rich_task(i % 40));
     ASSERT_TRUE(d.admission.admitted);
