@@ -21,15 +21,20 @@ const char* to_string(AllocationMethod method) {
   return "?";
 }
 
-Availability::Availability(const TaskSet& tasks, const SubintervalDecomposition& subs)
-    : subintervals_(subs.size()) {
+Availability::Availability(const TaskSet& tasks, const SubintervalDecomposition& subs) {
+  reshape(tasks, subs);
+}
+
+void Availability::reshape(const TaskSet& tasks, const SubintervalDecomposition& subs) {
   EASCHED_EXPECTS(subs.size() > 0);
+  subintervals_ = subs.size();
+  spans_.clear();
   spans_.reserve(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     spans_.push_back(subs.range_of(static_cast<TaskId>(i)));
   }
   offsets_.reserve(spans_.size() + 1);
-  offsets_.push_back(0);
+  offsets_.assign(1, 0);
   for (const SubRange& r : spans_) offsets_.push_back(offsets_.back() + r.count);
   values_.assign(offsets_.back(), 0.0);
   row_sum_.assign(spans_.size(), 0.0);

@@ -54,6 +54,10 @@ class Availability {
   /// Rows keyed by each member task's live range in `subs`; all values 0.
   Availability(const TaskSet& tasks, const SubintervalDecomposition& subs);
 
+  /// Re-initialize in place as `Availability(tasks, subs)` would, reusing
+  /// the buffers (no allocation while their capacities suffice).
+  void reshape(const TaskSet& tasks, const SubintervalDecomposition& subs);
+
   /// Rows from explicit `(first, count)` spans per task (tests, adapters).
   Availability(std::vector<SubRange> spans, std::size_t subintervals);
 

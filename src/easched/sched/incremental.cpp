@@ -60,12 +60,12 @@ void DeltaPlanner::reserve(std::size_t tasks, std::size_t boundaries, std::size_
   reserve_tasks_ = tasks;
   reserve_bounds_ = boundaries;
   reserve_mass_ = overlap_mass;
-  if (subs_) subs_->reserve(tasks, boundaries, overlap_mass);
+  subs_.reserve(tasks, boundaries, overlap_mass);
 }
 
 Availability DeltaPlanner::refined_allocation() const {
   EASCHED_EXPECTS(has_state_);
-  Availability refined(task_set_, *subs_);
+  Availability refined(task_set_, subs_);
   for (std::size_t i = 0; i < task_set_.size(); ++i) {
     const std::span<const double> src = avail_.row(i);
     const std::span<double> dst = refined.row_values(i);
@@ -135,18 +135,30 @@ void DeltaPlanner::full_rebuild(const TaskSet& live, const Exec& exec) {
     bound_counts_.push_back(1);
   }
 
-  if (clean_ && subs_) {
-    subs_->assign(task_set_, bound_values_, exec);
-  } else {
-    subs_.emplace(task_set_, options_.merge_tol, exec);
-    if (reserve_tasks_ != 0 || reserve_bounds_ != 0 || reserve_mass_ != 0) {
-      subs_->reserve(reserve_tasks_, reserve_bounds_, reserve_mass_);
+  if (clean_) {
+    // Room for the deltas that follow, reserved before the spans into the
+    // arena are built, so the first deltas splice within capacity instead
+    // of regrowing the arena and the intervals. A clean array holds every
+    // task's release and deadline, so each task covers past − first − 1
+    // subintervals; the reservation is a no-op once capacities suffice.
+    const std::vector<double>& bv = bound_values_;
+    std::size_t mass = 0;
+    for (const Task& t : tasks_) {
+      const auto first = std::lower_bound(bv.begin(), bv.end(), t.release);
+      mass += static_cast<std::size_t>(std::upper_bound(first, bv.end(), t.deadline) - first) - 1;
     }
+    const auto grown = [](std::size_t size, std::size_t extra) { return size + size / 8 + extra; };
+    subs_.reserve(std::max(reserve_tasks_, grown(tasks_.size(), options_.max_ops)),
+                  std::max(reserve_bounds_, grown(bv.size(), 2 * options_.max_ops)),
+                  std::max(reserve_mass_, grown(mass, 0)));
+    subs_.assign(task_set_, bv, exec);
+  } else {
+    subs_ = SubintervalDecomposition(task_set_, options_.merge_tol, exec);
   }
   ideal_.emplace(task_set_, power_);
 
   FinalPlan plan =
-      plan_final(task_set_, *subs_, options_.cores, power_, *ideal_, options_.method, exec);
+      plan_final(task_set_, subs_, options_.cores, power_, *ideal_, options_.method, exec);
   avail_ = std::move(plan.availability);
   refinement_ = std::move(plan.refinement);
   schedule_ = std::move(plan.schedule);
@@ -154,23 +166,24 @@ void DeltaPlanner::full_rebuild(const TaskSet& live, const Exec& exec) {
 }
 
 void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count,
-                                      const std::vector<char>& in_dirty_set, TaskId removed_old,
-                                      const Exec& exec, DeltaOutcome& out) {
+                                      TaskId removed_old, const Exec& exec, DeltaOutcome& out) {
   // An empty dirty span happens only when a removed task lay entirely
   // outside the surviving horizon: no surviving column changes geometry or
   // membership, so the whole rebuild reduces to re-keying the rows and
   // dropping the removed task's schedule groups.
   const std::size_t n = task_set_.size();
-  const std::size_t columns = subs_->size();
+  const std::size_t columns = subs_.size();
   EASCHED_ASSERT(d1_count == 0 || d1_first + d1_count <= columns);
   EASCHED_ASSERT(d1_count > 0 || removed_old >= 0);
-  EASCHED_ASSERT(in_dirty_set.size() == n);
+  EASCHED_ASSERT(dirty_.size() == n);
   out.dirty_columns += d1_count;
 
-  // --- Availability: copy clean rows, recompute dirty columns, refold sums.
-  Availability fresh(task_set_, *subs_);
+  // --- Availability: copy clean rows, recompute dirty columns, refold sums,
+  // into the spare matrix, which then trades places with the current one.
+  Availability& fresh = spare_avail_;
+  fresh.reshape(task_set_, subs_);
   exec.loop(n, [&](std::size_t i) {
-    if (in_dirty_set[i]) return;  // fully covered by the dirty-column pass
+    if (dirty_[i]) return;  // fully covered by the dirty-column pass
     const std::size_t old_i =
         removed_old >= 0 && i >= static_cast<std::size_t>(removed_old) ? i + 1 : i;
     const std::span<const double> src = avail_.row(old_i);
@@ -181,10 +194,10 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
   exec.loop(d1_count, [&](std::size_t k) {
     // The allocator's own per-column rationing: the recomputed cells match a
     // from-scratch fill bit for bit.
-    allocate_column(*subs_, d1_first + k, options_.cores, *ideal_, options_.method, fresh);
+    allocate_column(subs_, d1_first + k, options_.cores, *ideal_, options_.method, fresh);
   });
-  fresh.rebuild_sums(*subs_, exec);
-  avail_ = std::move(fresh);
+  fresh.rebuild_sums(subs_, exec);
+  std::swap(avail_, spare_avail_);
 
   // --- Refinement: O(n) closed form; recomputing every task (not just the
   // dirty ones) costs microseconds and is trivially from-scratch-identical.
@@ -193,14 +206,12 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
   // --- Schedule splice. Index the old schedule's (task, core) groups.
   const std::size_t stride = static_cast<std::size_t>(options_.cores) + 1;
   const std::vector<Segment>& osegs = schedule_.segments();
-  struct OldGroup {
-    std::size_t key = 0;  ///< new-id group key, `task · (cores+1) + core`
-    TaskId new_task = 0;
-    std::size_t begin = 0, end = 0;      ///< run in `osegs`
-    std::size_t pre_end = 0;             ///< prefix = [begin, pre_end)
-    std::size_t suf_begin = 0;           ///< suffix = [suf_begin, end)
-  };
-  std::vector<OldGroup> old_groups;
+  std::vector<OldGroup>& old_groups = old_groups_;
+  old_groups.clear();
+  // Every group holds a segment, so the segment count bounds the groups: no
+  // regrowth within an op, and only the part the groups fill is faulted in.
+  // The headroom spares the following, slightly larger plans a regrowth.
+  if (old_groups.capacity() < osegs.size()) old_groups.reserve(osegs.size() + osegs.size() / 8);
   for (std::size_t b = 0; b < osegs.size();) {
     std::size_t e = b + 1;
     while (e < osegs.size() && osegs[e].task == osegs[b].task && osegs[e].core == osegs[b].core) {
@@ -293,14 +304,11 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
   // Repack the window columns from the fresh state — the pipeline's own
   // final pack, restricted to [jlo, jhi].
   const Schedule middle =
-      have_window ? pack_final(*subs_, options_.cores, avail_, refinement_, jlo, jhi + 1, exec)
+      have_window ? pack_final(subs_, options_.cores, avail_, refinement_, jlo, jhi + 1, exec)
                   : Schedule(options_.cores, std::vector<Segment>{});
   const std::vector<Segment>& msegs = middle.segments();
-  struct MidGroup {
-    std::size_t key = 0;
-    std::size_t begin = 0, end = 0;
-  };
-  std::vector<MidGroup> mid_groups;
+  std::vector<MidGroup>& mid_groups = mid_groups_;
+  mid_groups.clear();
   for (std::size_t b = 0; b < msegs.size();) {
     std::size_t e = b + 1;
     while (e < msegs.size() && msegs[e].task == msegs[b].task && msegs[e].core == msegs[b].core) {
@@ -323,12 +331,10 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
   spliced.reserve(kept + msegs.size());
   constexpr std::size_t kNoKey = std::numeric_limits<std::size_t>::max();
   const auto append_merged = [&](Segment s, std::size_t group_begin) {
-    // merge_grouped_segments' predicate, verbatim; task/core are equal
-    // within a group by construction.
+    // The coalescing rule, with `coalesce`'s default tolerances.
     if (spliced.size() > group_begin) {
       Segment& last = spliced.back();
-      if (almost_equal(last.end, s.start, 1e-9, 0.0) &&
-          almost_equal(last.frequency, s.frequency, 1e-9, 1e-9)) {
+      if (detail::segments_merge(last, s, 1e-9, 1e-9)) {
         last.end = s.end;
         return;
       }
@@ -385,6 +391,22 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
   schedule_ = Schedule(options_.cores, std::move(spliced));
 }
 
+void DeltaPlanner::mark_dirty(std::size_t lo_idx, std::size_t hi_idx, std::size_t& d1_first,
+                              std::size_t& d1_last) {
+  dirty_.assign(task_set_.size(), 0);
+  for (std::size_t j = lo_idx; j < hi_idx; ++j) {
+    for (const TaskId m : subs_[j].overlapping) {
+      char& flag = dirty_[static_cast<std::size_t>(m)];
+      if (flag) continue;
+      flag = 1;
+      const SubRange r = subs_.range_of(m);
+      EASCHED_ASSERT(r.count > 0);
+      d1_first = std::min(d1_first, r.first);
+      d1_last = std::max(d1_last, r.first + r.count - 1);
+    }
+  }
+}
+
 bool DeltaPlanner::apply_add(const Task& task, const Exec& exec, DeltaOutcome& out) {
   // Pre-check both boundary insertions before mutating anything: a value
   // landing within the merge tolerance of an existing (or the sibling new)
@@ -402,7 +424,7 @@ bool DeltaPlanner::apply_add(const Task& task, const Exec& exec, DeltaOutcome& o
   insert_boundary(task.deadline);
   tasks_.push_back(task);
   task_set_ = TaskSet(tasks_);
-  subs_->assign(task_set_, bound_values_, exec);
+  subs_.assign(task_set_, bound_values_, exec);
   ideal_.emplace(task_set_, power_);
 
   // Dirty window: everything between the nearest boundaries shared with the
@@ -417,24 +439,12 @@ bool DeltaPlanner::apply_add(const Task& task, const Exec& exec, DeltaOutcome& o
   const std::size_t lo_idx = r_new && idx_r > 0 ? idx_r - 1 : idx_r;
   const std::size_t hi_idx = d_new && idx_d + 1 < bv.size() ? idx_d + 1 : idx_d;
 
-  const std::size_t n = task_set_.size();
-  std::vector<char> dirty(n, 0);
   std::size_t d1_first = lo_idx;
   std::size_t d1_last = hi_idx - 1;
-  for (std::size_t j = lo_idx; j < hi_idx; ++j) {
-    for (const TaskId m : (*subs_)[j].overlapping) {
-      auto& flag = dirty[static_cast<std::size_t>(m)];
-      if (flag) continue;
-      flag = 1;
-      const SubRange r = subs_->range_of(m);
-      EASCHED_ASSERT(r.count > 0);
-      d1_first = std::min(d1_first, r.first);
-      d1_last = std::max(d1_last, r.first + r.count - 1);
-    }
-  }
-  EASCHED_ASSERT(dirty[n - 1]);  // the appended task overlaps its own window
+  mark_dirty(lo_idx, hi_idx, d1_first, d1_last);
+  EASCHED_ASSERT(dirty_.back());  // the appended task overlaps its own window
 
-  rebuild_from_dirty(d1_first, d1_last - d1_first + 1, dirty, /*removed_old=*/-1, exec, out);
+  rebuild_from_dirty(d1_first, d1_last - d1_first + 1, /*removed_old=*/-1, exec, out);
   ++out.ops;
   return true;
 }
@@ -446,7 +456,7 @@ void DeltaPlanner::apply_remove(std::size_t index, const Exec& exec, DeltaOutcom
   erase_boundary(task.deadline);
   tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(index));
   task_set_ = TaskSet(tasks_);
-  subs_->assign(task_set_, bound_values_, exec);
+  subs_.assign(task_set_, bound_values_, exec);
   ideal_.emplace(task_set_, power_);
 
   // Dirty window: the nearest *surviving* boundaries bracketing [R, D]. A
@@ -460,30 +470,14 @@ void DeltaPlanner::apply_remove(std::size_t index, const Exec& exec, DeltaOutcom
   const std::size_t hi_idx =
       hi_it == bv.end() ? bv.size() - 1 : static_cast<std::size_t>(hi_it - bv.begin());
 
-  const std::size_t n = task_set_.size();
-  if (lo_idx >= hi_idx) {
-    // The removed task lay entirely beyond (or before) the surviving
-    // horizon: no surviving column changes, the dirty window is empty.
-    rebuild_from_dirty(0, 0, std::vector<char>(n, 0), static_cast<TaskId>(index), exec, out);
-    ++out.ops;
-    return;
-  }
-  std::vector<char> dirty(n, 0);
   std::size_t d1_first = lo_idx;
   std::size_t d1_last = hi_idx - 1;
-  for (std::size_t j = lo_idx; j < hi_idx; ++j) {
-    for (const TaskId m : (*subs_)[j].overlapping) {
-      auto& flag = dirty[static_cast<std::size_t>(m)];
-      if (flag) continue;
-      flag = 1;
-      const SubRange r = subs_->range_of(m);
-      EASCHED_ASSERT(r.count > 0);
-      d1_first = std::min(d1_first, r.first);
-      d1_last = std::max(d1_last, r.first + r.count - 1);
-    }
-  }
-
-  rebuild_from_dirty(d1_first, d1_last - d1_first + 1, dirty, static_cast<TaskId>(index), exec, out);
+  // With lo_idx >= hi_idx the removed task lay entirely beyond (or before)
+  // the surviving horizon: no surviving column changes, the dirty window
+  // is empty.
+  mark_dirty(lo_idx, hi_idx, d1_first, d1_last);
+  rebuild_from_dirty(d1_first, lo_idx < hi_idx ? d1_last - d1_first + 1 : 0,
+                     static_cast<TaskId>(index), exec, out);
   ++out.ops;
 }
 

@@ -126,7 +126,7 @@ class DeltaPlanner {
   Availability refined_allocation() const;
 
   /// Cached decomposition (test hook; valid while `has_plan()`).
-  const SubintervalDecomposition& decomposition() const { return *subs_; }
+  const SubintervalDecomposition& decomposition() const { return subs_; }
 
   /// Pre-size the cached decomposition's buffers (see
   /// `SubintervalDecomposition::reserve`) so deltas within the bounds splice
@@ -134,6 +134,21 @@ class DeltaPlanner {
   void reserve(std::size_t tasks, std::size_t boundaries, std::size_t overlap_mass);
 
  private:
+  /// One (task, core) segment group of the cached schedule, keyed by the
+  /// post-op task id, split around the repack window.
+  struct OldGroup {
+    std::size_t key = 0;  ///< new-id group key, `task · (cores+1) + core`
+    TaskId new_task = 0;
+    std::size_t begin = 0, end = 0;  ///< run in the old segment list
+    std::size_t pre_end = 0;         ///< prefix = [begin, pre_end)
+    std::size_t suf_begin = 0;       ///< suffix = [suf_begin, end)
+  };
+  /// One (task, core) segment group of the repacked window.
+  struct MidGroup {
+    std::size_t key = 0;
+    std::size_t begin = 0, end = 0;
+  };
+
   void full_rebuild(const TaskSet& live, const Exec& exec);
   void apply_remove(std::size_t index, const Exec& exec, DeltaOutcome& out);
   /// Returns false (leaving state untouched) when the task's boundaries
@@ -147,9 +162,12 @@ class DeltaPlanner {
   /// down by one. `d1_count == 0` (removals only) means the removed task lay
   /// entirely outside the surviving horizon and only the schedule re-key
   /// runs.
-  void rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count,
-                          const std::vector<char>& in_dirty_set, TaskId removed_old,
+  void rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count, TaskId removed_old,
                           const Exec& exec, DeltaOutcome& out);
+  /// Flag in `dirty_` every task overlapping columns `[lo_idx, hi_idx)` and
+  /// widen `[d1_first, d1_last]` to cover their live ranges.
+  void mark_dirty(std::size_t lo_idx, std::size_t hi_idx, std::size_t& d1_first,
+                  std::size_t& d1_last);
   /// True when `value` can be spliced into the boundary array without
   /// violating the constructor's merge invariant (every pair of distinct
   /// values farther apart than `merge_tol`).
@@ -171,11 +189,19 @@ class DeltaPlanner {
   TaskSet task_set_;         ///< the same set, validated
   std::vector<double> bound_values_;        ///< sorted distinct boundary values
   std::vector<std::int32_t> bound_counts_;  ///< multiplicity per value
-  std::optional<SubintervalDecomposition> subs_;
+  SubintervalDecomposition subs_;
   std::optional<IdealCase> ideal_;
   Availability avail_;
   FinalRefinement refinement_;
   Schedule schedule_;
+
+  /// Per-op scratch, kept across ops so a delta reuses the previous one's
+  /// buffers: the availability matrix the next op fills (it swaps with
+  /// `avail_`), the dirty-task flags and the two group indexes.
+  Availability spare_avail_;
+  std::vector<char> dirty_;
+  std::vector<OldGroup> old_groups_;
+  std::vector<MidGroup> mid_groups_;
 
   /// Pending `reserve` request, applied when the decomposition exists.
   std::size_t reserve_tasks_ = 0;

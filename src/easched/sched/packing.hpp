@@ -53,54 +53,45 @@ void pack_subinterval(double begin, double end, int cores, std::span<const PackI
 Schedule pack_subintervals(const SubintervalDecomposition& subs, int cores,
                            const std::vector<std::vector<PackItem>>& items, const Exec& exec);
 
-/// CSR overload: subinterval `j`'s items are `items[offsets[j], offsets[j+1])`
-/// in one flat buffer (`offsets.size() == subs.size() + 1`,
-/// `offsets.back() == items.size()`). Emits the same segment sequence as the
-/// vector-of-vectors overload but packs into one exactly-bounded segment
-/// arena — no per-subinterval vector growth and a single ordered gather at
-/// the end. This is the path the kernel's O(P)-piece materialization takes.
-Schedule pack_subintervals(const SubintervalDecomposition& subs, int cores,
-                           const std::vector<PackItem>& items,
-                           const std::vector<std::size_t>& offsets, const Exec& exec);
+/// Fused pack + coalesce of subintervals `[begin, end)`: returns exactly
+/// what `pack_subintervals` over that range followed by
+/// `Schedule::coalesce(time_tol, freq_tol)` would, segment for segment, in
+/// one packing pass. Algorithm 1 fills each core left to right and the
+/// subintervals ascend, so every (task, core) group's segments come out in
+/// ascending start order; each is folded into its group's last run as it is
+/// emitted (`detail::segments_merge`), and the merged runs are then put in
+/// (task, core) order: by a scatter through a second buffer up to 2^20 runs
+/// (32 MB), in place beyond. Memory is the output, two tables over the
+/// (task, core) keys and that buffer; between packs a thread keeps at most
+/// 2 MB of each (and up to 8 MB of pooled wave buffers): no item list, no
+/// staging arena, no second packing pass. (This replaced two strategies: a
+/// serial one that ran Algorithm 1 twice, counting each group and then
+/// placing each segment, and a pooled one that packed into a
+/// per-subinterval arena sized by a serial scan and scattered it into a raw
+/// segment buffer; both then sorted and merged every group.) Under a parallel `exec`, a range of at least
+/// 2^18 overlap cells packs in bounded waves on the pool into per-chunk
+/// buffers that fold serially in subinterval order (a smaller one packs on
+/// the calling thread), so the result is bit-identical at any pool size.
+///
+/// `source(j)` yields subinterval `j`'s items, once per `j`; under a
+/// parallel exec it is called concurrently for different `j`, so it must
+/// return thread-local or otherwise per-caller storage. A subinterval's
+/// overlap row bounds its item count (the output is reserved from it).
+/// `max_task` must bound every yielded task id — the key tables are sized
+/// from it, so ids must be dense.
+Schedule pack_subintervals_coalesced(
+    const SubintervalDecomposition& subs, int cores, std::size_t begin, std::size_t end,
+    const std::function<std::span<const PackItem>(std::size_t)>& source, TaskId max_task,
+    const Exec& exec, double time_tol = 1e-9, double freq_tol = 1e-9);
 
-/// Fused pack + coalesce over the CSR layout: returns exactly what
-/// `pack_subintervals(subs, cores, items, offsets, exec)` followed by
-/// `Schedule::coalesce(time_tol, freq_tol)` would, but never materializes
-/// the ungrouped concatenated segment list. Segments go straight from the
-/// packing arena into (task, core) groups by a stable counting scatter that
-/// visits them in concatenation order, then merge in place — one segment
-/// buffer end to end instead of three. At n = 10000 the intermediate lists
-/// run to tens of millions of segments, so skipping two gigabyte-scale
-/// buffers is the difference between an allocation-bound and a compute-bound
-/// kernel.
-Schedule pack_subintervals_coalesced(const SubintervalDecomposition& subs, int cores,
-                                     std::span<const PackItem> items,
-                                     const std::vector<std::size_t>& offsets, const Exec& exec,
-                                     double time_tol = 1e-9, double freq_tol = 1e-9);
-
-/// Same, fed by the kernel's intermediate pieces directly — no conversion
-/// copy to `PackItem`. Pieces with non-positive time emit no segments,
-/// matching the filtered conversion this replaces; the per-subinterval
-/// slices of `pieces` must already be subinterval-major (`offsets[j]` ..
-/// `offsets[j+1]` all carry `subinterval == j`).
+/// The same fold over the whole horizon, fed by the kernel's intermediate
+/// pieces directly — no conversion copy to `PackItem`. Subinterval `j`'s
+/// pieces are `pieces[offsets[j], offsets[j+1])` (`offsets.size() ==
+/// subs.size() + 1`, `offsets.back() == pieces.size()`); pieces with
+/// non-positive time emit no segments.
 Schedule pack_subintervals_coalesced(const SubintervalDecomposition& subs, int cores,
                                      std::span<const IntermediatePiece> pieces,
                                      const std::vector<std::size_t>& offsets, const Exec& exec,
                                      double time_tol = 1e-9, double freq_tol = 1e-9);
-
-/// Generator-fed fused pack + coalesce: `source(j)` yields subinterval `j`'s
-/// items on demand, so a caller that derives items from an existing
-/// structure (the F2 refinement reads them straight off the availability
-/// matrix) never materializes the O(P) flat item list at all. `source` may
-/// be called more than once per `j` (the serial strategy packs in two
-/// passes; the parallel one sizes its arena first) and must return the same
-/// content each time; under a parallel exec it is called concurrently for
-/// different `j`, so return thread-local or otherwise per-caller storage.
-/// `max_task` must bound every yielded task id — the (task, core) group
-/// table is allocated from it eagerly, so ids must be dense.
-Schedule pack_subintervals_coalesced(
-    const SubintervalDecomposition& subs, int cores,
-    const std::function<std::span<const PackItem>(std::size_t)>& source, TaskId max_task,
-    const Exec& exec, double time_tol = 1e-9, double freq_tol = 1e-9);
 
 }  // namespace easched

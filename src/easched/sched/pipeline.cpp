@@ -161,12 +161,9 @@ Schedule pack_final(const SubintervalDecomposition& subs, int cores, const Avail
   // slice's items in exactly the order that loop's stable subinterval
   // bucketing produced — the packed schedule is identical, without a
   // task-major piece list *or* the flat CSR item buffer (~0.8 GB at
-  // n = 10000; regenerating a slice is a few row reads). The generator is a
-  // pure function of the refinement arrays, so the packer may re-invoke it
-  // per pass; the thread_local buffer keeps concurrent invocations (one per
-  // pool worker) disjoint.
+  // n = 10000). The thread_local buffer keeps concurrent invocations (one
+  // per pool worker) disjoint.
   const auto items_of = [&](std::size_t j) -> std::span<const PackItem> {
-    if (j < begin || j >= end) return {};
     thread_local std::vector<PackItem> items;
     items.clear();
     const Subinterval& si = subs[j];
@@ -180,7 +177,8 @@ Schedule pack_final(const SubintervalDecomposition& subs, int cores, const Avail
     }
     return items;
   };
-  return pack_subintervals_coalesced(subs, cores, items_of, static_cast<TaskId>(n) - 1, exec);
+  return pack_subintervals_coalesced(subs, cores, begin, end, items_of, static_cast<TaskId>(n) - 1,
+                                     exec);
 }
 
 FinalPlan plan_final(const TaskSet& tasks, const SubintervalDecomposition& subs, int cores,

@@ -29,21 +29,64 @@ void check_segment(const Segment& segment) {
   EASCHED_EXPECTS(segment.core >= 0);
 }
 
+/// Tail of `Schedule::coalesce`: `grouped` holds segments grouped by
+/// (task, core), group `g` occupying `[bounds[g].first, bounds[g].second)`.
+/// Sorts each group by start time, merges adjacent segments under
+/// `detail::segments_merge`, compacts the survivors in place (truncating
+/// `grouped` to the merged prefix), and returns the number of merges.
+std::size_t merge_grouped_segments(
+    std::vector<Segment>& grouped,
+    const std::vector<std::pair<std::size_t, std::size_t>>& bounds, double time_tol,
+    double freq_tol) {
+  // The groups tile `grouped` in ascending order, so survivors compact into
+  // a prefix with one in-place write cursor — no second buffer the size of
+  // the segment list. (The write cursor never overtakes the read index, and
+  // sorting group g touches only [g.first, g.second), which lies at or past
+  // the cursor.)
+  std::size_t merges = 0;
+  std::size_t w = 0;
+  for (const auto& [group_begin, group_end] : bounds) {
+    std::sort(grouped.begin() + static_cast<std::ptrdiff_t>(group_begin),
+              grouped.begin() + static_cast<std::ptrdiff_t>(group_end),
+              [](const Segment& a, const Segment& b) { return a.start < b.start; });
+    const std::size_t group_w = w;
+    for (std::size_t i = group_begin; i < group_end; ++i) {
+      const Segment s = grouped[i];
+      if (w > group_w) {
+        Segment& last = grouped[w - 1];
+        if (detail::segments_merge(last, s, time_tol, freq_tol)) {
+          last.end = s.end;
+          ++merges;
+          continue;
+        }
+      }
+      grouped[w++] = s;
+    }
+  }
+  grouped.resize(w);
+  return merges;
+}
+
 }  // namespace
 
 Schedule::Schedule(int core_count, std::vector<Segment> segments)
     : core_count_(core_count), segments_(std::move(segments)) {
-  for (const Segment& s : segments_) check_segment(s);
+  for (const Segment& s : this->segments()) check_segment(s);
 }
 
 void Schedule::add(Segment segment) {
   check_segment(segment);
-  segments_.push_back(segment);
+  segments_.write().push_back(segment);
+}
+
+void Schedule::reserve(std::size_t additional) {
+  std::vector<Segment>& segments = segments_.write();
+  segments.reserve(segments.size() + additional);
 }
 
 std::vector<Segment> Schedule::segments_of_task(TaskId task) const {
   std::vector<Segment> out;
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segments()) {
     if (s.task == task) out.push_back(s);
   }
   std::sort(out.begin(), out.end(),
@@ -53,7 +96,7 @@ std::vector<Segment> Schedule::segments_of_task(TaskId task) const {
 
 std::vector<Segment> Schedule::segments_on_core(CoreId core) const {
   std::vector<Segment> out;
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segments()) {
     if (s.core == core) out.push_back(s);
   }
   std::sort(out.begin(), out.end(),
@@ -63,7 +106,7 @@ std::vector<Segment> Schedule::segments_on_core(CoreId core) const {
 
 double Schedule::execution_time(TaskId task) const {
   double total = 0.0;
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segments()) {
     if (s.task == task) total += s.duration();
   }
   return total;
@@ -71,7 +114,7 @@ double Schedule::execution_time(TaskId task) const {
 
 double Schedule::completed_work(TaskId task) const {
   double total = 0.0;
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segments()) {
     if (s.task == task) total += s.work();
   }
   return total;
@@ -79,7 +122,7 @@ double Schedule::completed_work(TaskId task) const {
 
 double Schedule::energy(const PowerModel& power) const {
   double total = 0.0;
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segments()) {
     total += power.energy_for_duration(s.duration(), s.frequency);
   }
   return total;
@@ -88,13 +131,14 @@ double Schedule::energy(const PowerModel& power) const {
 ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
                                     double time_tol) const {
   ValidationReport report;
+  const std::vector<Segment>& segs = segments();
 
   // Segment sanity + window containment, accumulating per-task completed
   // work in the same pass (the per-task completed_work() loop over the full
   // segment list is O(T·S) — admission validates after every plan, so this
   // function stays one sort plus linear scans).
   std::vector<double> done(tasks.size(), 0.0);
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segs) {
     if (s.task < 0 || static_cast<std::size_t>(s.task) >= tasks.size()) {
       report.fail("segment references unknown " + describe(s));
       continue;
@@ -120,13 +164,19 @@ ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
   // order-preserving key of each start time (equal starts keep ascending
   // index). Failures are bucketed and emitted grouped by core then by
   // task, matching the historical report order (the buckets only exist on
-  // the failure path; a valid schedule allocates nothing but the index).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
-  order.reserve(segments_.size());
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    order.push_back({ordered_double_key(segments_[i].start), static_cast<std::uint32_t>(i)});
+  // the failure path; a valid schedule allocates nothing but the index,
+  // and that lives in per-thread scratch reused by the next validation).
+  thread_local std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+  thread_local std::vector<std::pair<std::uint64_t, std::uint32_t>> swap;
+  order.clear();
+  // Headroom for the next, slightly larger plan: the radix sort trades the
+  // two buffers, so both must fit it or one of them regrows every time.
+  for (auto* scratch : {&order, &swap}) {
+    if (scratch->capacity() < segs.size()) scratch->reserve(segs.size() + segs.size() / 8);
   }
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> swap;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    order.push_back({ordered_double_key(segs[i].start), static_cast<std::uint32_t>(i)});
+  }
   radix_sort_keys(order, swap);
   std::vector<const Segment*> last_on_core(static_cast<std::size_t>(std::max(core_count_, 0)),
                                            nullptr);
@@ -134,7 +184,7 @@ ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
   std::vector<std::pair<CoreId, std::string>> core_failures;
   std::vector<std::pair<TaskId, std::string>> task_failures;
   for (const auto& [key, index] : order) {
-    const Segment& s = segments_[index];
+    const Segment& s = segs[index];
     if (s.core >= 0 && s.core < core_count_) {
       const Segment*& last = last_on_core[static_cast<std::size_t>(s.core)];
       if (last != nullptr && s.start < last->end - time_tol) {
@@ -158,6 +208,15 @@ ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
   std::stable_sort(task_failures.begin(), task_failures.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   for (auto& [task, message] : task_failures) report.fail(std::move(message));
+  // Scratch past the service's plan sizes is returned rather than pinned
+  // to the thread for its lifetime.
+  constexpr std::size_t kKeptScratch = std::size_t{1} << 18;
+  for (auto* scratch : {&order, &swap}) {
+    if (scratch->capacity() > kKeptScratch) {
+      scratch->clear();
+      scratch->shrink_to_fit();
+    }
+  }
 
   // Execution requirements are met.
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -171,43 +230,11 @@ ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
   return report;
 }
 
-std::size_t detail::merge_grouped_segments(
-    std::vector<Segment>& grouped,
-    const std::vector<std::pair<std::size_t, std::size_t>>& bounds, double time_tol,
-    double freq_tol) {
-  // The groups tile `grouped` in ascending order, so survivors compact into
-  // a prefix with one in-place write cursor — no second buffer the size of
-  // the segment list. (The write cursor never overtakes the read index, and
-  // sorting group g touches only [g.first, g.second), which lies at or past
-  // the cursor.)
-  std::size_t merges = 0;
-  std::size_t w = 0;
-  for (const auto& [group_begin, group_end] : bounds) {
-    std::sort(grouped.begin() + static_cast<std::ptrdiff_t>(group_begin),
-              grouped.begin() + static_cast<std::ptrdiff_t>(group_end),
-              [](const Segment& a, const Segment& b) { return a.start < b.start; });
-    const std::size_t group_w = w;
-    for (std::size_t i = group_begin; i < group_end; ++i) {
-      const Segment s = grouped[i];
-      if (w > group_w) {
-        Segment& last = grouped[w - 1];
-        if (last.task == s.task && last.core == s.core &&
-            almost_equal(last.end, s.start, time_tol, 0.0) &&
-            almost_equal(last.frequency, s.frequency, freq_tol, freq_tol)) {
-          last.end = s.end;
-          ++merges;
-          continue;
-        }
-      }
-      grouped[w++] = s;
-    }
-  }
-  grouped.resize(w);
-  return merges;
-}
-
 std::size_t Schedule::coalesce(double time_tol, double freq_tol) {
-  if (segments_.empty()) return 0;
+  // The merged list is built beside the current one and then replaces it,
+  // which is all the detaching a shared schedule needs.
+  const std::vector<Segment>& segs = segments();
+  if (segs.empty()) return 0;
 
   // Group by (task, core) with keys ascending and the original segment order
   // preserved inside each group. A stable counting sort does this in two
@@ -217,7 +244,7 @@ std::size_t Schedule::coalesce(double time_tol, double freq_tol) {
   // output is unchanged segment for segment.
   TaskId max_task = 0;
   CoreId max_core = 0;
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segs) {
     max_task = std::max(max_task, s.task);
     max_core = std::max(max_core, s.core);
   }
@@ -229,25 +256,25 @@ std::size_t Schedule::coalesce(double time_tol, double freq_tol) {
 
   std::vector<Segment> grouped;
   std::vector<std::pair<std::size_t, std::size_t>> group_bounds;
-  if (key_count <= 2 * segments_.size() + 1024) {
+  if (key_count <= 2 * segs.size() + 1024) {
     std::vector<std::size_t> offsets(key_count + 1, 0);
-    for (const Segment& s : segments_) ++offsets[key_of(s) + 1];
+    for (const Segment& s : segs) ++offsets[key_of(s) + 1];
     for (std::size_t k = 0; k < key_count; ++k) offsets[k + 1] += offsets[k];
-    grouped.resize(segments_.size());
+    grouped.resize(segs.size());
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Segment& s : segments_) grouped[cursor[key_of(s)]++] = s;
+    for (const Segment& s : segs) grouped[cursor[key_of(s)]++] = s;
     group_bounds.reserve(key_count);
     for (std::size_t k = 0; k < key_count; ++k) {
       if (offsets[k + 1] > offsets[k]) group_bounds.emplace_back(offsets[k], offsets[k + 1]);
     }
   } else {
-    std::vector<std::size_t> index(segments_.size());
+    std::vector<std::size_t> index(segs.size());
     std::iota(index.begin(), index.end(), std::size_t{0});
     std::stable_sort(index.begin(), index.end(), [&](std::size_t a, std::size_t b) {
-      return key_of(segments_[a]) < key_of(segments_[b]);
+      return key_of(segs[a]) < key_of(segs[b]);
     });
-    grouped.reserve(segments_.size());
-    for (const std::size_t i : index) grouped.push_back(segments_[i]);
+    grouped.reserve(segs.size());
+    for (const std::size_t i : index) grouped.push_back(segs[i]);
     std::size_t begin = 0;
     for (std::size_t i = 1; i <= grouped.size(); ++i) {
       if (i == grouped.size() || key_of(grouped[i]) != key_of(grouped[begin])) {
@@ -257,9 +284,8 @@ std::size_t Schedule::coalesce(double time_tol, double freq_tol) {
     }
   }
 
-  const std::size_t merges =
-      detail::merge_grouped_segments(grouped, group_bounds, time_tol, freq_tol);
-  segments_ = std::move(grouped);
+  const std::size_t merges = merge_grouped_segments(grouped, group_bounds, time_tol, freq_tol);
+  segments_ = Cow<std::vector<Segment>>(std::move(grouped));
   return merges;
 }
 

@@ -9,12 +9,19 @@
 /// problem definition (Section III-C): segments lie in the task's
 /// `[R_i, D_i]`, no core runs two tasks at once, no task runs on two cores at
 /// once, and every task completes its execution requirement.
+///
+/// Segment storage is copy-on-write: copying a `Schedule` shares its
+/// segments, so a plan handed from the delta planner to the plan cache and
+/// on to every cache hit is one buffer, not one copy per holder. `add`,
+/// `reserve` and `coalesce` detach first; the other copies never change.
 
 #include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "easched/common/cow.hpp"
+#include "easched/common/math.hpp"
 #include "easched/power/power_model.hpp"
 #include "easched/tasksys/task_set.hpp"
 
@@ -66,10 +73,10 @@ class Schedule {
 
   /// Pre-size segment storage for `additional` more `add` calls, so bulk
   /// producers (the packer) never pay vector-doubling reallocation.
-  void reserve(std::size_t additional) { segments_.reserve(segments_.size() + additional); }
+  void reserve(std::size_t additional);
 
-  const std::vector<Segment>& segments() const { return segments_; }
-  bool empty() const { return segments_.empty(); }
+  const std::vector<Segment>& segments() const { return segments_.read(); }
+  bool empty() const { return segments().empty(); }
 
   /// All segments of one task, sorted by start time.
   std::vector<Segment> segments_of_task(TaskId task) const;
@@ -89,6 +96,8 @@ class Schedule {
 
   /// Check all model constraints against `tasks` (work completion up to
   /// `work_tol` relative tolerance; geometric checks up to `time_tol`).
+  /// The start-order index lives in per-thread scratch, so validating
+  /// plan after plan reuses one buffer.
   ValidationReport validate(const TaskSet& tasks, double work_tol = 1e-6,
                             double time_tol = 1e-7) const;
 
@@ -98,20 +107,21 @@ class Schedule {
 
  private:
   int core_count_ = 0;
-  std::vector<Segment> segments_;
+  Cow<std::vector<Segment>> segments_;
 };
 
 namespace detail {
 
-/// Shared tail of `Schedule::coalesce` and the packer's fused
-/// pack+coalesce: `grouped` holds segments grouped by (task, core), group
-/// `g` occupying `[bounds[g].first, bounds[g].second)`. Sorts each group by
-/// start time, merges adjacent segments whose boundary times and frequencies
-/// agree within the tolerances, compacts the survivors in place (truncating
-/// `grouped` to the merged prefix), and returns the number of merges.
-std::size_t merge_grouped_segments(std::vector<Segment>& grouped,
-                                   const std::vector<std::pair<std::size_t, std::size_t>>& bounds,
-                                   double time_tol, double freq_tol);
+/// `Schedule::coalesce`'s merge rule, shared with the packer's fold and the
+/// delta planner's splice: `next` extends `last` when both run the same
+/// task on the same core, `next` starts where `last` ends and the two
+/// frequencies agree, all within the tolerances.
+inline bool segments_merge(const Segment& last, const Segment& next, double time_tol,
+                           double freq_tol) {
+  return last.task == next.task && last.core == next.core &&
+         almost_equal(last.end, next.start, time_tol, 0.0) &&
+         almost_equal(last.frequency, next.frequency, freq_tol, freq_tol);
+}
 
 }  // namespace detail
 

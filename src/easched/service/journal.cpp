@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -297,11 +296,13 @@ JournalCompaction AdmissionJournal::compact(
 
 JournalRecovery AdmissionJournal::recover(const std::string& path) {
   JournalRecovery recovery;
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.is_open()) return recovery;  // no journal yet: empty state
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  const std::string text = std::move(contents).str();
+  // One read into a buffer sized from the file.
+  std::string text(static_cast<std::size_t>(std::max<std::streamoff>(in.tellg(), 0)), '\0');
+  in.seekg(0);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
   if (text.empty()) return recovery;
 
   std::string_view rest = text;

@@ -27,6 +27,14 @@ double between_us(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+/// The tasks of an id-ordered (id, task) list, in that order.
+TaskSet task_set_of(const std::vector<std::pair<TaskId, Task>>& live) {
+  std::vector<Task> tasks;
+  tasks.reserve(live.size());
+  for (const auto& [id, task] : live) tasks.push_back(task);
+  return TaskSet(std::move(tasks));
+}
+
 /// Request ids in trace spans are `sequence + 1` (0 means "no request"), so
 /// the first request of a stream is still visible in the trace.
 std::uint64_t trace_request_id(std::uint64_t sequence) { return sequence + 1; }
@@ -165,10 +173,7 @@ std::size_t SchedulerService::committed_count() const {
 
 TaskSet SchedulerService::committed_task_set() const {
   std::lock_guard lock(state_mutex_);
-  std::vector<Task> tasks;
-  tasks.reserve(committed_.size());
-  for (const auto& [id, task] : committed_) tasks.push_back(task);
-  return TaskSet(std::move(tasks));
+  return task_set_of(committed_);
 }
 
 std::vector<TaskId> SchedulerService::committed_ids() const {
@@ -459,7 +464,8 @@ FallbackOptions SchedulerService::fallback_options() const {
 }
 
 CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId, Task>>& live,
-                                             const std::string& raw_signature) {
+                                             const std::string& raw_signature,
+                                             const TaskSet* tasks) {
   if (live.empty()) {
     CachedPlan empty;
     empty.schedule = Schedule(options_.cores);
@@ -485,10 +491,9 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
     return *hit;
   }
   metrics_.increment("plan_cache_misses_total");
-  std::vector<Task> tasks;
-  tasks.reserve(live.size());
-  for (const auto& [id, task] : live) tasks.push_back(task);
-  const TaskSet task_set(std::move(tasks));
+  std::optional<TaskSet> built;
+  if (tasks == nullptr) tasks = &built.emplace(task_set_of(live));
+  const TaskSet& task_set = *tasks;
 
   // Delta fast path: with the exact rung off, a cache miss whose set is a
   // few ops away from the previously planned one is spliced instead of
@@ -661,13 +666,13 @@ AdmissionDecision SchedulerService::evaluate_locked(const Task& candidate,
 
   std::vector<std::pair<TaskId, Task>> merged = committed_;
   merged.emplace_back(next_id_, candidate);
-  std::vector<Task> merged_tasks;
-  merged_tasks.reserve(merged.size());
-  for (const auto& [id, task] : merged) merged_tasks.push_back(task);
-  const TaskSet all(std::move(merged_tasks));
 
+  // Only the finite-ceiling feasibility test and a cache miss read the
+  // merged tasks as a `TaskSet`: build it at most once, and only then.
+  std::optional<TaskSet> all;
   if (std::isfinite(options_.f_max)) {
-    const FeasibilityReport report = check_feasibility(all, options_.cores, options_.f_max);
+    all.emplace(task_set_of(merged));
+    const FeasibilityReport report = check_feasibility(*all, options_.cores, options_.f_max);
     if (!report.feasible) {
       decision.rejection_reason =
           report.violated_conditions.empty()
@@ -688,7 +693,7 @@ AdmissionDecision SchedulerService::evaluate_locked(const Task& candidate,
   // plan behind, so an admit after a quote re-plans nothing. Throws
   // `PlanningError` when every rung fails — the caller converts that into
   // a reasoned rejection.
-  const CachedPlan plan = plan_set_locked(merged, merged_signature);
+  const CachedPlan plan = plan_set_locked(merged, merged_signature, all ? &*all : nullptr);
 
   decision.admitted = true;
   decision.energy_after = plan.energy;

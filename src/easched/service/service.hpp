@@ -302,10 +302,12 @@ class SchedulerService {
   /// deadline starts ticking at the call.
   FallbackOptions fallback_options() const;
   /// Plan `live` (whose cache key is `signature`) through the cache and the
-  /// fallback chain; records rung metrics. Throws `PlanningError` when every
-  /// rung fails. Caller holds `state_mutex_`.
+  /// fallback chain; records rung metrics. `tasks`, when given, is `live`'s
+  /// tasks already built into a `TaskSet` (a cache miss builds it
+  /// otherwise). Throws `PlanningError` when every rung fails. Caller holds
+  /// `state_mutex_`.
   CachedPlan plan_set_locked(const std::vector<std::pair<TaskId, Task>>& live,
-                             const std::string& signature);
+                             const std::string& signature, const TaskSet* tasks = nullptr);
   /// Plan (and energy) for the current committed set, via the cache.
   /// Caller holds `state_mutex_`.
   CachedPlan plan_for_committed_locked();

@@ -20,7 +20,21 @@ double slack_ratio(const Task& task) {
 
 }  // namespace
 
-ServiceShard::ServiceShard(const PowerModel& power, ShardOptions options)
+void BringUpOrder::wait(std::size_t index) {
+  std::unique_lock lock(mutex_);
+  passed_.wait(lock, [&] { return next_ >= index; });
+}
+
+void BringUpOrder::pass(std::size_t index) {
+  std::unique_lock lock(mutex_);
+  passed_.wait(lock, [&] { return next_ >= index; });
+  if (next_ != index) return;
+  ++next_;
+  lock.unlock();
+  passed_.notify_all();
+}
+
+ServiceShard::ServiceShard(const PowerModel& power, ShardOptions options, BringUpOrder* order)
     : power_(power),
       options_(std::move(options)),
       submit_site_("shard" + std::to_string(options_.index) + ".submit"),
@@ -33,7 +47,7 @@ ServiceShard::ServiceShard(const PowerModel& power, ShardOptions options)
   // A crash injected into the first bring-up leaves the shard down with an
   // immediate-retry countdown — the same lazy-recovery path as any later
   // crash — rather than failing construction.
-  start_service_locked();
+  start_service_locked(order);
 }
 
 ServiceShard::~ServiceShard() = default;
@@ -288,7 +302,7 @@ bool ServiceShard::restart_now() {
   return start_service_locked();
 }
 
-bool ServiceShard::start_service_locked() {
+bool ServiceShard::start_service_locked(BringUpOrder* order) {
   try {
     ServiceOptions service_options = options_.service;
     service_options.manual_dispatch = true;
@@ -304,8 +318,15 @@ bool ServiceShard::start_service_locked() {
     // Mid-restart crash site: the snapshot is loaded, the journal replay
     // (inside the service constructor) has not happened. A kill here leaves
     // the shard down; the next routed op retries recovery from scratch.
-    faults::kill_point("shard.restart.replay");
-    faults::kill_point(restart_site_);
+    if (order != nullptr) order->wait(options_.index);
+    try {
+      faults::kill_point("shard.restart.replay");
+      faults::kill_point(restart_site_);
+    } catch (const InjectedCrash&) {
+      if (order != nullptr) order->pass(options_.index);
+      throw;
+    }
+    if (order != nullptr) order->pass(options_.index);
     service_ = base ? std::make_unique<SchedulerService>(*base, power_, service_options)
                     : std::make_unique<SchedulerService>(power_, service_options);
     // A restarted incarnation resumes at the ladder's current level.

@@ -25,9 +25,12 @@
 /// the journal replayed over it once — every acked admit survives, and the
 /// journal's rid→id records make retried acks dedup instead of
 /// double-committing. A torn tail left by a mid-append crash is cut before
-/// the first append. Restart plans nothing: the first request routed to
-/// the shard plans the recovered set. It writes a snapshot of the recovered
-/// state, but rewrites the journal only when the journal needs it: replay
+/// the first append. A `Supervisor` brings all its shards up at once, each
+/// on its own thread (snapshot load, journal replay, service construction
+/// and bring-up snapshot side by side), so a fleet restart costs its slowest
+/// shard; a `BringUpOrder` keeps the restart kill points in shard order.
+/// Restart plans nothing: the first request routed to the shard plans the
+/// recovered set. It writes a snapshot of the recovered state, but rewrites the journal only when the journal needs it: replay
 /// skipped mid-file corrupt records (compaction drops them), or the journal
 /// is past the compaction threshold — the same threshold every served op
 /// checks: `max(journal_compact_bytes, 2 × the last compacted size)`. So
@@ -44,6 +47,7 @@
 /// sheds the lowest-laxity arrivals before they reach planning.
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -98,15 +102,38 @@ struct ShardBatchItem {
   std::string rid;
 };
 
+/// Turn order for the restart kill points of shards brought up
+/// concurrently: shard `k` visits `shard.restart.replay` only after shards
+/// `0..k-1` have visited it or failed before reaching it. A fleet-wide kill
+/// spec such as `kill:shard.restart.replay@2` therefore fires in the same
+/// shard as when the shards come up one after the other.
+class BringUpOrder {
+ public:
+  /// Block until shards `0..index-1` have passed.
+  void wait(std::size_t index);
+  /// Pass `index` once shards `0..index-1` have passed; idempotent.
+  void pass(std::size_t index);
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable passed_;
+  std::size_t next_ = 0;  ///< lowest index not yet passed
+};
+
 /// One supervised shard. Thread-safe; every operation serializes on the
 /// shard lock (the shard is the concurrency unit — parallelism comes from
 /// having many shards).
 class ServiceShard {
  public:
   /// Builds the shard and brings the inner service up immediately
-  /// (snapshot + journal recovery, like any restart). Throws when the
-  /// first bring-up itself crashes or fails.
-  ServiceShard(const PowerModel& power, ShardOptions options);
+  /// (snapshot + journal recovery, like any restart). A crash injected at
+  /// `shard.restart.replay` during this first bring-up leaves the shard
+  /// down with an immediate retry, so the first routed op brings it up;
+  /// any other bring-up failure (say, an unreadable snapshot) throws. With
+  /// `order`, the restart kill points wait for this shard's turn (see
+  /// `BringUpOrder`), so the shards of one fleet can be built on
+  /// concurrent threads.
+  ServiceShard(const PowerModel& power, ShardOptions options, BringUpOrder* order = nullptr);
   ~ServiceShard();
 
   ServiceShard(const ServiceShard&) = delete;
@@ -175,8 +202,9 @@ class ServiceShard {
  private:
   /// Bring the inner service up from snapshot + journal. Caller holds the
   /// shard lock. Returns false (shard stays down) when recovery itself
-  /// crashes at `shard.restart.replay`.
-  bool start_service_locked();
+  /// crashes at `shard.restart.replay`, whose visit waits for this shard's
+  /// turn in `order` when one is given.
+  bool start_service_locked(BringUpOrder* order = nullptr);
   /// Tear the service down after a contained crash and arm the restart
   /// countdown.
   void mark_down_locked(std::uint64_t restart_after);

@@ -1,6 +1,8 @@
 #include "easched/service/supervisor.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <thread>
 
 #include "easched/common/contracts.hpp"
 #include "easched/common/rng.hpp"
@@ -38,20 +40,52 @@ Supervisor::Supervisor(const PowerModel& power, SupervisorOptions options)
   EASCHED_EXPECTS_MSG(!options_.data_dir.empty(),
                       "supervised shards need a data_dir for their journals + snapshots");
 
-  shards_.reserve(options_.shards);
-  for (std::size_t k = 0; k < options_.shards; ++k) {
-    ShardOptions shard_options;
-    shard_options.index = k;
-    const std::string base = options_.data_dir + "/shard" + std::to_string(k);
-    shard_options.journal_path = base + ".wal";
-    shard_options.snapshot_path = base + ".snap";
-    shard_options.service = options_.service;
-    shard_options.brownout = options_.brownout;
-    shard_options.brownout_enabled = options_.brownout_enabled;
-    shard_options.journal_compact_bytes = options_.journal_compact_bytes;
-    shards_.push_back(std::make_unique<ServiceShard>(power, std::move(shard_options)));
+  // Bring-up: every shard recovers on its own thread (this one takes shard
+  // 0), so a restart costs the slowest shard rather than the sum. `order`
+  // keeps the fleet-wide restart kill points in shard order. Every thread
+  // is joined before the constructor returns or throws; when shards fail,
+  // the lowest-index shard's error is the one rethrown.
+  shards_.resize(options_.shards);
+  std::vector<std::exception_ptr> errors(options_.shards);
+  BringUpOrder order;
+  const auto bring_up = [&](std::size_t k) {
+    try {
+      ShardOptions shard_options;
+      shard_options.index = k;
+      const std::string base = options_.data_dir + "/shard" + std::to_string(k);
+      shard_options.journal_path = base + ".wal";
+      shard_options.snapshot_path = base + ".snap";
+      shard_options.service = options_.service;
+      shard_options.brownout = options_.brownout;
+      shard_options.brownout_enabled = options_.brownout_enabled;
+      shard_options.journal_compact_bytes = options_.journal_compact_bytes;
+      shards_[k] = std::make_unique<ServiceShard>(power, std::move(shard_options), &order);
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+    order.pass(k);  // a shard that failed before its turn must not stall the next
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(options_.shards - 1);
+    for (std::size_t k = 1; k < options_.shards; ++k) {
+      try {
+        threads.emplace_back(bring_up, k);
+      } catch (...) {
+        // Shards from k on never start; every started one only waits on
+        // lower indices, so the joins below still complete.
+        errors[k] = std::current_exception();
+        break;
+      }
+    }
+    bring_up(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  for (const auto& shard : shards_) {
     in_flight_.push_back(std::make_unique<std::atomic<std::size_t>>(0));
-    shard_level_.push_back(std::make_unique<std::atomic<int>>(shards_.back()->brownout_level()));
+    shard_level_.push_back(std::make_unique<std::atomic<int>>(shard->brownout_level()));
   }
 
   ring_.reserve(options_.shards * options_.virtual_nodes);

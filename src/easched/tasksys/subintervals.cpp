@@ -46,8 +46,15 @@ void SubintervalDecomposition::reserve(std::size_t tasks, std::size_t boundaries
   boundaries_.reserve(boundaries);
   intervals_.reserve(boundaries > 0 ? boundaries - 1 : 0);
   offsets_.reserve(boundaries);
+  const TaskId* before = arena_.data();
   arena_.reserve(overlap_mass);
   ranges_.reserve(tasks);
+  if (arena_.data() != before) {
+    const std::span<const TaskId> arena(arena_);
+    for (std::size_t j = 0; j < intervals_.size(); ++j) {
+      intervals_[j].overlapping = arena.subspan(offsets_[j], offsets_[j + 1] - offsets_[j]);
+    }
+  }
 }
 
 void SubintervalDecomposition::assign(const TaskSet& tasks, std::span<const double> boundaries,

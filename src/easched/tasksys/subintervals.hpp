@@ -66,6 +66,9 @@ class SubintervalDecomposition {
   /// `exec` (bit-identical to the serial constructor at any pool size).
   SubintervalDecomposition(const TaskSet& tasks, double merge_tol, const Exec& exec);
 
+  /// Empty (no subintervals): a holder for `reserve` + `assign`.
+  SubintervalDecomposition() = default;
+
   SubintervalDecomposition(const SubintervalDecomposition&) = delete;
   SubintervalDecomposition& operator=(const SubintervalDecomposition&) = delete;
   SubintervalDecomposition(SubintervalDecomposition&&) = default;
@@ -82,7 +85,8 @@ class SubintervalDecomposition {
 
   /// Pre-size the internal buffers for up to `tasks` tasks, `boundaries`
   /// boundary values and `overlap_mass` CSR arena slots, so later `assign`
-  /// calls within those bounds perform zero allocation.
+  /// calls within those bounds perform zero allocation. Safe at any time:
+  /// the overlap spans follow the arena if it moves.
   void reserve(std::size_t tasks, std::size_t boundaries, std::size_t overlap_mass);
 
   std::size_t size() const { return intervals_.size(); }

@@ -5,6 +5,7 @@
 #include "easched/common/contracts.hpp"
 
 #include "easched/common/rng.hpp"
+#include "easched/parallel/exec.hpp"
 #include "easched/sched/packing.hpp"
 
 namespace easched {
@@ -139,6 +140,52 @@ TEST(PackingTest, ToleratesTinyFloatOverrun) {
   double total = 0.0;
   for (const Segment& seg : s.segments()) total += seg.duration();
   EXPECT_LE(total, 1.0 + 1e-9);
+}
+
+TEST(PackingTest, FusedPackStaysExactAcrossKeyTablesPastTheKeptSize) {
+  // Ids up to 99999 on 4 cores need 500k (task, core) keys, more than a
+  // thread keeps between packs; the small pack after it must be exact too.
+  const TaskSet tasks({Task{0.0, 4.0, 1.0}, Task{1.0, 3.0, 1.0}});
+  const SubintervalDecomposition subs(tasks);
+  constexpr int kCores = 4;
+  for (const TaskId max_task : {TaskId{99999}, TaskId{7}}) {
+    SCOPED_TRACE(::testing::Message() << "max_task " << max_task);
+    std::vector<std::vector<PackItem>> items(subs.size());
+    for (std::size_t j = 0; j < subs.size(); ++j) {
+      const double length = subs[j].length();
+      items[j] = {{0, 0.75 * length, 1.0}, {3, 0.5 * length, 1.5}, {max_task, length, 2.0}};
+    }
+    Schedule expected = pack_subintervals(subs, kCores, items, Exec::serial());
+    expected.coalesce();
+    const Schedule fused = pack_subintervals_coalesced(
+        subs, kCores, 0, subs.size(),
+        [&](std::size_t j) { return std::span<const PackItem>(items[j]); }, max_task,
+        Exec::serial());
+    EXPECT_EQ(fused.segments(), expected.segments());
+  }
+}
+
+TEST(PackingTest, FusedPackStaysExactPastTheScatterBound) {
+  // 1.2 million runs are past what the fused pack orders by scattering
+  // through a second buffer, so they move in place (bucket passes, then
+  // cycles) and must still come out in `coalesce`'s order.
+  const TaskSet tasks({Task{0.0, 4.0, 1.0}, Task{1.0, 3.0, 1.0}});
+  const SubintervalDecomposition subs(tasks);
+  constexpr int kCores = 4;
+  constexpr TaskId kTasks = 400000;
+  std::vector<std::vector<PackItem>> items(subs.size());
+  for (std::size_t j = 0; j < subs.size(); ++j) {
+    const double time = 0.9 * kCores * subs[j].length() / kTasks;
+    for (TaskId id = 0; id < kTasks; ++id) items[j].push_back({id, time, 1.0 + (id % 3) * 0.5});
+  }
+  Schedule expected = pack_subintervals(subs, kCores, items, Exec::serial());
+  expected.coalesce();
+  ASSERT_GT(expected.segments().size(), std::size_t{1} << 20);
+  const Schedule fused = pack_subintervals_coalesced(
+      subs, kCores, 0, subs.size(),
+      [&](std::size_t j) { return std::span<const PackItem>(items[j]); }, kTasks - 1,
+      Exec::serial());
+  EXPECT_TRUE(fused.segments() == expected.segments());
 }
 
 }  // namespace

@@ -3,12 +3,17 @@
 // path. Invariants checked on every instance: the two paths emit the exact
 // same segments; no two segments collide on a core; no task runs on two
 // cores at once; and every pack item's time is conserved by its segments.
+// The fused pack + coalesce (`pack_final`, and the intermediate pieces'
+// overload) must equal `pack_subintervals` followed by `Schedule::coalesce`
+// segment for segment, over the full horizon and random windows, serially
+// and on pools of 2 and 8 threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "easched/common/rng.hpp"
@@ -130,6 +135,69 @@ TEST_P(PackingPropertyTest, FullPipelineValidatesThroughBothPaths) {
   }
   ASSERT_EQ(serial.der.final_schedule.segments(), parallel.der.final_schedule.segments());
   ASSERT_EQ(serial.even.final_schedule.segments(), parallel.even.final_schedule.segments());
+}
+
+/// `pack_final`'s items for subinterval `j`, spelled out independently.
+std::vector<PackItem> final_items(const SubintervalDecomposition& subs, const FinalPlan& plan,
+                                  std::size_t j) {
+  std::vector<PackItem> items;
+  for (const TaskId id : subs[j].overlapping) {
+    const auto i = static_cast<std::size_t>(id);
+    const double budget = plan.availability(i, j);
+    if (budget <= 0.0) continue;
+    const double time = std::min(budget * plan.refinement.scale[i], subs[j].length());
+    if (time > 0.0) items.push_back({id, time, plan.refinement.frequency[i]});
+  }
+  return items;
+}
+
+TEST_P(PackingPropertyTest, FusedPackEqualsPackThenCoalesce) {
+  Rng rng(Rng::seed_of("fused-packing", GetParam()));
+  WorkloadConfig config;
+  // One larger set is big enough to pack on the pool at all, and spans
+  // several of the pooled path's packing waves.
+  config.task_count = GetParam() == 0 ? 1000 : 6 + GetParam() % 30;
+  const TaskSet tasks = generate_workload(config, rng);
+  const PowerModel power(3.0, 0.05);
+  const SubintervalDecomposition subs(tasks);
+  const IdealCase ideal(tasks, power);
+  const FinalPlan plan =
+      plan_final(tasks, subs, kCores, power, ideal, AllocationMethod::kDer, Exec::serial());
+  const MethodResult method =
+      schedule_with_method(tasks, subs, kCores, power, ideal, AllocationMethod::kDer);
+
+  std::vector<std::pair<std::size_t, std::size_t>> windows = {{0, subs.size()}};
+  for (int w = 0; w < 4; ++w) {
+    const std::size_t begin = rng.uniform_index(subs.size());
+    windows.emplace_back(begin, begin + 1 + rng.uniform_index(subs.size() - begin));
+  }
+  std::vector<std::vector<PackItem>> pieces(subs.size());
+  for (const IntermediatePiece& p : method.intermediate_pieces) {
+    pieces[p.subinterval].push_back({p.task, p.time, p.frequency});
+  }
+  Schedule intermediate = pack_subintervals(subs, kCores, pieces, Exec::serial());
+  intermediate.coalesce();
+  ASSERT_EQ(method.intermediate_schedule.segments(), intermediate.segments());
+
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  for (const auto& [begin, end] : windows) {
+    SCOPED_TRACE(::testing::Message() << "window [" << begin << ", " << end << ")");
+    std::vector<std::vector<PackItem>> items(subs.size());
+    for (std::size_t j = begin; j < end; ++j) items[j] = final_items(subs, plan, j);
+    Schedule expected = pack_subintervals(subs, kCores, items, Exec::serial());
+    expected.coalesce();
+    for (const Exec& exec : {Exec::serial(), Exec::on(two), Exec::on(eight)}) {
+      const Schedule fused =
+          pack_final(subs, kCores, plan.availability, plan.refinement, begin, end, exec);
+      ASSERT_EQ(fused.segments(), expected.segments());
+    }
+  }
+  for (ThreadPool* pool : {&two, &eight}) {
+    const MethodResult pooled = schedule_with_method(tasks, subs, kCores, power, ideal,
+                                                     AllocationMethod::kDer, Exec::on(*pool));
+    ASSERT_EQ(pooled.intermediate_schedule.segments(), intermediate.segments());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackingPropertyTest,

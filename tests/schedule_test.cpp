@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "easched/common/contracts.hpp"
 
 #include "easched/sched/schedule.hpp"
@@ -120,6 +123,37 @@ TEST(ScheduleTest, CoalescePreservesWorkAndEnergy) {
   s.coalesce();
   EXPECT_NEAR(s.completed_work(0), work0, 1e-12);
   EXPECT_NEAR(s.energy(m), energy, 1e-12);
+}
+
+TEST(ScheduleTest, CopiesShareSegmentsUntilOneSideWrites) {
+  Schedule original(2);
+  original.add({0, 0, 0.0, 2.0, 1.0});
+  original.add({0, 0, 2.0, 4.0, 1.0});
+  original.add({1, 1, 1.0, 3.0, 0.5});
+  const std::vector<Segment> before = original.segments();
+
+  for (const char* op : {"add", "reserve", "coalesce"}) {
+    SCOPED_TRACE(op);
+    Schedule copy = original;
+    Schedule assigned;
+    assigned = copy;
+    EXPECT_EQ(copy.segments().data(), original.segments().data());  // shared, not copied
+    EXPECT_EQ(assigned.segments().data(), original.segments().data());
+    if (std::string(op) == "add") copy.add({1, 0, 5.0, 6.0, 1.0});
+    if (std::string(op) == "reserve") copy.reserve(64);
+    if (std::string(op) == "coalesce") copy.coalesce();
+    EXPECT_NE(copy.segments().data(), original.segments().data());
+    EXPECT_EQ(original.segments(), before);  // the other sides never change
+    EXPECT_EQ(assigned.segments(), before);
+    EXPECT_EQ(assigned.segments().data(), original.segments().data());
+  }
+
+  // Writing the original detaches it from its copies just the same.
+  const Schedule copy = original;
+  original.add({1, 0, 7.0, 8.0, 1.0});
+  EXPECT_EQ(copy.segments(), before);
+  EXPECT_EQ(original.segments().size(), before.size() + 1);
+  EXPECT_TRUE(Schedule(3).segments().empty());
 }
 
 TEST(ScheduleTest, SegmentHelpers) {

@@ -1,13 +1,20 @@
 // The supervised shard fleet: consistent-hash routing, crash containment
 // with scheduled restart, recovery that loses no acked admit (with kills at
 // every journal boundary AND mid-restart-replay), idempotent re-admission
-// across restarts, the watchdog, brownout effects, and merged metrics.
+// across restarts, the watchdog, brownout effects, merged metrics, and the
+// concurrent bring-up (kill-point order, error choice, equivalence with a
+// one-shard-at-a-time recovery).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "easched/common/math.hpp"
@@ -344,6 +351,134 @@ TEST(SupervisorTest, RidsTheJournalCannotStoreAreRejectedBeforeAnything) {
     EXPECT_EQ(supervisor.committed_total(), 1u);
     EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);  // nothing journaled
   }
+}
+
+// Shard k's options exactly as `Supervisor` derives them for `options`.
+ShardOptions shard_options_of(const SupervisorOptions& options, std::size_t k) {
+  ShardOptions shard;
+  shard.index = k;
+  const std::string base = options.data_dir + "/shard" + std::to_string(k);
+  shard.journal_path = base + ".wal";
+  shard.snapshot_path = base + ".snap";
+  shard.service = options.service;
+  shard.brownout = options.brownout;
+  shard.brownout_enabled = options.brownout_enabled;
+  shard.journal_compact_bytes = options.journal_compact_bytes;
+  return shard;
+}
+
+// Fill a fleet's data dir: admits over many tenants, a few completions, and
+// a snapshot behind the journal (the fleet is dropped without one).
+void populate(const SupervisorOptions& options) {
+  Supervisor fleet(test_power(), options);
+  std::vector<std::pair<std::string, TaskId>> acked;
+  for (int i = 0; i < 36; ++i) {
+    const std::string tenant = "tenant-" + std::to_string(i % 9);
+    const ServiceDecision d = fleet.submit(tenant, rich_task(i), "rid-" + std::to_string(i));
+    ASSERT_TRUE(d.admission.admitted);
+    acked.emplace_back(tenant, d.id);
+  }
+  for (std::size_t i = 0; i < acked.size(); i += 5) {
+    ASSERT_EQ(fleet.complete(acked[i].first, acked[i].second), std::optional<bool>(true));
+  }
+}
+
+void overwrite(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << text;
+}
+
+TEST(SupervisorTest, FirstBringUpCrashLeavesTheShardDownUntilTheFirstOp) {
+  const SupervisorOptions options = fleet_options("sup_first_bringup", 1);
+  {
+    Supervisor fleet(test_power(), options);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(fleet.submit("t", rich_task(i), "req-" + std::to_string(i)).admission.admitted);
+    }
+  }
+  FaultInjector injector(FaultPlan::parse("kill:shard.restart.replay@1"));
+  faults::FaultScope scope(injector);
+  Supervisor fleet(test_power(), options);  // construction itself does not throw
+  EXPECT_FALSE(fleet.shard(0).up());
+  EXPECT_EQ(fleet.shard(0).stats().restart_failures, 1u);
+
+  // The countdown is zero: the first routed op recovers every journaled
+  // admit, and a retried rid dedups against them.
+  const ServiceDecision retry = fleet.submit("t", rich_task(3), "req-3");
+  ASSERT_TRUE(retry.admission.admitted);
+  EXPECT_TRUE(retry.deduplicated);
+  EXPECT_TRUE(fleet.shard(0).up());
+  EXPECT_EQ(fleet.shard(0).committed_count(), 4u);
+}
+
+TEST(SupervisorTest, ConcurrentBringUpVisitsTheRestartKillPointInShardOrder) {
+  for (int rep = 0; rep < 20; ++rep) {
+    SCOPED_TRACE(rep);
+    FaultInjector injector(FaultPlan::parse("kill:shard.restart.replay@2"));
+    faults::FaultScope scope(injector);
+    Supervisor fleet(test_power(), fleet_options("sup_bringup_order", 3));
+    EXPECT_TRUE(fleet.shard(0).up());
+    EXPECT_FALSE(fleet.shard(1).up());
+    EXPECT_TRUE(fleet.shard(2).up());
+    EXPECT_EQ(injector.kill_visits("shard.restart.replay"), 3u);
+  }
+}
+
+TEST(SupervisorTest, BringUpRethrowsTheLowestFailingShardsError) {
+  const SupervisorOptions options = fleet_options("sup_bringup_error", 3);
+  populate(options);
+  const std::string base = options.data_dir + "/shard";
+
+  // A corrupt snapshot header on shard 2 fails the fleet with its error.
+  overwrite(base + "2.snap", "# not a snapshot\n");
+  try {
+    Supervisor fleet(test_power(), options);
+    FAIL() << "bring-up over a corrupt snapshot must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "not an easched-service-snapshot v1 document");
+  }
+
+  // With shard 1 failing too (its journal header), shard 1's error wins.
+  overwrite(base + "1.wal", "# not a journal\n");
+  try {
+    Supervisor fleet(test_power(), options);
+    FAIL() << "bring-up over a corrupt journal must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "not an easched-admission-journal v1 file: " + base + "1.wal");
+  }
+}
+
+TEST(SupervisorTest, ConcurrentBringUpEqualsOneShardAtATime) {
+  const SupervisorOptions killed = fleet_options("sup_bringup_equal", 3);
+  populate(killed);
+  SupervisorOptions fleet_copy = fleet_options("sup_bringup_equal_fleet", 3);
+  SupervisorOptions serial_copy = fleet_options("sup_bringup_equal_serial", 3);
+  for (const SupervisorOptions* copy : {&fleet_copy, &serial_copy}) {
+    std::filesystem::copy(killed.data_dir, copy->data_dir,
+                          std::filesystem::copy_options::overwrite_existing |
+                              std::filesystem::copy_options::recursive);
+  }
+
+  Supervisor fleet(test_power(), fleet_copy);
+  std::vector<std::unique_ptr<ServiceShard>> serial;
+  for (std::size_t k = 0; k < 3; ++k) {
+    serial.push_back(std::make_unique<ServiceShard>(test_power(), shard_options_of(serial_copy, k)));
+  }
+  std::size_t recovered = 0;
+  for (std::size_t k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    ServiceShard& concurrent = fleet.shard(k);
+    ServiceShard& one_by_one = *serial[k];
+    EXPECT_EQ(concurrent.committed_ids(), one_by_one.committed_ids());
+    const TaskSet a = concurrent.committed_task_set();
+    const TaskSet b = one_by_one.committed_task_set();
+    EXPECT_EQ(std::vector<Task>(a.begin(), a.end()), std::vector<Task>(b.begin(), b.end()));
+    EXPECT_EQ(concurrent.current_plan().segments(), one_by_one.current_plan().segments());
+    EXPECT_EQ(concurrent.current_energy(), one_by_one.current_energy());
+    recovered += concurrent.committed_count();
+  }
+  EXPECT_EQ(recovered, 36u - 8u);  // every acked admit but the completed ones
 }
 
 }  // namespace
