@@ -99,7 +99,6 @@ BENCHMARK(BM_PlanFallbackAfterTimeout)->Arg(12)->Arg(24)->Unit(benchmark::kMicro
 ServiceOptions admission_options() {
   ServiceOptions options;
   options.cores = 2;
-  options.manual_dispatch = true;
   return options;
 }
 
@@ -124,7 +123,7 @@ void BM_ServiceAdmission(benchmark::State& state) {
   const PowerModel power = bench_power();
   for (auto _ : state) {
     SchedulerService service(power, admission_options());
-    for (const Task& t : stream) benchmark::DoNotOptimize(service.submit_wait(t));
+    for (const Task& t : stream) benchmark::DoNotOptimize(service.submit(t));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -142,7 +141,7 @@ void BM_ServiceAdmissionJournaled(benchmark::State& state) {
     ServiceOptions options = admission_options();
     options.journal_path = path;
     SchedulerService service(power, options);
-    for (const Task& t : stream) benchmark::DoNotOptimize(service.submit_wait(t));
+    for (const Task& t : stream) benchmark::DoNotOptimize(service.submit(t));
   }
   std::remove(path.c_str());
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <future>
 #include <vector>
 
 #include "easched/common/rng.hpp"
@@ -47,7 +46,6 @@ ServiceOptions service_options(std::size_t max_batch) {
   options.cores = kCores;
   options.f_max = kFMax;
   options.max_batch = max_batch;
-  options.manual_dispatch = true;  // measure admission compute, not timers
   return options;
 }
 
@@ -76,18 +74,15 @@ BENCHMARK(BM_PerRequestAdmission)->Arg(64)->Arg(256)->Unit(benchmark::kMilliseco
 void BM_ServiceBatchedAdmission(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto max_batch = static_cast<std::size_t>(state.range(1));
-  const std::vector<Task> stream = make_stream(n, 1);
+  std::vector<ServiceRequest> requests;
+  for (const Task& t : make_stream(n, 1)) requests.push_back({t, ""});
   const PowerModel power = bench_power();
   double hit_rate = 0.0;
   double p50 = 0.0;
   double p99 = 0.0;
   for (auto _ : state) {
     SchedulerService service(power, service_options(max_batch));
-    std::vector<std::future<ServiceDecision>> futures;
-    futures.reserve(n);
-    for (const Task& t : stream) futures.push_back(service.submit(t));
-    service.pump();
-    for (auto& fut : futures) benchmark::DoNotOptimize(fut.get());
+    benchmark::DoNotOptimize(service.submit_batch(requests));
     hit_rate = service.metrics().gauge("plan_cache_hit_rate");
     const HistogramSummary latency = service.metrics().histogram("replan_latency_us");
     p50 = latency.p50;
@@ -112,7 +107,7 @@ BENCHMARK(BM_ServiceBatchedAdmission)
 void BM_ServiceCachedQuote(benchmark::State& state) {
   const PowerModel power = bench_power();
   SchedulerService service(power, service_options(64));
-  for (const Task& t : make_stream(32, 2)) service.submit_wait(t);
+  for (const Task& t : make_stream(32, 2)) service.submit(t);
   const Task candidate{10.0, 40.0, 8.0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(service.quote(candidate));
@@ -129,7 +124,7 @@ void BM_ServiceColdQuote(benchmark::State& state) {
     options.cache_capacity = 0;  // every quote re-plans
     return options;
   }());
-  for (const Task& t : make_stream(32, 2)) service.submit_wait(t);
+  for (const Task& t : make_stream(32, 2)) service.submit(t);
   const Task candidate{10.0, 40.0, 8.0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(service.quote(candidate));

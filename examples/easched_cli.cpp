@@ -7,9 +7,9 @@
 //   ./easched_cli --demo --scheduler optimal --gantt
 //   ./easched_cli run trace.csv --policy cc+dpm --acet-ratio 0.5
 //   ./easched_cli run --demo --policy la --acet-ratio 0.4 --migrate
-//   ./easched_cli serve --clients 4 --requests 200 --fmax 1.0
-//   ./easched_cli serve --planner exact --plan-budget-ms 5 --queue-depth 32
-//       --journal service.wal --faults "seed=7;solver_stall:p=1"
+//   ./easched_cli serve --data-dir /tmp/fleet --clients 4 --requests 200 --fmax 1.0
+//   ./easched_cli serve --data-dir /tmp/fleet --planner exact --plan-budget-ms 5
+//       --queue-depth 32 --faults "seed=7;solver_stall:p=1"
 //   ./easched_cli serve --shards 4 --data-dir /tmp/fleet --brownout
 //       --faults "seed=7;kill:shard.submit@9;restart_after=5"
 //   ./easched_cli serve --listen 7411 --shards 2 --data-dir /tmp/fleet
@@ -25,22 +25,19 @@
 // consolidation. It reports realized vs planned energy, the full energy
 // breakdown, and every decision-point counter.
 //
-// The `serve` subcommand runs the long-lived SchedulerService against a
-// synthetic arrival stream: concurrent client threads submit admission
-// requests (retrying overload/dropped decisions with jittered backoff), the
-// service batches them, and the run ends with a metrics dump, an
-// executed-plan check, and (optionally) a snapshot for later resumption.
-// With --journal, admits are write-ahead logged; if an injected kill crashes
-// the dispatcher mid-stream, serve restarts the service over the journal and
-// reports what recovery restored.
+// The `serve` subcommand runs a supervised shard fleet, each shard a
+// journaled SchedulerService under --data-dir. Without --listen it drives
+// the fleet with a synthetic arrival stream (retrying unavailable, overload
+// and dropped decisions with the same rid and jittered backoff), and the
+// run ends with a no-lost-acks audit, an executed-plan check and a metrics
+// dump. Re-running on the same --data-dir resumes the committed state. With
+// --listen the fleet is served over TCP instead.
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -59,39 +56,86 @@ volatile std::sig_atomic_t g_stop_signal = 0;
 
 void handle_stop_signal(int) { g_stop_signal = 1; }
 
+/// `--trace <path>`: records spans from construction until `write()`, then
+/// writes them as a Chrome trace_event JSON. Inert without a path.
+class TraceFile {
+ public:
+  explicit TraceFile(std::string path) : path_(std::move(path)) {
+    if (path_.empty()) return;
+    tracer_.emplace();
+    scope_.emplace(*tracer_);
+  }
+
+  void write() {
+    if (!tracer_) return;
+    scope_.reset();
+    write_file(path_, tracer_->chrome_trace_json());
+    std::cout << "trace written to " << path_ << " (" << tracer_->records().size()
+              << " span(s))\n";
+  }
+
+ private:
+  std::string path_;
+  std::optional<obs::Tracer> tracer_;
+  std::optional<obs::TraceScope> scope_;
+};
+
+/// The fleet both `serve` paths run, from the shared flags. A bad flag is
+/// reported on stderr and yields nullopt.
+std::optional<SupervisorOptions> fleet_options(const CliParser& args) {
+  const std::string planner = args.get("planner");
+  if (planner != "f2" && planner != "exact") {
+    std::cerr << "unknown --planner (use: f2, exact)\n";
+    return std::nullopt;
+  }
+  const std::string metrics_format = args.get("metrics-format");
+  if (metrics_format != "text" && metrics_format != "prometheus") {
+    std::cerr << "unknown --metrics-format (use: text, prometheus)\n";
+    return std::nullopt;
+  }
+  SupervisorOptions sup;
+  sup.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  sup.data_dir = args.get("data-dir");
+  if (sup.data_dir.empty()) {
+    std::cerr << "serve needs --data-dir for the per-shard journals\n";
+    return std::nullopt;
+  }
+  std::filesystem::create_directories(sup.data_dir);
+  const double fmax = args.get_double("fmax");
+  sup.service.cores = args.get_int("cores");
+  sup.service.f_max = fmax > 0.0 ? fmax : kInf;
+  sup.service.exact_first = planner == "exact";
+  sup.service.incremental = !args.get_switch("no-incremental");
+  sup.service.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
+  sup.service.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
+  // A forced ladder walk and the pressure-driven ladder would fight (the
+  // ladder releases a forced level as soon as pressure looks calm), so the
+  // walk runs with observation off.
+  sup.brownout_enabled = args.get_switch("brownout") && !args.get_switch("brownout-walk");
+  sup.watchdog_deadline = std::chrono::milliseconds(std::max(0, args.get_int("watchdog-ms")));
+  return sup;
+}
+
+/// Bring every down shard back up (a kill with a long restart_after may
+/// have left one down), so an audit reads live state.
+void recover_all(Supervisor& supervisor) {
+  for (int round = 0; round < 8; ++round) {
+    bool all_up = true;
+    for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
+      if (!supervisor.shard(k).up() && !supervisor.shard(k).restart_now()) all_up = false;
+    }
+    if (all_up) break;
+  }
+}
+
 /// `serve --listen <port>`: expose the supervised fleet over TCP instead of
 /// driving it with a synthetic in-process stream. Runs until a client sends
 /// the protocol's shutdown op or the process receives SIGINT/SIGTERM, then
 /// sweeps every shard back up and audits that no acked admit was lost.
 /// Exit codes: 0 clean, 3 when the audit finds a lost ack.
-int run_network_serve(const CliParser& args) {
-  const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
-  const double fmax_arg = args.get_double("fmax");
-
-  const std::string trace_path = args.get("trace");
-  std::optional<obs::Tracer> tracer;
-  std::optional<obs::TraceScope> trace_scope;
-  if (!trace_path.empty()) {
-    tracer.emplace();
-    trace_scope.emplace(*tracer);
-  }
-
-  SupervisorOptions sup;
-  sup.shards = static_cast<std::size_t>(std::max(1, args.get_int("shards")));
-  sup.data_dir = args.get("data-dir");
-  if (sup.data_dir.empty()) {
-    std::cerr << "serve --listen needs --data-dir for the per-shard journals\n";
-    return 1;
-  }
-  std::filesystem::create_directories(sup.data_dir);
-  sup.service.cores = args.get_int("cores");
-  sup.service.f_max = fmax_arg > 0.0 ? fmax_arg : kInf;
-  sup.service.exact_first = args.get("planner") == "exact";
-  sup.service.incremental = !args.get_switch("no-incremental");
-  sup.service.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  sup.service.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
-  sup.brownout_enabled = args.get_switch("brownout");
-  sup.watchdog_deadline = std::chrono::milliseconds(std::max(0, args.get_int("watchdog-ms")));
+int run_network_serve(const CliParser& args, const SupervisorOptions& sup,
+                      const PowerModel& power) {
+  TraceFile trace(args.get("trace"));
   Supervisor supervisor(power, sup);
 
   net::FrontEndOptions fe;
@@ -126,15 +170,7 @@ int run_network_serve(const CliParser& args) {
   // connections are torn down.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   front_end.stop();
-
-  // Recovery sweep: every shard up before the audit reads live state.
-  for (int round = 0; round < 8; ++round) {
-    bool all_up = true;
-    for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
-      if (!supervisor.shard(k).up() && !supervisor.shard(k).restart_now()) all_up = false;
-    }
-    if (all_up) break;
-  }
+  recover_all(supervisor);
 
   const net::FrontEndStats net_stats = front_end.stats();
   std::cout << "front-end: " << net_stats.connections_accepted << " connection(s), "
@@ -168,50 +204,24 @@ int run_network_serve(const CliParser& args) {
   if (args.get("metrics-format") == "prometheus") {
     std::cout << "\n" << supervisor.prometheus();
   }
-  if (tracer) {
-    trace_scope.reset();
-    write_file(trace_path, tracer->chrome_trace_json());
-    std::cout << "trace written to " << trace_path << " (" << tracer->records().size()
-              << " span(s))\n";
-  }
+  trace.write();
   return lost_acks == 0 ? 0 : 3;
 }
 
-int run_supervised_serve(const CliParser& args) {
-  const int cores = args.get_int("cores");
-  const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
-  const double fmax_arg = args.get_double("fmax");
-
-  const std::string metrics_format = args.get("metrics-format");
-  if (metrics_format != "text" && metrics_format != "prometheus") {
-    std::cerr << "unknown --metrics-format (use: text, prometheus)\n";
-    return 1;
-  }
-
-  SupervisorOptions sup;
-  sup.shards = static_cast<std::size_t>(args.get_int("shards"));
-  sup.data_dir = args.get("data-dir");
-  if (sup.data_dir.empty()) {
-    std::cerr << "serve --shards needs --data-dir for the per-shard journals\n";
-    return 1;
-  }
-  std::filesystem::create_directories(sup.data_dir);
-  sup.service.cores = cores;
-  sup.service.f_max = fmax_arg > 0.0 ? fmax_arg : kInf;
-  sup.service.exact_first = args.get("planner") == "exact";
-  sup.service.incremental = !args.get_switch("no-incremental");
-  sup.service.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  sup.service.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
-  // A forced ladder walk and the pressure-driven ladder would fight (the
-  // ladder releases a forced level as soon as pressure looks calm), so the
-  // walk runs with observation off.
-  const bool walk = args.get_switch("brownout-walk");
-  sup.brownout_enabled = args.get_switch("brownout") && !walk;
-  sup.watchdog_deadline = std::chrono::milliseconds(std::max(0, args.get_int("watchdog-ms")));
+/// `serve` without `--listen`: drive the fleet with a synthetic arrival
+/// stream, retrying with the same rid, then audit that every acked admit is
+/// still committed and check the executed plans. Re-running on the same
+/// `--data-dir` resumes the committed state. Exit codes: 0 clean, 3 when
+/// the audit finds a lost ack.
+int run_supervised_serve(const CliParser& args, const SupervisorOptions& sup,
+                         const PowerModel& power) {
+  TraceFile trace(args.get("trace"));
   Supervisor supervisor(power, sup);
-
-  // Synthetic arrival stream, fixed into arrival order (same generator and
-  // replay as the unsupervised path).
+  if (const std::size_t recovered = supervisor.committed_total(); recovered > 0) {
+    std::cout << "recovered " << recovered << " committed task(s) from " << sup.data_dir << "\n";
+  }
+  // Synthetic arrival stream (paper Section VI generator), fixed into
+  // arrival order by replaying the releases through the event engine.
   const auto requests = static_cast<std::size_t>(args.get_int("requests"));
   const auto tenants = static_cast<std::size_t>(std::max(1, args.get_int("clients")));
   Rng rng(Rng::seed_of("easched-serve", static_cast<std::uint64_t>(args.get_int("seed"))));
@@ -238,6 +248,7 @@ int run_supervised_serve(const CliParser& args) {
     pressure[i] = i - j + 1;
   }
 
+  const bool walk = args.get_switch("brownout-walk");
   const int retries = std::max(0, args.get_int("retries"));
   const auto backoff_base =
       std::chrono::microseconds(std::max(1, args.get_int("retry-backoff-us")));
@@ -257,7 +268,7 @@ int run_supervised_serve(const CliParser& args) {
 
   const auto wall_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < ordered.size(); ++i) {
-    if (walk && !ordered.empty()) {
+    if (walk) {
       // Force the ladder through 0 -> 1 -> 2 -> 3 at stream quarters so a
       // CI run exercises (and exposes, via the brownout_level gauge) every
       // degradation level.
@@ -297,15 +308,7 @@ int run_supervised_serve(const CliParser& args) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
-  // Final recovery sweep: bring every shard back up (a kill with a long
-  // restart_after may have left one down) so the audit reads live state.
-  for (int round = 0; round < 8; ++round) {
-    bool all_up = true;
-    for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
-      if (!supervisor.shard(k).up() && !supervisor.shard(k).restart_now()) all_up = false;
-    }
-    if (all_up) break;
-  }
+  recover_all(supervisor);
 
   std::cout << "served " << requests << " request(s) across " << sup.shards << " shard(s) ("
             << tenants << " tenant(s)) in " << format_fixed(wall_s, 3) << " s: " << admitted
@@ -336,7 +339,27 @@ int run_supervised_serve(const CliParser& args) {
   }
   std::cout << "audit: " << acked.size() << " acked admit(s), " << lost_acks << " lost\n";
 
-  if (metrics_format == "prometheus") {
+  // Executed-plan check: every shard's committed set must meet every
+  // deadline under its plan.
+  double energy = 0.0;
+  std::size_t misses = 0;
+  std::string validation = "OK";
+  for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
+    ServiceShard& shard = supervisor.shard(k);
+    const TaskSet committed_set = shard.committed_task_set();
+    if (committed_set.empty()) continue;
+    const Schedule plan = shard.current_plan();
+    const ValidationReport report = plan.validate(committed_set, 1e-5);
+    if (!report.ok && validation == "OK") validation = report.violations.front();
+    misses += execute_schedule(committed_set, plan, power_function(power)).missed_deadline_count();
+    energy += shard.current_energy();
+  }
+  if (supervisor.committed_total() > 0) {
+    std::cout << "committed plan: energy " << format_fixed(energy, 4) << ", validation "
+              << validation << ", deadline misses " << misses << "\n";
+  }
+
+  if (args.get("metrics-format") == "prometheus") {
     std::cout << "\n" << supervisor.prometheus();
   } else {
     MetricsRegistry dump_registry;
@@ -345,212 +368,18 @@ int run_supervised_serve(const CliParser& args) {
     for (const auto& [name, value] : merged.gauges) dump_registry.set_gauge(name, value);
     std::cout << "\n" << dump_registry.dump();
   }
+  trace.write();
   return lost_acks == 0 ? 0 : 3;
 }
 
 int run_serve(const CliParser& args) {
-  if (args.get_int("listen") >= 0) return run_network_serve(args);
-  if (args.get_int("shards") > 0) return run_supervised_serve(args);
-  const int cores = args.get_int("cores");
+  const bool listen = args.get_int("listen", -1, 65535) >= 0;
+  const std::optional<SupervisorOptions> sup = fleet_options(args);
+  if (!sup) return 1;
   const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
-  const double fmax_arg = args.get_double("fmax");
-
-  const std::string metrics_format = args.get("metrics-format");
-  if (metrics_format != "text" && metrics_format != "prometheus") {
-    std::cerr << "unknown --metrics-format (use: text, prometheus)\n";
-    return 1;
-  }
-
-  // Tracing spans the whole serve run. Declared before the service so the
-  // scope outlives every span the service's threads record.
-  const std::string trace_path = args.get("trace");
-  std::optional<obs::Tracer> tracer;
-  std::optional<obs::TraceScope> trace_scope;
-  if (!trace_path.empty()) {
-    tracer.emplace();
-    trace_scope.emplace(*tracer);
-  }
-
-  ServiceOptions options;
-  options.cores = cores;
-  options.f_max = fmax_arg > 0.0 ? fmax_arg : kInf;
-  options.batch_window = std::chrono::microseconds(args.get_int("window-us"));
-  const std::string planner = args.get("planner");
-  if (planner != "f2" && planner != "exact") {
-    std::cerr << "unknown --planner (use: f2, exact)\n";
-    return 1;
-  }
-  options.exact_first = planner == "exact";
-  options.incremental = !args.get_switch("no-incremental");
-  options.warm_start_exact = args.get_switch("warm-start");
-  options.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  options.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
-  options.journal_path = args.get("journal");
-
-  std::unique_ptr<SchedulerService> service;
-  if (const std::string resume = args.get("resume"); !resume.empty()) {
-    const ServiceSnapshot snap = read_snapshot(resume);
-    service = std::make_unique<SchedulerService>(snap, power, options);
-    std::cout << "resumed from " << resume << ": " << snap.committed.size()
-              << " committed task(s), next id " << snap.next_id << "\n";
-  } else {
-    service = std::make_unique<SchedulerService>(power, options);
-    if (!options.journal_path.empty() && service->committed_count() > 0) {
-      std::cout << "journal " << options.journal_path << " replayed: "
-                << service->committed_count() << " committed task(s) recovered\n";
-    }
-  }
-
-  // Synthetic arrival stream (paper Section VI generator).
-  const auto requests = static_cast<std::size_t>(args.get_int("requests"));
-  const auto clients = static_cast<std::size_t>(std::max(1, args.get_int("clients")));
-  Rng rng(Rng::seed_of("easched-serve", static_cast<std::uint64_t>(args.get_int("seed"))));
-  WorkloadConfig config;
-  config.task_count = requests;
-  config.release_hi = args.get_double("horizon");
-  const TaskSet stream = generate_workload(config, rng);
-
-  // Replay the releases through the discrete-event engine to fix the
-  // arrival order, dealing tasks round-robin to the client threads.
-  std::vector<std::vector<Task>> per_client(clients);
-  SimulationEngine arrivals;
-  std::size_t dealt = 0;
-  for (const Task& t : stream) {
-    arrivals.schedule_at(t.release, [&per_client, &dealt, t, clients](SimulationEngine&) {
-      per_client[dealt++ % clients].push_back(t);
-    });
-  }
-  arrivals.run();
-
-  const int retries = std::max(0, args.get_int("retries"));
-  const auto backoff_base = std::chrono::microseconds(std::max(1, args.get_int("retry-backoff-us")));
-  const auto client_timeout = std::chrono::milliseconds(std::max(1, args.get_int("client-timeout-ms")));
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::atomic<std::size_t> admitted{0};
-  std::atomic<std::size_t> rejected{0};
-  std::atomic<std::size_t> retried{0};
-  std::atomic<std::size_t> gave_up{0};
-  std::atomic<std::size_t> lost{0};
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (std::size_t c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        // Overload and injected-drop decisions are retried with jittered
-        // exponential backoff — the client-side half of the overload
-        // contract. A request whose future never resolves (the service
-        // crashed mid-decision) is counted lost, and the client stops
-        // resubmitting into a dead server.
-        Rng backoff_rng(Rng::seed_of("easched-serve-backoff", c,
-                                     static_cast<std::uint64_t>(args.get_int("seed"))));
-        std::vector<Task> pending = per_client[c];
-        bool server_gone = false;
-        auto wait = backoff_base;
-        for (int attempt = 0; attempt <= retries && !pending.empty() && !server_gone; ++attempt) {
-          if (attempt > 0) {
-            wait = decorrelated_backoff(backoff_rng, backoff_base, wait, backoff_base * 64);
-            std::this_thread::sleep_for(wait);
-            retried.fetch_add(pending.size());
-          }
-          std::vector<std::future<ServiceDecision>> futures;
-          futures.reserve(pending.size());
-          for (const Task& t : pending) futures.push_back(service->submit(t));
-          const auto deadline = std::chrono::steady_clock::now() + client_timeout;
-          std::vector<Task> next;
-          for (std::size_t i = 0; i < futures.size(); ++i) {
-            if (futures[i].wait_until(deadline) != std::future_status::ready) {
-              lost.fetch_add(1);
-              server_gone = true;
-              continue;
-            }
-            ServiceDecision decision;
-            try {
-              decision = futures[i].get();
-            } catch (const std::future_error&) {
-              // Broken promise: the batch died mid-decision (injected
-              // crash). The decision was never acknowledged.
-              lost.fetch_add(1);
-              server_gone = true;
-              continue;
-            }
-            if (decision.error_kind == AdmissionErrorKind::kOverload ||
-                decision.error_kind == AdmissionErrorKind::kDropped) {
-              next.push_back(pending[i]);
-            } else if (decision.admission.admitted) {
-              admitted.fetch_add(1);
-            } else {
-              rejected.fetch_add(1);
-            }
-          }
-          pending = std::move(next);
-        }
-        gave_up.fetch_add(pending.size());
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  const bool crashed = service->metrics().counter("injected_crashes_total") > 0;
-  if (!crashed) service->drain();
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  std::cout << "served " << requests << " request(s) from " << clients << " client(s) in "
-            << format_fixed(wall_s, 3) << " s ("
-            << format_fixed(static_cast<double>(requests) / wall_s, 0)
-            << " req/s): " << admitted.load() << " admitted, " << rejected.load()
-            << " rejected, " << retried.load() << " retried, " << gave_up.load()
-            << " gave up, " << lost.load() << " lost\n";
-
-  if (crashed) {
-    std::cout << "dispatcher crashed (injected kill)";
-    if (!options.journal_path.empty()) {
-      // Restart over the same journal: construction replays the WAL, so
-      // every acknowledged admit survives the crash.
-      service.reset();
-      service = std::make_unique<SchedulerService>(power, options);
-      std::cout << "; recovery replayed the journal: " << service->committed_count()
-                << " committed task(s) restored\n";
-    } else {
-      std::cout << "; no --journal, committed state is gone\n";
-    }
-  }
-
-  // Executed-plan check: the committed set must meet every deadline.
-  const TaskSet committed = service->committed_task_set();
-  if (!committed.empty()) {
-    const Schedule plan = service->current_plan();
-    const ValidationReport report = plan.validate(committed, 1e-5);
-    const ExecutionReport executed = execute_schedule(committed, plan, power_function(power));
-    std::cout << "committed plan: energy " << format_fixed(service->current_energy(), 4)
-              << ", validation " << (report.ok ? "OK" : report.violations.front())
-              << ", deadline misses " << executed.missed_deadline_count() << "\n";
-    // Non-clairvoyance reference: re-planning at every release (online F2).
-    const OnlineResult online = schedule_online(committed, cores, power);
-    std::cout << "rolling-horizon online reference: energy " << format_fixed(online.energy, 4)
-              << " over " << online.replans << " re-plans\n";
-  }
-
-  if (metrics_format == "prometheus") {
-    std::cout << "\n" << obs::to_prometheus(service->metrics().snapshot());
-  } else {
-    std::cout << "\n" << service->metrics().dump();
-  }
-
-  if (const std::string out = args.get("snapshot-out"); !out.empty()) {
-    write_snapshot(out, service->snapshot());
-    std::cout << "snapshot written to " << out << "\n";
-  }
-
-  if (tracer) {
-    // Quiesce (dispatcher joined, batches finished) before reading rings.
-    service->shutdown();
-    write_file(trace_path, tracer->chrome_trace_json());
-    std::cout << "trace written to " << trace_path << " (" << tracer->records().size()
-              << " span(s), " << tracer->dropped() << " dropped)\n";
-  }
-  return 0;
+  return listen ? run_network_serve(args, *sup, power) : run_supervised_serve(args, *sup, power);
 }
+
 
 int run_online(const CliParser& args) {
   // --- Workload (trace acet column becomes the ground truth) --------------
@@ -603,13 +432,7 @@ int run_online(const CliParser& args) {
     std::cerr << "run: --scheduler must be f1 or f2\n";
     return 1;
   }
-  const std::string trace_path = args.get("trace");
-  std::optional<obs::Tracer> tracer;
-  std::optional<obs::TraceScope> trace_scope;
-  if (!trace_path.empty()) {
-    tracer.emplace();
-    trace_scope.emplace(*tracer);
-  }
+  TraceFile trace_file(args.get("trace"));
 
   const PipelineResult planned = run_pipeline(tasks, cores, power);
   const MethodResult& method = scheduler == "f1" ? planned.even : planned.der;
@@ -654,12 +477,7 @@ int run_online(const CliParser& args) {
     write_schedule(out, report.realized);
     std::cout << "realized schedule written to " << out << "\n";
   }
-  if (tracer) {
-    trace_scope.reset();
-    write_file(trace_path, tracer->chrome_trace_json());
-    std::cout << "trace written to " << trace_path << " (" << tracer->records().size()
-              << " span(s))\n";
-  }
+  trace_file.write();
   return missed == 0 ? 0 : 2;
 }
 
@@ -868,37 +686,32 @@ int main(int argc, char** argv) {
   args.add_option("wake-energy", "0", "run: sleep->active transition energy");
   args.add_option("switch-energy", "0", "run: energy charged per DVFS switch");
   args.add_switch("migrate", "run: consolidate idle cores' queues onto busier cores");
-  args.add_option("clients", "4", "serve: concurrent client threads (supervised: tenant count)");
+  args.add_option("clients", "4", "serve: tenant count of the synthetic stream");
   args.add_option("requests", "200", "serve: synthetic admission requests to submit");
   args.add_option("fmax", "0", "serve: admission frequency ceiling (0 = unbounded)");
-  args.add_option("window-us", "500", "serve: batch collection window in microseconds");
   args.add_option("horizon", "200", "serve: release window of the synthetic stream");
-  args.add_option("snapshot-out", "", "serve: write a service snapshot here on exit");
-  args.add_option("resume", "", "serve: restore service state from this snapshot first");
   args.add_option("plan-budget-ms", "0",
                   "wall-clock budget per planning pass / exact solve (0 = unlimited)");
   args.add_option("planner", "f2", "serve: top planning rung: f2 | exact (budgeted, falls back)");
   args.add_switch("no-incremental",
                   "serve: disable incremental delta replanning on plan-cache misses");
-  args.add_switch("warm-start",
-                  "serve: warm-start the exact solver from the delta planner's availability");
   args.add_option("queue-depth", "0",
-                  "serve: bound on queued requests; sheds lowest laxity (0 = unbounded)");
-  args.add_option("journal", "", "serve: crash-safe admission journal (WAL) path");
+                  "serve: bound on the items of one admission call; sheds lowest laxity "
+                  "(0 = unbounded)");
   args.add_option("faults", "",
                   "deterministic fault plan, e.g. seed=7;solver_stall:p=1;kill:journal.admit.post@3");
-  args.add_option("retries", "2", "serve: client retries of overload/dropped decisions");
+  args.add_option("retries", "2",
+                  "serve: client retries of unavailable/overload/dropped decisions");
   args.add_option("retry-backoff-us", "200",
                   "serve: base client retry backoff (decorrelated jitter, capped at 64x)");
-  args.add_option("shards", "0",
-                  "serve: run a supervised shard fleet of this size (0 = single service)");
+  args.add_option("shards", "1", "serve: shard fleet size (>= 1)");
   args.add_option("data-dir", "",
-                  "serve: directory for per-shard journals + snapshots (required with --shards)");
+                  "serve: directory for per-shard journals + snapshots (required; re-running "
+                  "on it resumes)");
   args.add_switch("brownout", "serve: enable the pressure-driven brownout ladder per shard");
   args.add_switch("brownout-walk",
                   "serve: force the ladder through levels 0..3 at stream quarters (CI)");
-  args.add_option("watchdog-ms", "250",
-                  "serve: restart a down shard idle longer than this (supervised)");
+  args.add_option("watchdog-ms", "250", "serve: restart a down shard idle longer than this");
   args.add_option("listen", "-1",
                   "serve: expose the fleet over TCP on this port (0 = ephemeral; -1 = off)");
   args.add_option("listen-host", "127.0.0.1", "serve: bind address for --listen");
@@ -916,8 +729,6 @@ int main(int argc, char** argv) {
   args.add_option("trace", "", "serve: write a Chrome trace_event JSON of the run here");
   args.add_option("metrics-format", "text",
                   "serve: metrics exposition at exit: text | prometheus");
-  args.add_option("client-timeout-ms", "2000",
-                  "serve: client wait before declaring a request lost");
 
   if (!args.parse(argc, argv)) {
     std::cerr << args.error() << "\n\n" << args.help();

@@ -1,7 +1,9 @@
 #include "easched/common/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <stdexcept>
+#include <system_error>
 
 #include "easched/common/contracts.hpp"
 
@@ -90,12 +92,36 @@ std::string CliParser::get(const std::string& name) const {
   return it->second;
 }
 
-double CliParser::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+namespace {
+
+/// `text` parsed whole as a `T`; throws naming `--name` otherwise.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text, const char* kind) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + name + ": '" + text + "' is out of range");
+  }
+  if (ec != std::errc() || stop != end) {
+    throw std::invalid_argument("--" + name + ": '" + text + "' is not " + kind);
+  }
+  return value;
 }
 
-int CliParser::get_int(const std::string& name) const {
-  return static_cast<int>(std::strtol(get(name).c_str(), nullptr, 10));
+}  // namespace
+
+double CliParser::get_double(const std::string& name) const {
+  return parse_number<double>(name, get(name), "a number");
+}
+
+int CliParser::get_int(const std::string& name, int lo, int hi) const {
+  const int value = parse_number<int>(name, get(name), "an integer");
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("--" + name + ": " + std::to_string(value) + " is outside [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return value;
 }
 
 bool CliParser::get_switch(const std::string& name) const { return get(name) == "true"; }

@@ -5,8 +5,10 @@
 ///
 /// Supports `--key value`, `--key=value`, boolean switches (`--flag`),
 /// positional arguments, defaults, and generated `--help` text. Unknown
-/// options are errors (catches typos in experiment scripts).
+/// options are errors (catches typos in experiment scripts), and so is a
+/// numeric value that does not parse whole.
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,10 +39,13 @@ class CliParser {
   bool help_requested() const { return help_requested_; }
   const std::string& error() const { return error_; }
 
-  /// Accessors (valid after a successful parse).
+  /// Accessors (valid after a successful parse). The numeric ones parse
+  /// the whole value and throw `std::invalid_argument` naming the option
+  /// when it is not a number ("12x", "abc", "") or not in `[lo, hi]`.
   std::string get(const std::string& name) const;
   double get_double(const std::string& name) const;
-  int get_int(const std::string& name) const;
+  int get_int(const std::string& name, int lo = std::numeric_limits<int>::min(),
+              int hi = std::numeric_limits<int>::max()) const;
   bool get_switch(const std::string& name) const;
   /// Positional by name; nullopt when the caller didn't supply it.
   std::optional<std::string> positional(const std::string& name) const;

@@ -11,8 +11,8 @@
 /// log and hands the service back exactly the committed set it had promised.
 ///
 /// **Durability contract** (enforced by `SchedulerService`): the admit record
-/// is flushed *before* the decision promise is fulfilled, so every admit a
-/// client ever observed as acknowledged is recoverable. A crash between
+/// is flushed *before* the admission call returns its decision, so every
+/// admit a client ever observed as acknowledged is recoverable. A crash between
 /// flush and acknowledgement may recover an admit the client never heard
 /// about — that is the safe side of the race (the service honors a
 /// commitment nobody collected, rather than dropping one somebody did).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <span>
 #include <stdexcept>
 
 #include "easched/common/contracts.hpp"
@@ -10,7 +11,6 @@
 #include "easched/service/brownout.hpp"
 #include "easched/obs/trace.hpp"
 #include "easched/parallel/exec.hpp"
-#include "easched/parallel/thread_pool.hpp"
 #include "easched/sched/feasibility.hpp"
 
 namespace easched {
@@ -117,23 +117,45 @@ SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions optio
     refresh_gauges_locked();
   }
   if (!options_.journal_path.empty()) journal_.emplace(options_.journal_path);
-  if (!options_.manual_dispatch) {
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
+}
+
+ServiceDecision SchedulerService::submit(const Task& task, std::string rid) {
+  std::vector<std::optional<ServiceDecision>> decided;
+  submit_batch({ServiceRequest{task, std::move(rid)}}, decided);
+  return std::move(*decided.front());
+}
+
+std::vector<ServiceDecision> SchedulerService::submit_batch(
+    const std::vector<ServiceRequest>& requests) {
+  std::vector<std::optional<ServiceDecision>> decided;
+  submit_batch(requests, decided);
+  std::vector<ServiceDecision> out;
+  out.reserve(decided.size());
+  for (std::optional<ServiceDecision>& decision : decided) out.push_back(std::move(*decision));
+  return out;
+}
+
+void SchedulerService::submit_batch(const std::vector<ServiceRequest>& requests,
+                                    std::vector<std::optional<ServiceDecision>>& decided) {
+  std::lock_guard lock(state_mutex_);
+  metrics_.increment("requests_total", requests.size());
+  const std::vector<PendingRequest> pending = queue_.intake(requests, decided);
+  std::vector<ServiceDecision> chunk_decisions;
+  for (std::size_t begin = 0; begin < pending.size(); begin += options_.max_batch) {
+    // Depth at pickup: this chunk plus the rest of the call behind it.
+    metrics_.observe_bucketed("queue_depth_seen", static_cast<double>(pending.size() - begin));
+    const std::span<const PendingRequest> chunk(
+        pending.data() + begin, std::min(options_.max_batch, pending.size() - begin));
+    decide_chunk_locked(chunk, chunk_decisions);
+    // Only here, with the whole chunk decided, do its answers reach the
+    // caller: an `InjectedCrash` mid-chunk leaves the chunk unanswered.
+    for (std::size_t j = 0; j < chunk.size(); ++j) {
+      if (chunk[j].slot != PendingRequest::kNoSlot) {
+        decided[chunk[j].slot] = std::move(chunk_decisions[j]);
+      }
+    }
   }
-}
-
-SchedulerService::~SchedulerService() { shutdown(); }
-
-std::future<ServiceDecision> SchedulerService::submit(const Task& task, std::string rid) {
-  auto fut = queue_.push(task, std::move(rid));
-  metrics_.increment("requests_total");
-  return fut;
-}
-
-ServiceDecision SchedulerService::submit_wait(const Task& task, std::string rid) {
-  auto fut = submit(task, std::move(rid));
-  if (options_.manual_dispatch) pump();
-  return fut.get();
+  refresh_gauges_locked();
 }
 
 AdmissionDecision SchedulerService::quote(const Task& task) {
@@ -231,221 +253,120 @@ std::uint64_t SchedulerService::journal_size_bytes() const {
   return journal_ ? journal_->size_bytes() : 0;
 }
 
-std::size_t SchedulerService::pump() {
-  EASCHED_EXPECTS_MSG(options_.manual_dispatch,
-                      "pump() requires ServiceOptions::manual_dispatch");
-  std::size_t processed = 0;
-  for (;;) {
-    auto batch = queue_.pop_all(options_.max_batch);
-    if (batch.empty()) break;
-    processed += batch.size();
-    process_batch(std::move(batch));
-  }
-  return processed;
-}
-
-void SchedulerService::drain() {
-  if (options_.manual_dispatch) {
-    pump();
-    return;
-  }
-  const std::uint64_t target = queue_.pushed();
-  std::unique_lock lock(state_mutex_);
-  // Requests decided at the queue (sheds, overload rejects, injected
-  // drops) never reach a batch, so they count against the drain target via
-  // `rejected_early()`. Both terms are monotone.
-  drain_cv_.wait(lock, [this, target] {
-    return decided_requests_ + queue_.rejected_early() >= target;
-  });
-}
-
-void SchedulerService::shutdown() {
-  if (shutdown_.exchange(true)) return;
-  queue_.close();
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
-  } else {
-    // Manual mode: decide whatever is still queued.
-    for (;;) {
-      auto batch = queue_.pop_all(options_.max_batch);
-      if (batch.empty()) break;
-      process_batch(std::move(batch));
-    }
-  }
-}
-
-void SchedulerService::dispatcher_loop() {
-  for (;;) {
-    auto batch = queue_.pop_batch(options_.batch_window, options_.max_batch);
-    if (batch.empty()) return;  // closed and drained
-    try {
-      process_batch(std::move(batch));
-    } catch (const InjectedCrash&) {
-      // Simulated process death: the dispatcher stops cold, in-flight
-      // promises stay broken, and only journaled state survives — exactly
-      // what a real crash leaves behind. Recovery is a new service over
-      // the same journal.
-      metrics_.increment("injected_crashes_total");
-      return;
-    }
-  }
-}
-
-void SchedulerService::process_batch(std::vector<PendingRequest> batch) {
-  if (!options_.manual_dispatch && options_.use_thread_pool) {
-    // One pool job per batch: planning compute shares the machine-wide
-    // worker budget with everything else built on the pool. The batch
-    // stays reachable through `shared` so an injected job failure (which
-    // fires *before* the job body runs) can be retried inline instead of
-    // breaking every promise in the batch.
-    auto shared = std::make_shared<std::vector<PendingRequest>>(std::move(batch));
-    ThreadPool& pool = options_.pool != nullptr ? *options_.pool : ThreadPool::global();
-    auto fut = pool.submit([this, shared]() mutable { run_batch(std::move(*shared)); });
-    try {
-      fut.get();
-    } catch (const InjectedFault&) {
-      metrics_.increment("batch_job_faults_total");
-      run_batch(std::move(*shared));
-    }
-  } else {
-    run_batch(std::move(batch));
-  }
-}
-
-void SchedulerService::run_batch(std::vector<PendingRequest> batch) {
+void SchedulerService::decide_chunk_locked(std::span<const PendingRequest> chunk,
+                                           std::vector<ServiceDecision>& out) {
   const auto started = std::chrono::steady_clock::now();
   obs::Span batch_span("service.batch");
-  batch_span.arg("requests", static_cast<double>(batch.size()));
-  std::vector<std::pair<std::promise<ServiceDecision>, ServiceDecision>> outcomes;
-  outcomes.reserve(batch.size());
-  {
-    std::lock_guard lock(state_mutex_);
-    const std::uint64_t batch_index = batches_++;
-    metrics_.increment("batches_total");
-    metrics_.observe("batch_size", static_cast<double>(batch.size()));
-    // Depth at pop time: this batch plus whatever is still waiting behind it.
-    metrics_.observe_bucketed("queue_depth_seen",
-                              static_cast<double>(batch.size() + queue_.depth()));
+  batch_span.arg("requests", static_cast<double>(chunk.size()));
+  out.clear();
+  out.reserve(chunk.size());
+  const std::uint64_t batch_index = batches_++;
+  metrics_.increment("batches_total");
+  metrics_.observe("batch_size", static_cast<double>(chunk.size()));
 
-    // One baseline per batch, chained through the accepted candidates. A
-    // baseline planning failure fails the whole batch with a reasoned
-    // per-request rejection (never a hang, never an invalid plan).
-    double energy_before = 0.0;
-    bool baseline_failed = false;
-    std::string baseline_reason;
-    try {
-      energy_before = plan_for_committed_locked().energy;
-    } catch (const PlanningError& e) {
-      baseline_failed = true;
-      baseline_reason = e.what();
-    }
+  // One baseline per chunk, chained through the accepted candidates. A
+  // baseline planning failure fails the whole chunk with a reasoned
+  // per-request rejection (never a hang, never an invalid plan).
+  double energy_before = 0.0;
+  bool baseline_failed = false;
+  std::string baseline_reason;
+  try {
+    energy_before = plan_for_committed_locked().energy;
+  } catch (const PlanningError& e) {
+    baseline_failed = true;
+    baseline_reason = e.what();
+  }
 
-    for (PendingRequest& request : batch) {
-      // Everything this request does — planning spans included — is tagged
-      // with its id and nests under its lifecycle span.
-      obs::RequestScope request_scope(trace_request_id(request.sequence));
-      obs::Span request_span("service.request");
-      request_span.arg("sequence", static_cast<double>(request.sequence));
-      const auto request_started = std::chrono::steady_clock::now();
-      if (request.enqueued_at.time_since_epoch().count() != 0) {
-        obs::emit("service.queue_wait", request.enqueued_at, request_started,
-                  trace_request_id(request.sequence));
-        metrics_.observe_bucketed("queue_wait_us",
-                                  between_us(request.enqueued_at, request_started));
+  for (const PendingRequest& request : chunk) {
+    // Everything this request does — planning spans included — is tagged
+    // with its id and nests under its lifecycle span.
+    obs::RequestScope request_scope(trace_request_id(request.sequence));
+    obs::Span request_span("service.request");
+    request_span.arg("sequence", static_cast<double>(request.sequence));
+    const auto request_started = std::chrono::steady_clock::now();
+    obs::emit("service.queue_wait", request.enqueued_at, request_started,
+              trace_request_id(request.sequence));
+    metrics_.observe_bucketed("queue_wait_us", between_us(request.enqueued_at, request_started));
+    ServiceDecision decision;
+    decision.sequence = request.sequence;
+    decision.batch = batch_index;
+    decision.brownout_level = brownout_level_.load(std::memory_order_relaxed);
+    // A rid the journal cannot store would split its admit record on
+    // replay — losing the dedup key or the whole acked admit — so it is
+    // refused here, where every admission path converges, before
+    // anything is planned or journaled.
+    const bool bad_rid = !storable_request_id(request.rid);
+    // Idempotent re-admission: a rid the service has already committed —
+    // in this incarnation or any journaled predecessor — replays the
+    // original ack instead of evaluating (and double-committing) again.
+    if (!request.rid.empty() && !bad_rid) {
+      if (const auto hit = dedup_.find(request.rid); hit != dedup_.end()) {
+        decision.admission.admitted = true;
+        decision.id = hit->second;
+        decision.deduplicated = true;
+        decision.retired = find_committed_locked(hit->second) == committed_.end();
+        metrics_.increment("request_dedup_hits_total");
+        request_span.set_status("deduplicated");
+        out.push_back(std::move(decision));
+        continue;
       }
-      ServiceDecision decision;
-      decision.sequence = request.sequence;
-      decision.batch = batch_index;
-      decision.brownout_level = brownout_level_.load(std::memory_order_relaxed);
-      // A rid the journal cannot store would split its admit record on
-      // replay — losing the dedup key or the whole acked admit — so it is
-      // refused here, where every admission path converges, before
-      // anything is planned or journaled.
-      const bool bad_rid = !storable_request_id(request.rid);
-      // Idempotent re-admission: a rid the service has already committed —
-      // in this incarnation or any journaled predecessor — replays the
-      // original ack instead of evaluating (and double-committing) again.
-      if (!request.rid.empty() && !bad_rid) {
-        if (const auto hit = dedup_.find(request.rid); hit != dedup_.end()) {
-          decision.admission.admitted = true;
-          decision.id = hit->second;
-          decision.deduplicated = true;
-          decision.retired = find_committed_locked(hit->second) == committed_.end();
-          metrics_.increment("request_dedup_hits_total");
-          request_span.set_status("deduplicated");
-          outcomes.emplace_back(std::move(request.promise), std::move(decision));
-          continue;
-        }
-      }
-      if (bad_rid) {
-        decision.admission.rejection_reason =
-            "invalid request id (no byte <= 0x20 or 0x7f allowed)";
-        decision.error_kind = AdmissionErrorKind::kInvalid;
-      } else {
-        try {
-          if (baseline_failed) throw PlanningError(baseline_reason);
-          decision.admission = evaluate_locked(request.task, energy_before, /*commit=*/true,
-                                               &decision.id, &decision.plan_rung);
-        } catch (const InjectedCrash&) {
-          // Crash simulation must observe real durability: rethrow so the
-          // "process" dies here with this decision unacknowledged.
-          throw;
-        } catch (const PlanningError& e) {
-          decision.admission.admitted = false;
-          decision.admission.rejection_reason = std::string("planning failed: ") + e.what();
-          decision.error_kind = AdmissionErrorKind::kPlanning;
-        } catch (const ContractViolation& e) {
-          decision.admission.admitted = false;
-          decision.admission.rejection_reason = std::string("admission error: ") + e.what();
-          decision.error_kind = AdmissionErrorKind::kContract;
-        } catch (const std::exception& e) {
-          decision.admission.admitted = false;
-          decision.admission.rejection_reason = std::string("admission error: ") + e.what();
-          decision.error_kind = AdmissionErrorKind::kInternal;
-        }
-      }
-      if (decision.error_kind != AdmissionErrorKind::kNone) {
-        metrics_.increment("admission_errors_total");
-        metrics_.increment(std::string("admission_errors_by_kind_") +
-                           std::string(admission_error_kind_name(decision.error_kind)));
-      }
-      if (decision.admission.admitted) {
-        // Write-ahead: the admit is durable before its promise is
-        // fulfilled below, so every acknowledged admit survives a crash.
-        // The rid rides inside the admit record — there is no crash window
-        // in which the admit is durable but its dedup key is not.
-        if (journal_) {
-          obs::Span journal_span("service.journal_append");
-          journal_->append_admit(decision.id, request.task, request.rid);
-        }
-        if (!request.rid.empty()) dedup_[request.rid] = decision.id;
-        energy_before = decision.admission.energy_after;
-        metrics_.increment("admitted_total");
-        metrics_.observe("quoted_marginal_energy", decision.admission.marginal_energy);
-        request_span.set_status("admitted");
-      } else {
-        metrics_.increment("rejected_total");
-        request_span.set_status("rejected");
-      }
-      // Admission latency covers the full client-visible wait so far:
-      // queue time plus evaluation (the reply fires right after the lock).
-      if (request.enqueued_at.time_since_epoch().count() != 0) {
-        metrics_.observe_bucketed("admission_latency_us", elapsed_us(request.enqueued_at));
-      }
-      outcomes.emplace_back(std::move(request.promise), std::move(decision));
     }
-    decided_requests_ += outcomes.size();
-    metrics_.observe("replan_latency_us", elapsed_us(started));
-    refresh_gauges_locked();
+    if (bad_rid) {
+      decision.admission.rejection_reason =
+          "invalid request id (no byte <= 0x20 or 0x7f allowed)";
+      decision.error_kind = AdmissionErrorKind::kInvalid;
+    } else {
+      try {
+        if (baseline_failed) throw PlanningError(baseline_reason);
+        decision.admission = evaluate_locked(request.task, energy_before, /*commit=*/true,
+                                             &decision.id, &decision.plan_rung);
+      } catch (const InjectedCrash&) {
+        // Crash simulation must observe real durability: rethrow so the
+        // "process" dies here with this decision unacknowledged.
+        throw;
+      } catch (const PlanningError& e) {
+        decision.admission.admitted = false;
+        decision.admission.rejection_reason = std::string("planning failed: ") + e.what();
+        decision.error_kind = AdmissionErrorKind::kPlanning;
+      } catch (const ContractViolation& e) {
+        decision.admission.admitted = false;
+        decision.admission.rejection_reason = std::string("admission error: ") + e.what();
+        decision.error_kind = AdmissionErrorKind::kContract;
+      } catch (const std::exception& e) {
+        decision.admission.admitted = false;
+        decision.admission.rejection_reason = std::string("admission error: ") + e.what();
+        decision.error_kind = AdmissionErrorKind::kInternal;
+      }
+    }
+    if (decision.error_kind != AdmissionErrorKind::kNone) {
+      metrics_.increment("admission_errors_total");
+      metrics_.increment(std::string("admission_errors_by_kind_") +
+                         std::string(admission_error_kind_name(decision.error_kind)));
+    }
+    if (decision.admission.admitted) {
+      // Write-ahead: the admit is durable before its decision is
+      // returned, so every acknowledged admit survives a crash.
+      // The rid rides inside the admit record — there is no crash window
+      // in which the admit is durable but its dedup key is not.
+      if (journal_) {
+        obs::Span journal_span("service.journal_append");
+        journal_->append_admit(decision.id, request.task, request.rid);
+      }
+      if (!request.rid.empty()) dedup_[request.rid] = decision.id;
+      energy_before = decision.admission.energy_after;
+      metrics_.increment("admitted_total");
+      metrics_.observe("quoted_marginal_energy", decision.admission.marginal_energy);
+      request_span.set_status("admitted");
+    } else {
+      metrics_.increment("rejected_total");
+      request_span.set_status("rejected");
+    }
+    // Admission latency covers the request's whole time in the call:
+    // waiting behind earlier items plus its own evaluation.
+    metrics_.observe_bucketed("admission_latency_us", elapsed_us(request.enqueued_at));
+    out.push_back(std::move(decision));
   }
-  // Fulfill promises outside the state lock: a client continuation may call
-  // straight back into the service.
-  for (auto& [promise, decision] : outcomes) {
-    obs::RequestScope request_scope(trace_request_id(decision.sequence));
-    obs::Span reply_span("service.reply");
-    promise.set_value(std::move(decision));
-  }
-  drain_cv_.notify_all();
+  metrics_.observe("replan_latency_us", elapsed_us(started));
 }
 
 FallbackOptions SchedulerService::fallback_options() const {
@@ -537,26 +458,8 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
   obs::Span plan_span("service.plan");
   plan_span.arg("tasks", static_cast<double>(live.size()));
   const auto plan_started = std::chrono::steady_clock::now();
-  FallbackOptions chain_options = fallback_options();
-  // With both knobs on, seed the exact rung from the delta planner's
-  // refined F2 allocation of this very set — a feasible near-optimal
-  // iterate the splice keeps cheap to maintain. A planner failure just
-  // means a cold start.
-  std::optional<Availability> warm_hint;
-  if (delta_planner_ && options_.exact_first && options_.warm_start_exact) {
-    try {
-      delta_planner_->plan_to(task_set, kernel_exec());
-      warm_hint.emplace(delta_planner_->refined_allocation());
-      chain_options.exact.warm_start = &*warm_hint;
-    } catch (const InjectedCrash&) {
-      delta_planner_->invalidate();
-      throw;
-    } catch (const std::exception&) {
-      delta_planner_->invalidate();
-    }
-  }
   const FallbackPlan planned =
-      plan_with_fallback(task_set, options_.cores, power_, chain_options, kernel_exec());
+      plan_with_fallback(task_set, options_.cores, power_, fallback_options(), kernel_exec());
   metrics_.observe_bucketed(plan_latency_metric(planned.outcome.served),
                             elapsed_us(plan_started));
   plan_span.set_status(plan_rung_name(planned.outcome.served).data());
@@ -736,7 +639,6 @@ void SchedulerService::refresh_gauges_locked() {
   for (const auto& [id, task] : committed_) work += task.work;
   metrics_.set_gauge("committed_tasks", static_cast<double>(committed_.size()));
   metrics_.set_gauge("committed_work", work);
-  metrics_.set_gauge("queue_depth", static_cast<double>(queue_.depth()));
   metrics_.set_gauge("plan_cache_size", static_cast<double>(cache_.size()));
   metrics_.set_gauge("plan_cache_hit_rate", cache_.hit_rate());
   metrics_.set_gauge("queue_shed_total", static_cast<double>(queue_.shed()));

@@ -13,51 +13,53 @@
 ///
 /// Three mechanisms make it serve sustained traffic cheaply:
 ///
-///  1. **Batched admission.** Requests arriving within a configurable
-///     window are admitted as one batch: the energy baseline of the
-///     committed set is computed once per batch (usually a cache hit) and
-///     chained through the batch's accepted candidates, instead of being
-///     re-derived per request the way standalone `admit_task` must. The
-///     batch is processed in arrival order, so the accept/reject outcome is
-///     byte-identical to applying the same requests sequentially —
-///     batching buys throughput, never different answers.
+///  1. **Batched admission on the caller's thread.** An admission call
+///     (`submit`, or `submit_batch` for many items) is decided on the
+///     calling thread under the state lock, in chunks of `max_batch`: the
+///     energy baseline of the committed set is computed once per chunk
+///     (usually a cache hit) and chained through the chunk's accepted
+///     candidates, instead of being re-derived per request the way
+///     standalone `admit_task` must. Requests are decided in arrival order,
+///     so the accept/reject outcome is byte-identical to applying the same
+///     requests sequentially — batching buys throughput, never different
+///     answers.
 ///
 ///  2. **Plan caching.** F2 plans are memoized by a quantized signature of
 ///     the committed set (see `plan_cache.hpp`). Quotes, plan reads, and
-///     the per-batch baseline all hit the cache while the set is unchanged;
+///     the per-chunk baseline all hit the cache while the set is unchanged;
 ///     admits/completions/cancellations change the signature and thereby
 ///     invalidate structurally.
 ///
-///  3. **Shared compute.** Batch planning runs as one job on the existing
-///     `ThreadPool`, so many service instances (or a service plus the
-///     Monte-Carlo harness) share one machine-wide worker budget.
+///  3. **Shared compute.** Planning kernels fan out over the existing
+///     `ThreadPool` (`ServiceOptions::pool`), so many service instances (or
+///     a service plus the Monte-Carlo harness) share one machine-wide
+///     worker budget.
 ///
-/// The service also supports graceful drain/shutdown and snapshot/restore
-/// (`snapshot.hpp`), so a restarted daemon resumes its commitments
-/// mid-horizon.
+/// The service also supports snapshot/restore (`snapshot.hpp`), so a
+/// restarted daemon resumes its commitments mid-horizon.
 ///
 /// **Failure model.** Planning runs through the fallback chain of
 /// `sched/fallback.hpp` (optionally exact-first under a `PlanBudget`), so a
 /// misbehaving solver degrades a plan instead of stalling the service; the
 /// chain's validator guarantee means an invalid plan is never served. With
 /// a `journal_path`, every admit is written ahead (and flushed) to a WAL
-/// before its decision is acknowledged, and construction replays the
-/// journal so a crashed service restarts with every acknowledged admit
-/// intact (`journal.hpp`). A bounded queue (`queue_capacity`) sheds the
-/// lowest-laxity requests under overload instead of growing without bound.
+/// before its decision is returned, and construction replays the journal
+/// so a crashed service restarts with every acknowledged admit intact
+/// (`journal.hpp`). A bounded intake (`queue_capacity`) sheds the
+/// lowest-laxity items of an oversized call instead of planning them all.
 /// Injected faults (`faults/fault_injection.hpp`) surface as structured
 /// error kinds on decisions — except `InjectedCrash`, which is *never*
-/// swallowed: it propagates (simulating the process dying) so crash tests
-/// observe exactly what durability survived.
+/// swallowed: it propagates out of the admission call (simulating the
+/// process dying) so crash tests observe exactly what durability survived.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
+#include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -97,23 +99,17 @@ struct ServiceOptions {
   /// Platform frequency ceiling; `kInf` models the ideal continuous
   /// platform (admission then only rejects malformed requests).
   double f_max = kInf;
-  /// How long the dispatcher keeps collecting after the first request of a
-  /// batch arrives.
-  std::chrono::microseconds batch_window{200};
-  /// Hard cap on requests admitted as one batch.
+  /// Hard cap on requests decided against one energy baseline; a longer
+  /// admission call is decided in chunks of this size.
   std::size_t max_batch = 64;
   /// Plan cache entries (0 disables caching).
   std::size_t cache_capacity = 128;
   /// Quantization grain of the plan-cache signature.
   double signature_quantum = 1e-6;
-  /// When true, no dispatcher thread is started; the owner drives batches
-  /// explicitly via `pump()`. Deterministic mode for tests and replay.
-  bool manual_dispatch = false;
-  /// Run batch planning on `ThreadPool::global()` instead of the
-  /// dispatcher thread (ignored in manual mode), and fan the planning
-  /// kernel itself out over the same pool. The kernel shares that one
-  /// worker budget — a planning pass never spawns threads of its own — and
-  /// its plans are bit-identical to serial planning at any pool size.
+  /// Fan the planning kernel out over `ThreadPool::global()` (or `pool`).
+  /// The kernel shares that one worker budget — a planning pass never
+  /// spawns threads of its own — and its plans are bit-identical to serial
+  /// planning at any pool size.
   bool use_thread_pool = true;
   /// Try the exact convex solve as the top rung of every planning pass,
   /// falling back to F2 → F1 when it fails or runs out of budget. Off by
@@ -128,25 +124,20 @@ struct ServiceOptions {
   /// the contract rebuilds from scratch inside the planner, and a planner
   /// failure falls back to the ordinary fallback chain.
   bool incremental = true;
-  /// With `exact_first`, warm-start the exact rung's solver from the delta
-  /// planner's cached DER availability of the same set (the solvers ignore
-  /// the hint unless its dimensions match). Off by default: a warm-started
-  /// solve converges to the same validated solution but takes a different
-  /// iterate path, so opt in explicitly.
-  bool warm_start_exact = false;
   /// Wall-clock budget per planning pass (only the exact rung consumes it
   /// cooperatively; the heuristic rescue rungs always run). 0 = unlimited.
   std::chrono::microseconds plan_budget{0};
   /// Iteration ceiling for the exact rung's solver. 0 = the solver default.
   std::size_t plan_max_iterations = 0;
-  /// Bound on requests waiting in the queue; overflow sheds the
-  /// lowest-laxity request (see `request_queue.hpp`). 0 = unbounded.
+  /// Bound on the items of one admission call that go on to admission;
+  /// overflow sheds the lowest-laxity item (see `request_queue.hpp`).
+  /// 0 = unbounded.
   std::size_t queue_capacity = 0;
   /// Path of the crash-safe admission journal (WAL). Empty disables
   /// journaling. On construction the journal is replayed — on top of the
   /// snapshot, when resuming from one — before any request is served.
   std::string journal_path;
-  /// Run planning kernels (and batch jobs) on this pool instead of
+  /// Run planning kernels on this pool instead of
   /// `ThreadPool::global()`. Lets owners give each service instance —
   /// supervisor shards, tests at pools {1, 2, 8} — its own worker budget;
   /// plans are bit-identical at any pool size (the `Exec` contract).
@@ -158,8 +149,9 @@ struct ServiceOptions {
 struct Exec;
 
 /// The batched admission daemon. Thread-safe: any number of client threads
-/// may call `submit`, `quote`, `complete`, `cancel`, and the read accessors
-/// concurrently.
+/// may call `submit`, `submit_batch`, `quote`, `complete`, `cancel`, and the
+/// read accessors concurrently; each call runs on its caller's thread under
+/// the state lock.
 class SchedulerService {
  public:
   explicit SchedulerService(const PowerModel& power, ServiceOptions options = {});
@@ -173,29 +165,37 @@ class SchedulerService {
   SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
                    ServiceOptions options = {});
 
-  /// Graceful: drains queued requests, then stops the dispatcher.
-  ~SchedulerService();
-
   SchedulerService(const SchedulerService&) = delete;
   SchedulerService& operator=(const SchedulerService&) = delete;
 
   /// \name Admission traffic
   /// @{
 
-  /// Enqueue an admission request. The future resolves after the batch
-  /// containing the request is processed. A non-empty `rid` (client
-  /// request id) makes the admission *idempotent*: a retry carrying the
-  /// same rid — in this incarnation or after a crash/restart over the same
-  /// journal — resolves to the original task id with
-  /// `ServiceDecision::deduplicated` set instead of double-committing. A rid
-  /// the journal cannot store (a byte <= 0x20 or 0x7f, see
-  /// `storable_request_id`) is rejected with `AdmissionErrorKind::kInvalid`
-  /// before anything is planned or journaled.
-  /// Throws `std::runtime_error` after `shutdown()`.
-  std::future<ServiceDecision> submit(const Task& task, std::string rid = {});
+  /// Decide one admission request on the calling thread and return the
+  /// decision. A non-empty `rid` (client request id) makes the admission
+  /// *idempotent*: a retry carrying the same rid — in this incarnation or
+  /// after a crash/restart over the same journal — resolves to the original
+  /// task id with `ServiceDecision::deduplicated` set instead of
+  /// double-committing. A rid the journal cannot store (a byte <= 0x20 or
+  /// 0x7f, see `storable_request_id`) is rejected with
+  /// `AdmissionErrorKind::kInvalid` before anything is planned or
+  /// journaled. An `InjectedCrash` propagates.
+  ServiceDecision submit(const Task& task, std::string rid = {});
 
-  /// Submit and block for the decision (drives a `pump()` in manual mode).
-  ServiceDecision submit_wait(const Task& task, std::string rid = {});
+  /// Decide one call's `requests` on the calling thread, in order: the
+  /// intake numbers them (sequence order is decision order) and applies
+  /// `queue_capacity`, then the survivors are decided in chunks of
+  /// `max_batch`, one energy baseline per chunk. Returns one decision per
+  /// request, in request order; each request behaves as in `submit`.
+  std::vector<ServiceDecision> submit_batch(const std::vector<ServiceRequest>& requests);
+
+  /// `submit_batch` for owners that contain `InjectedCrash`: `decided`
+  /// (resized to `requests.size()`) receives each decision once it is
+  /// final — intake answers at once, a chunk's decisions when the whole
+  /// chunk is decided — so after a crash it holds exactly the answers the
+  /// "process" gave before it died; the other entries stay empty.
+  void submit_batch(const std::vector<ServiceRequest>& requests,
+                    std::vector<std::optional<ServiceDecision>>& decided);
 
   /// Non-binding admission check with an energy quote: evaluates the
   /// candidate against the current committed set without committing it.
@@ -266,21 +266,6 @@ class SchedulerService {
   /// `ServiceShard` does.
   std::optional<JournalCompaction> compact_journal();
 
-  /// \name Lifecycle
-  /// @{
-
-  /// Manual mode only: process everything currently queued (in batches of
-  /// at most `max_batch`). Returns the number of requests processed.
-  std::size_t pump();
-
-  /// Block until every request submitted before this call is decided.
-  void drain();
-
-  /// Stop accepting submissions, decide everything still queued, stop the
-  /// dispatcher. Idempotent; called by the destructor.
-  void shutdown();
-  /// @}
-
  private:
   /// Both public constructors land here; `base` (nullable) is the snapshot
   /// to resume from.
@@ -294,9 +279,10 @@ class SchedulerService {
   /// Caller holds `state_mutex_`.
   std::vector<std::pair<TaskId, Task>>::iterator find_committed_locked(TaskId id);
 
-  void dispatcher_loop();
-  void process_batch(std::vector<PendingRequest> batch);
-  void run_batch(std::vector<PendingRequest> batch);
+  /// Decide `chunk` (sequence order) against one energy baseline into
+  /// `out`, one decision per request. Caller holds `state_mutex_`.
+  void decide_chunk_locked(std::span<const PendingRequest> chunk,
+                           std::vector<ServiceDecision>& out);
 
   /// Fallback-chain configuration derived from the options; the budget
   /// deadline starts ticking at the call.
@@ -343,7 +329,6 @@ class SchedulerService {
   std::optional<AdmissionJournal> journal_;  ///< open iff `journal_path` set
 
   mutable std::mutex state_mutex_;
-  std::condition_variable drain_cv_;
   std::vector<std::pair<TaskId, Task>> committed_;  ///< id order
   /// Cached `plan_signature(committed_)`; valid iff
   /// `committed_signature_valid_`. A committed admit extends it in place
@@ -360,12 +345,9 @@ class SchedulerService {
   /// cache it sits behind.
   std::optional<DeltaPlanner> delta_planner_;
   std::uint64_t batches_ = 0;
-  std::uint64_t decided_requests_ = 0;
   std::size_t replayed_corruptions_ = 0;  ///< set once, by the constructor
 
   std::atomic<int> brownout_level_{0};
-  std::atomic<bool> shutdown_{false};
-  std::thread dispatcher_;  ///< not started in manual mode
 };
 
 }  // namespace easched

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <future>
 #include <utility>
 
 #include "easched/common/contracts.hpp"
@@ -77,7 +76,7 @@ ServiceDecision ServiceShard::submit(const Task& task, std::string rid, std::siz
     // fleet-wide and the shard-addressed name are consulted.
     faults::kill_point("shard.submit");
     faults::kill_point(submit_site_);
-    ServiceDecision decision = service_->submit_wait(task, std::move(rid));
+    ServiceDecision decision = service_->submit(task, std::move(rid));
     decision.brownout_level = level;
     last_activity_ = std::chrono::steady_clock::now();
     compact_if_over_threshold_locked();
@@ -90,7 +89,7 @@ ServiceDecision ServiceShard::submit(const Task& task, std::string rid, std::siz
 }
 
 std::vector<ServiceDecision> ServiceShard::submit_batch(
-    const std::vector<ShardBatchItem>& items, std::size_t pressure) {
+    const std::vector<ServiceRequest>& items, std::size_t pressure) {
   std::vector<ServiceDecision> out(items.size());
   if (items.empty()) return out;
   std::lock_guard lock(mutex_);
@@ -106,15 +105,24 @@ std::vector<ServiceDecision> ServiceShard::submit_batch(
   if (options_.brownout_enabled) apply_brownout_locked(ladder_.observe(pressure));
   const int level = ladder_.level();
 
-  // Enqueue survivors in arrival order; the single pump below is what buys
-  // the batch its one-baseline amortization in the inner service.
-  std::vector<std::pair<std::size_t, std::future<ServiceDecision>>> pending;
-  pending.reserve(items.size());
+  // The arrivals that survive the shed, up to an arrival crash, go to the
+  // service as one call: that is what buys the batch its one-baseline
+  // amortization in the inner service.
+  std::vector<ServiceRequest> arrived;
+  std::vector<std::size_t> arrived_at;  // item index of each arrival
+  arrived.reserve(items.size());
+  arrived_at.reserve(items.size());
   std::size_t crashed_at = items.size();
+  bool crashed = false;
   std::string crash_reason;
   std::uint64_t restart_after = 0;
+  const auto record_crash = [&](const InjectedCrash& crash) {
+    crashed = true;
+    crash_reason = std::string("shard crashed at ") + crash.point();
+    restart_after = crash.restart_after();
+  };
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const ShardBatchItem& item = items[i];
+    const ServiceRequest& item = items[i];
     if (level >= kBrownoutMaxLevel && slack_ratio(item.task) < ladder_.options().shed_slack) {
       ++stats_.brownout_sheds;
       ServiceDecision shed;
@@ -130,45 +138,37 @@ std::vector<ServiceDecision> ServiceShard::submit_batch(
       faults::kill_point(submit_site_);
     } catch (const InjectedCrash& crash) {
       // Arrival crash at item i: items before i arrived before the
-      // "process" died and are drained below; i and everything after it is
+      // "process" died and are decided below; i and everything after it is
       // answered unavailable (retryable, same rid).
       crashed_at = i;
-      crash_reason = std::string("shard crashed at ") + crash.point();
-      restart_after = crash.restart_after();
+      record_crash(crash);
       break;
     }
-    pending.emplace_back(i, service_->submit(item.task, item.rid));
+    arrived.push_back(item);
+    arrived_at.push_back(i);
   }
 
-  bool inner_crash = false;
-  if (!pending.empty()) {
+  std::vector<std::optional<ServiceDecision>> decided;
+  if (!arrived.empty()) {
     try {
-      service_->pump();
+      service_->submit_batch(arrived, decided);
     } catch (const InjectedCrash& crash) {
-      inner_crash = true;
-      crash_reason = std::string("shard crashed at ") + crash.point();
-      restart_after = crash.restart_after();
+      record_crash(crash);
     }
   }
-
-  // Tear down before collecting: an inner crash leaves undecided requests
-  // in the service queue, and only destroying it breaks their promises
-  // (otherwise the gets below would wait forever).
-  const bool crashed = inner_crash || crashed_at < items.size();
   if (crashed) {
     ++stats_.crashes_contained;
     mark_down_locked(restart_after);
   }
 
-  for (auto& [index, future] : pending) {
-    try {
-      ServiceDecision decision = future.get();
-      decision.brownout_level = level;
-      out[index] = std::move(decision);
-    } catch (const std::future_error&) {
-      // Undecided when the crash tore the queue down; journaled work (if
-      // any) survives, so a same-rid retry dedups instead of re-committing.
-      out[index] = unavailable_decision_locked(crash_reason);
+  // An arrival the service left undecided died with it; journaled work (if
+  // any) survives, so a same-rid retry dedups instead of re-committing.
+  for (std::size_t j = 0; j < arrived_at.size(); ++j) {
+    if (decided[j]) {
+      decided[j]->brownout_level = level;
+      out[arrived_at[j]] = std::move(*decided[j]);
+    } else {
+      out[arrived_at[j]] = unavailable_decision_locked(crash_reason);
     }
   }
   for (std::size_t i = crashed_at; i < items.size(); ++i) {
@@ -305,7 +305,6 @@ bool ServiceShard::restart_now() {
 bool ServiceShard::start_service_locked(BringUpOrder* order) {
   try {
     ServiceOptions service_options = options_.service;
-    service_options.manual_dispatch = true;
     service_options.journal_path = options_.journal_path;
     std::optional<ServiceSnapshot> base;
     if (!options_.snapshot_path.empty()) {
@@ -352,9 +351,8 @@ bool ServiceShard::start_service_locked(BringUpOrder* order) {
 }
 
 void ServiceShard::mark_down_locked(std::uint64_t restart_after) {
-  // The crash happened inside a pumped batch, so the inner queue is
-  // drained: tearing the service down cannot replay armed kill points from
-  // its destructor.
+  // The service holds no request between calls, so tearing it down decides
+  // nothing more: only what it journaled before the crash survives.
   service_.reset();
   restart_countdown_ = restart_after;
 }

@@ -7,9 +7,9 @@
 ///
 /// A shard is the supervisor's unit of failure. It owns a private
 /// `SchedulerService` (own journal path, own snapshot file, own plan cache,
-/// own kernel `Exec` via `ServiceOptions::pool`) and drives it in
-/// `manual_dispatch` mode under the shard lock, so every operation is a
-/// synchronous submit→pump→decide round with deterministic crash points.
+/// own kernel `Exec` via `ServiceOptions::pool`) and calls it under the
+/// shard lock, so every operation is decided synchronously on the caller's
+/// thread with deterministic crash points.
 ///
 /// **Crash containment.** Service code never swallows `InjectedCrash`; the
 /// shard is the layer that finally catches it. A crash tears down the inner
@@ -70,8 +70,8 @@ struct ShardOptions {
   /// Snapshot file path; empty disables snapshots (recovery then replays
   /// the whole journal).
   std::string snapshot_path;
-  /// Inner service tuning. `manual_dispatch` is forced on and
-  /// `journal_path` is overwritten with the shard's own.
+  /// Inner service tuning. `journal_path` is overwritten with the shard's
+  /// own.
   ServiceOptions service;
   /// Brownout watermarks (see `brownout.hpp`).
   BrownoutOptions brownout;
@@ -94,12 +94,6 @@ struct ShardStats {
   std::uint64_t brownout_sheds = 0;      ///< level-3 lowest-laxity sheds
   std::uint64_t compactions = 0;         ///< journal compactions
   std::uint64_t restart_failures = 0;    ///< restarts aborted by a crash mid-recovery
-};
-
-/// One task of a batched admission round (see `ServiceShard::submit_batch`).
-struct ShardBatchItem {
-  Task task;
-  std::string rid;
 };
 
 /// Turn order for the restart kill points of shards brought up
@@ -146,14 +140,16 @@ class ServiceShard {
   ServiceDecision submit(const Task& task, std::string rid = {}, std::size_t pressure = 0);
 
   /// Batched admission round: N arrivals decided under one shard lock with
-  /// one brownout observation and one planning baseline (the inner service
-  /// processes the whole batch in a single pump). Decisions come back in
-  /// item order and a batch of one is bit-identical to `submit` — same lock
+  /// one brownout observation, as one inner `submit_batch` call (one
+  /// planning baseline per `max_batch` chunk). Decisions come back in item
+  /// order and a batch of one is bit-identical to `submit` — same lock
   /// scope, same kill-point order, same dedup and journal behavior. Partial
-  /// failure is per-item: a contained crash at item j answers items j..N-1
-  /// `kUnavailable` (retryable, same rid) after draining the already-queued
-  /// prefix, and never throws.
-  std::vector<ServiceDecision> submit_batch(const std::vector<ShardBatchItem>& items,
+  /// failure is per-item and never throws: an arrival crash at item j
+  /// decides the arrivals before j and answers j..N-1 `kUnavailable`
+  /// (retryable, same rid); a crash inside the service keeps the answers of
+  /// the chunks it finished and answers every other arrival
+  /// `kUnavailable`.
+  std::vector<ServiceDecision> submit_batch(const std::vector<ServiceRequest>& items,
                                             std::size_t pressure = 0);
 
   /// Remove a finished / cancelled task. `nullopt` while the shard is down

@@ -153,7 +153,7 @@ std::vector<ServiceDecision> Supervisor::submit_batch(const std::vector<BatchIte
         in_flight.fetch_add(slice.size(), std::memory_order_relaxed) + slice.size();
     requests_routed_.fetch_add(slice.size(), std::memory_order_relaxed);
 
-    std::vector<ShardBatchItem> shard_items;
+    std::vector<ServiceRequest> shard_items;
     shard_items.reserve(slice.size());
     for (const std::size_t i : slice) shard_items.push_back({items[i].task, items[i].rid});
     std::vector<ServiceDecision> decisions =

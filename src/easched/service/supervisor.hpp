@@ -62,9 +62,9 @@ struct SupervisorOptions {
   /// a supervised fleet without journals could not honor the no-lost-acks
   /// contract across restarts.
   std::string data_dir;
-  /// Inner-service template applied to every shard (`manual_dispatch` is
-  /// forced on, `journal_path` replaced per shard). Set
-  /// `ServiceOptions::pool` here to give the whole fleet one worker budget.
+  /// Inner-service template applied to every shard (`journal_path`
+  /// replaced per shard). Set `ServiceOptions::pool` here to give the
+  /// whole fleet one worker budget.
   ServiceOptions service;
   /// Brownout watermarks applied to every shard's ladder.
   BrownoutOptions brownout;
@@ -126,9 +126,10 @@ class Supervisor {
   /// Batched admission: split `items` across the consistent-hash ring,
   /// preserve arrival order within each shard, run each shard's slice as
   /// one `ServiceShard::submit_batch` round (one lock, one brownout
-  /// observation, one planning baseline), and merge the decisions back into
-  /// request order. A batch of one is bit-identical to `submit`. Partial
-  /// failure is per-item; this never throws `InjectedCrash`.
+  /// observation, one planning baseline per `max_batch` chunk), and merge
+  /// the decisions back into request order. A batch of one is
+  /// bit-identical to `submit`. Partial failure is per-item; this never
+  /// throws `InjectedCrash`.
   std::vector<ServiceDecision> submit_batch(const std::vector<BatchItem>& items,
                                             std::size_t pressure_hint = 0);
 

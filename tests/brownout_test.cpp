@@ -94,22 +94,21 @@ TEST(BrownoutTest, DeterministicReplay) {
 
 // --- Level effects on the planning service --------------------------------
 
-ServiceOptions manual_options() {
+ServiceOptions service_options() {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = kInf;
-  options.manual_dispatch = true;
   return options;
 }
 
 TEST(BrownoutTest, LevelTwoPlansF1OnlyAndLevelZeroPlanIsRestored) {
-  SchedulerService service(PowerModel(3.0, 0.1), manual_options());
-  const ServiceDecision full = service.submit_wait(Task{0.0, 10.0, 2.0});
+  SchedulerService service(PowerModel(3.0, 0.1), service_options());
+  const ServiceDecision full = service.submit(Task{0.0, 10.0, 2.0});
   ASSERT_TRUE(full.admission.admitted);
   EXPECT_EQ(full.plan_rung, PlanRung::kDer);  // default chain tops at F2
 
   service.set_brownout_level(2);
-  const ServiceDecision degraded = service.submit_wait(Task{1.0, 9.0, 1.5});
+  const ServiceDecision degraded = service.submit(Task{1.0, 9.0, 1.5});
   ASSERT_TRUE(degraded.admission.admitted);
   EXPECT_EQ(degraded.plan_rung, PlanRung::kEven);  // F1-only under level 2
   EXPECT_EQ(degraded.brownout_level, 2);
@@ -129,9 +128,9 @@ TEST(BrownoutTest, LevelTwoPlansF1OnlyAndLevelZeroPlanIsRestored) {
 TEST(BrownoutTest, DegradedPlanNeverMasqueradesAsFullService) {
   // Plan the same committed set at level 2 and level 0: the level-0 read
   // must be a fresh (or level-0-cached) F2 plan, not the level-2 F1 plan.
-  SchedulerService service(PowerModel(3.0, 0.1), manual_options());
-  ASSERT_TRUE(service.submit_wait(Task{0.0, 10.0, 2.0}).admission.admitted);
-  ASSERT_TRUE(service.submit_wait(Task{0.5, 8.0, 1.0}).admission.admitted);
+  SchedulerService service(PowerModel(3.0, 0.1), service_options());
+  ASSERT_TRUE(service.submit(Task{0.0, 10.0, 2.0}).admission.admitted);
+  ASSERT_TRUE(service.submit(Task{0.5, 8.0, 1.0}).admission.admitted);
 
   const double full = service.current_energy();
   service.set_brownout_level(2);

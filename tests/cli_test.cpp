@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "easched/common/cli.hpp"
 #include "easched/common/contracts.hpp"
 
@@ -95,6 +98,52 @@ TEST(CliParserTest, DuplicateDeclarationRejected) {
   p.add_option("x", "1", "");
   EXPECT_THROW(p.add_option("x", "2", ""), ContractViolation);
   EXPECT_THROW(p.add_switch("x", ""), ContractViolation);
+}
+
+/// The message of the `std::invalid_argument` that `fn` throws ("" if none).
+template <typename Fn>
+std::string invalid_argument_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliParserTest, NumericValuesMustParseWhole) {
+  CliParser p = make_parser();
+  for (const char* bad : {"12x", "abc", "", " 4", "4 ", "1.5", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    ASSERT_TRUE(parse(p, {"--cores", bad}));
+    const std::string message = invalid_argument_message([&] { (void)p.get_int("cores"); });
+    EXPECT_NE(message.find("--cores"), std::string::npos) << message;
+  }
+  for (const char* bad : {"3.0x", "abc", "", "1e"}) {
+    SCOPED_TRACE(bad);
+    ASSERT_TRUE(parse(p, {"--alpha", bad}));
+    const std::string message = invalid_argument_message([&] { (void)p.get_double("alpha"); });
+    EXPECT_NE(message.find("--alpha"), std::string::npos) << message;
+  }
+  ASSERT_TRUE(parse(p, {"--cores", "-12", "--alpha", "2.5e-1"}));
+  EXPECT_EQ(p.get_int("cores"), -12);
+  EXPECT_DOUBLE_EQ(p.get_double("alpha"), 0.25);
+}
+
+TEST(CliParserTest, IntegerBoundsAreEnforced) {
+  CliParser p = make_parser();
+  for (const char* port : {"-1", "0", "65535"}) {
+    ASSERT_TRUE(parse(p, {"--cores", port}));
+    EXPECT_EQ(p.get_int("cores", -1, 65535), std::stoi(port));
+  }
+  for (const char* port : {"70000", "65536", "-2"}) {
+    SCOPED_TRACE(port);
+    ASSERT_TRUE(parse(p, {"--cores", port}));
+    const std::string message =
+        invalid_argument_message([&] { (void)p.get_int("cores", -1, 65535); });
+    EXPECT_NE(message.find("--cores"), std::string::npos) << message;
+    EXPECT_NE(message.find("[-1, 65535]"), std::string::npos) << message;
+  }
 }
 
 TEST(CliParserTest, ReparseResetsState) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <future>
 #include <string>
 
 #include "easched/common/math.hpp"
@@ -21,7 +20,6 @@ ServiceOptions journal_options(std::string path) {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = kInf;
-  options.manual_dispatch = true;
   options.journal_path = std::move(path);
   return options;
 }
@@ -46,24 +44,22 @@ TEST(JournalRecoveryTest, KillAtEveryAdmitBoundaryRecoversAcknowledgedPrefix) {
           fresh_path("journal_recovery_" + std::to_string(post) + "_" + std::to_string(k) + ".log");
       FaultInjector injector(FaultPlan::parse("kill:" + point + "@" + std::to_string(k)));
 
-      // Phase 1: admit one task per pump until the armed kill fires. The
-      // k-th admit append crashes mid-batch; its client never gets an
-      // acknowledgement (broken promise), exactly like a process death.
+      // Phase 1: admit one task per call until the armed kill fires. The
+      // k-th admit append crashes mid-call; its client never gets an
+      // acknowledgement (the crash leaves the call), exactly like a process
+      // death.
       int crashed_at = -1;
       {
         faults::FaultScope scope(injector);
         SchedulerService service(test_power(), journal_options(path));
         for (int i = 0; i < kTasks; ++i) {
-          auto fut = service.submit(nth_task(i));
           try {
-            service.pump();
+            const ServiceDecision decision = service.submit(nth_task(i));
+            ASSERT_TRUE(decision.admission.admitted);
           } catch (const InjectedCrash&) {
             crashed_at = i;
-            EXPECT_THROW(fut.get(), std::future_error);
             break;
           }
-          const ServiceDecision decision = fut.get();
-          ASSERT_TRUE(decision.admission.admitted);
         }
       }
       ASSERT_EQ(crashed_at, k - 1);
@@ -83,7 +79,7 @@ TEST(JournalRecoveryTest, KillAtEveryAdmitBoundaryRecoversAcknowledgedPrefix) {
 
       // The id counter resumes past the durable prefix and the recovered
       // service keeps serving.
-      const ServiceDecision next = recovered.submit_wait(Task{0.0, 30.0, 1.0});
+      const ServiceDecision next = recovered.submit(Task{0.0, 30.0, 1.0});
       EXPECT_TRUE(next.admission.admitted);
       EXPECT_EQ(next.id, durable);
       const TaskSet after = recovered.committed_task_set();
@@ -102,7 +98,7 @@ TEST(JournalRecoveryTest, KillAroundCompletionRecord) {
     {
       SchedulerService service(test_power(), journal_options(path));
       for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(service.submit_wait(nth_task(i)).admission.admitted);
+        ASSERT_TRUE(service.submit(nth_task(i)).admission.admitted);
       }
     }
 
@@ -135,13 +131,13 @@ TEST(JournalRecoveryTest, JournalReplaysOverSnapshotBase) {
   {
     SchedulerService service(test_power(), journal_options(path));
     for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(service.submit_wait(nth_task(i)).admission.admitted);
+      ASSERT_TRUE(service.submit(nth_task(i)).admission.admitted);
     }
     snap = service.snapshot();
     // Post-snapshot history lives only in the journal: one removal, one
     // fresh admit.
     ASSERT_TRUE(service.complete(0));
-    ASSERT_TRUE(service.submit_wait(nth_task(7)).admission.admitted);
+    ASSERT_TRUE(service.submit(nth_task(7)).admission.admitted);
   }
 
   // Restore from the (stale) snapshot plus the journal: the removal and the
@@ -152,7 +148,7 @@ TEST(JournalRecoveryTest, JournalReplaysOverSnapshotBase) {
   EXPECT_EQ(ids[0], 1);
   EXPECT_EQ(ids[1], 2);
   EXPECT_EQ(ids[2], 3);
-  const ServiceDecision next = restored.submit_wait(Task{0.0, 40.0, 2.0});
+  const ServiceDecision next = restored.submit(Task{0.0, 40.0, 2.0});
   EXPECT_TRUE(next.admission.admitted);
   EXPECT_EQ(next.id, 4);
 }

@@ -129,7 +129,6 @@ TEST(MetricsRestore, ServiceCountersSurviveSnapshotRestore) {
   const PowerModel power(3.0, 0.1);
   ServiceOptions options;
   options.cores = 2;
-  options.manual_dispatch = true;
 
   ServiceSnapshot snap;
   std::uint64_t admitted_before = 0;
@@ -140,7 +139,7 @@ TEST(MetricsRestore, ServiceCountersSurviveSnapshotRestore) {
       t.release = static_cast<double>(i);
       t.work = 1.0;
       t.deadline = t.release + 4.0;
-      service.submit_wait(t);
+      service.submit(t);
     }
     admitted_before = service.metrics().counter("admitted_total");
     EXPECT_GT(admitted_before, 0u);
@@ -163,7 +162,7 @@ TEST(MetricsRestore, ServiceCountersSurviveSnapshotRestore) {
   t.release = 10.0;
   t.work = 1.0;
   t.deadline = 14.0;
-  restored.submit_wait(t);
+  restored.submit(t);
   EXPECT_GT(restored.metrics().counter("admitted_total"), admitted_before);
 }
 

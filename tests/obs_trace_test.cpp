@@ -102,7 +102,8 @@ TEST(Tracer, SpanArgsKeepFirstTwo) {
     span.arg("second", 2.0);
     span.arg("third", 3.0);  // silently ignored: records hold two args
   }
-  const SpanRecord& span = find_span(tracer.records(), "args");
+  const std::vector<SpanRecord> records = tracer.records();  // keep the copy alive
+  const SpanRecord& span = find_span(records, "args");
   EXPECT_STREQ(span.arg0_name, "first");
   EXPECT_STREQ(span.arg1_name, "second");
   EXPECT_DOUBLE_EQ(span.arg1, 2.0);
@@ -164,7 +165,8 @@ TEST(Tracer, EmitRecordsRetrospectiveInterval) {
     const TraceScope scope(tracer);
     obs::emit("queue.wait", start, end, 7);
   }
-  const SpanRecord& span = find_span(tracer.records(), "queue.wait");
+  const std::vector<SpanRecord> records = tracer.records();  // keep the copy alive
+  const SpanRecord& span = find_span(records, "queue.wait");
   EXPECT_EQ(span.request, 7u);
   EXPECT_NEAR(static_cast<double>(span.dur_ns), 250e3, 1.0);
 }
@@ -248,7 +250,6 @@ TEST(Tracer, ServiceEmitsQueuePlanJournalChainPerAdmittedRequest) {
     const TraceScope scope(tracer);
     ServiceOptions options;
     options.cores = 2;
-    options.manual_dispatch = true;
     options.journal_path = journal_path;
     SchedulerService service(PowerModel(3.0, 0.1), options);
 
@@ -258,17 +259,16 @@ TEST(Tracer, ServiceEmitsQueuePlanJournalChainPerAdmittedRequest) {
       t.release = rng.uniform(0.0, 10.0);
       t.work = rng.uniform(1.0, 3.0);
       t.deadline = t.release + t.work / rng.uniform(0.2, 0.6);
-      const ServiceDecision decision = service.submit_wait(t);
+      const ServiceDecision decision = service.submit(t);
       ASSERT_TRUE(decision.admission.admitted) << "request " << i;
     }
-    service.shutdown();
   }
   std::remove(journal_path.c_str());
 
   // Group spans by request id: every admitted request must show the full
   // lifecycle — queue wait, request processing, a plan (served by either the
-  // fallback chain or the incremental delta path), the WAL append, and the
-  // reply — under its own id.
+  // fallback chain or the incremental delta path) and the WAL append —
+  // under its own id.
   std::map<std::uint64_t, std::set<std::string>> by_request;
   for (const SpanRecord& r : tracer.records()) {
     if (r.request != 0) by_request[r.request].insert(r.name);
@@ -281,7 +281,6 @@ TEST(Tracer, ServiceEmitsQueuePlanJournalChainPerAdmittedRequest) {
                 names.count("service.plan_delta"))
         << "request " << request;
     EXPECT_TRUE(names.count("service.journal_append")) << "request " << request;
-    EXPECT_TRUE(names.count("service.reply")) << "request " << request;
   }
 
   // The request span must carry its admission outcome.

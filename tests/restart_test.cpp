@@ -343,7 +343,6 @@ ServiceOptions journaled(const std::string& wal) {
   options.cores = 2;
   options.f_max = kInf;
   options.use_thread_pool = false;
-  options.manual_dispatch = true;
   options.journal_path = wal;
   return options;
 }
@@ -359,8 +358,8 @@ TEST(RestartTest, TornTailIsCutBeforeTheNextAppend) {
         fresh_dir("restart_torn_service_" + std::to_string(cut)) + "/service.wal";
     {
       SchedulerService service(test_power(), journaled(wal));
-      ASSERT_EQ(service.submit_wait(churn_task(0), "a").id, 0);
-      ASSERT_EQ(service.submit_wait(churn_task(1), "b").id, 1);
+      ASSERT_EQ(service.submit(churn_task(0), "a").id, 0);
+      ASSERT_EQ(service.submit(churn_task(1), "b").id, 1);
     }
     std::filesystem::resize_file(wal, std::filesystem::file_size(wal) - cut);
     // Without only its newline, b's record is whole and replay commits it.
@@ -368,7 +367,7 @@ TEST(RestartTest, TornTailIsCutBeforeTheNextAppend) {
     {
       SchedulerService service(test_power(), journaled(wal));
       ASSERT_EQ(service.committed_ids(), expected);
-      const ServiceDecision c = service.submit_wait(churn_task(2), "c");
+      const ServiceDecision c = service.submit(churn_task(2), "c");
       ASSERT_TRUE(c.admission.admitted);
       ASSERT_FALSE(c.deduplicated);
       expected.push_back(c.id);
@@ -376,11 +375,11 @@ TEST(RestartTest, TornTailIsCutBeforeTheNextAppend) {
     SchedulerService service(test_power(), journaled(wal));
     EXPECT_EQ(service.committed_ids(), expected);
     EXPECT_TRUE(AdmissionJournal::recover(wal).corruptions.empty());
-    const ServiceDecision retry = service.submit_wait(churn_task(2), "c");
+    const ServiceDecision retry = service.submit(churn_task(2), "c");
     EXPECT_TRUE(retry.deduplicated);
     EXPECT_EQ(retry.id, expected.back());
     if (cut == 1) {
-      const ServiceDecision b = service.submit_wait(churn_task(1), "b");
+      const ServiceDecision b = service.submit(churn_task(1), "b");
       EXPECT_TRUE(b.deduplicated);
       EXPECT_EQ(b.id, 1);
     }

@@ -16,19 +16,18 @@
 namespace easched {
 namespace {
 
-ServiceOptions manual_options() {
+ServiceOptions service_options() {
   ServiceOptions options;
   options.cores = 2;
-  options.manual_dispatch = true;
   return options;
 }
 
 TEST(RuntimeServiceTest, SimulatesCommittedPlanAndRecordsMetrics) {
   const PowerModel power(3.0, 0.05);
-  SchedulerService service(power, manual_options());
-  ASSERT_TRUE(service.submit_wait({0.0, 30.0, 8.0}).admission.admitted);
-  ASSERT_TRUE(service.submit_wait({5.0, 60.0, 12.0}).admission.admitted);
-  ASSERT_TRUE(service.submit_wait({10.0, 90.0, 6.0}).admission.admitted);
+  SchedulerService service(power, service_options());
+  ASSERT_TRUE(service.submit({0.0, 30.0, 8.0}).admission.admitted);
+  ASSERT_TRUE(service.submit({5.0, 60.0, 12.0}).admission.admitted);
+  ASSERT_TRUE(service.submit({10.0, 90.0, 6.0}).admission.admitted);
 
   RuntimeOptions opt;
   opt.policy = RuntimePolicy::kCycleConserving;
@@ -60,10 +59,10 @@ TEST(RuntimeServiceTest, SimulatesCommittedPlanAndRecordsMetrics) {
 
 TEST(RuntimeServiceTest, HistogramsExportThroughPrometheus) {
   const PowerModel power(3.0, 0.05);
-  SchedulerService service(power, manual_options());
+  SchedulerService service(power, service_options());
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
-        service.submit_wait({5.0 * i, 5.0 * i + 40.0, 10.0}).admission.admitted);
+        service.submit({5.0 * i, 5.0 * i + 40.0, 10.0}).admission.admitted);
   }
   RuntimeOptions opt;
   opt.policy = RuntimePolicy::kLookAhead;
@@ -82,7 +81,7 @@ TEST(RuntimeServiceTest, HistogramsExportThroughPrometheus) {
 
 TEST(RuntimeServiceTest, EmptyCommittedSetSimulatesTrivially) {
   const PowerModel power(3.0, 0.05);
-  SchedulerService service(power, manual_options());
+  SchedulerService service(power, service_options());
   const RuntimeReport report = service.simulate_runtime();
   EXPECT_EQ(report.completions, 0u);
   EXPECT_DOUBLE_EQ(report.energy.total(), 0.0);

@@ -14,10 +14,9 @@
 namespace easched {
 namespace {
 
-ServiceOptions manual_options(bool incremental) {
+ServiceOptions service_options(bool incremental) {
   ServiceOptions options;
   options.cores = 2;
-  options.manual_dispatch = true;
   options.use_thread_pool = false;
   options.incremental = incremental;
   return options;
@@ -39,10 +38,10 @@ TEST(ServiceDelta, DepartureInvalidatesCachedDeltaPlan) {
   const Task task_a{0.0, 10.0, 4.0};
   const Task task_b{2.0, 12.0, 3.0};
 
-  SchedulerService service(power, manual_options(true));
-  const ServiceDecision a = service.submit_wait(task_a);
+  SchedulerService service(power, service_options(true));
+  const ServiceDecision a = service.submit(task_a);
   ASSERT_TRUE(a.admission.admitted);
-  const ServiceDecision b = service.submit_wait(task_b);
+  const ServiceDecision b = service.submit(task_b);
   ASSERT_TRUE(b.admission.admitted);
   const double energy_both = service.current_energy();
 
@@ -51,8 +50,8 @@ TEST(ServiceDelta, DepartureInvalidatesCachedDeltaPlan) {
   const Schedule plan_after = service.current_plan();
   ASSERT_NE(energy_after, energy_both);
 
-  SchedulerService fresh(power, manual_options(true));
-  ASSERT_TRUE(fresh.submit_wait(task_b).admission.admitted);
+  SchedulerService fresh(power, service_options(true));
+  ASSERT_TRUE(fresh.submit(task_b).admission.admitted);
   ASSERT_EQ(energy_after, fresh.current_energy());
   expect_same_segments(plan_after, fresh.current_plan());
 
@@ -70,8 +69,8 @@ TEST(ServiceDelta, DepartureInvalidatesCachedDeltaPlan) {
 // service produces identical decisions, energies, and plans at every step.
 TEST(ServiceDelta, IncrementalAndFullReplanServeIdenticalPlans) {
   const PowerModel power(3.0, 0.05);
-  SchedulerService with_delta(power, manual_options(true));
-  SchedulerService without_delta(power, manual_options(false));
+  SchedulerService with_delta(power, service_options(true));
+  SchedulerService without_delta(power, service_options(false));
 
   const std::vector<Task> arrivals = {
       {0.0, 10.0, 4.0}, {2.0, 8.0, 3.0},  {5.0, 15.0, 2.0},
@@ -80,8 +79,8 @@ TEST(ServiceDelta, IncrementalAndFullReplanServeIdenticalPlans) {
   std::vector<TaskId> ids_with;
   std::vector<TaskId> ids_without;
   for (std::size_t k = 0; k < arrivals.size(); ++k) {
-    const ServiceDecision da = with_delta.submit_wait(arrivals[k]);
-    const ServiceDecision db = without_delta.submit_wait(arrivals[k]);
+    const ServiceDecision da = with_delta.submit(arrivals[k]);
+    const ServiceDecision db = without_delta.submit(arrivals[k]);
     ASSERT_EQ(da.admission.admitted, db.admission.admitted) << "arrival " << k;
     ASSERT_EQ(da.admission.energy_after, db.admission.energy_after) << "arrival " << k;
     ids_with.push_back(da.id);
@@ -105,14 +104,14 @@ TEST(ServiceDelta, IncrementalAndFullReplanServeIdenticalPlans) {
 // one of the delta counters, and steady-state misses ride the splice.
 TEST(ServiceDelta, DeltaMetricsAccountForCacheMisses) {
   const PowerModel power(3.0, 0.05);
-  SchedulerService service(power, manual_options(true));
+  SchedulerService service(power, service_options(true));
 
   const std::vector<Task> arrivals = {
       {0.0, 10.0, 4.0}, {2.0, 8.0, 3.0}, {5.0, 15.0, 2.0}, {1.0, 6.0, 1.5},
   };
   std::vector<TaskId> ids;
   for (const Task& t : arrivals) {
-    const ServiceDecision d = service.submit_wait(t);
+    const ServiceDecision d = service.submit(t);
     ASSERT_TRUE(d.admission.admitted);
     ids.push_back(d.id);
   }

@@ -1,19 +1,16 @@
-// Service-level fault tolerance: the ISSUE acceptance scenario (100% exact
-// failure, every request answered by a fallback rung or reasoned rejection,
-// zero invalid plans), structured error kinds, batch-job fault recovery, and
-// dispatcher crash behavior.
+// Service-level fault tolerance: 100% exact-solver failure (every request
+// answered by a fallback rung or reasoned rejection, zero invalid plans),
+// structured error kinds, pool job failures, and the intake's fault hooks
+// and overload shed.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
-#include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "easched/common/math.hpp"
 #include "easched/faults/fault_injection.hpp"
+#include "easched/parallel/thread_pool.hpp"
 #include "easched/service/service.hpp"
 
 namespace easched {
@@ -21,11 +18,10 @@ namespace {
 
 PowerModel test_power() { return PowerModel(3.0, 0.1); }
 
-ServiceOptions manual_options() {
+ServiceOptions service_options() {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = kInf;
-  options.manual_dispatch = true;
   return options;
 }
 
@@ -42,13 +38,13 @@ TEST(ServiceFaultsTest, TotalExactFailureStreamIsServedByFallback) {
   FaultInjector injector(FaultPlan::parse("seed=5;solver_stall:p=1"));
   faults::FaultScope scope(injector);
 
-  ServiceOptions options = manual_options();
+  ServiceOptions options = service_options();
   options.exact_first = true;
   SchedulerService service(test_power(), options);
 
   int admitted = 0;
   for (int i = 0; i < kRequests; ++i) {
-    const ServiceDecision decision = service.submit_wait(stream_task(i));
+    const ServiceDecision decision = service.submit(stream_task(i));
     if (decision.admission.admitted) {
       ++admitted;
       // Served by a rung below exact — never by the failing exact rung.
@@ -73,12 +69,12 @@ TEST(ServiceFaultsTest, TotalExactFailureStreamIsServedByFallback) {
 }
 
 TEST(ServiceFaultsTest, PlanningFailureBecomesReasonedRejection) {
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), service_options());
 
   // Astronomical work overflows every rung's energy to infinity: the whole
   // chain fails, and the service must reject with the chain's reasons — not
   // crash, not serve a non-finite plan.
-  const ServiceDecision poisoned = service.submit_wait(Task{0.0, 1.0, 1e200});
+  const ServiceDecision poisoned = service.submit(Task{0.0, 1.0, 1e200});
   EXPECT_FALSE(poisoned.admission.admitted);
   EXPECT_EQ(poisoned.error_kind, AdmissionErrorKind::kPlanning);
   EXPECT_NE(poisoned.admission.rejection_reason.find("planning failed"), std::string::npos)
@@ -89,98 +85,59 @@ TEST(ServiceFaultsTest, PlanningFailureBecomesReasonedRejection) {
 
   // The committed set is untouched and the service keeps serving.
   EXPECT_EQ(service.committed_count(), 0u);
-  const ServiceDecision normal = service.submit_wait(stream_task(0));
+  const ServiceDecision normal = service.submit(stream_task(0));
   EXPECT_TRUE(normal.admission.admitted);
   EXPECT_EQ(normal.error_kind, AdmissionErrorKind::kNone);
 }
 
 TEST(ServiceFaultsTest, DecisionsCarryTheServingRung) {
   {
-    SchedulerService service(test_power(), manual_options());
-    const ServiceDecision decision = service.submit_wait(stream_task(0));
+    SchedulerService service(test_power(), service_options());
+    const ServiceDecision decision = service.submit(stream_task(0));
     ASSERT_TRUE(decision.admission.admitted);
     EXPECT_EQ(decision.plan_rung, PlanRung::kDer);  // default chain tops at F2
   }
   {
-    ServiceOptions options = manual_options();
+    ServiceOptions options = service_options();
     options.exact_first = true;
     SchedulerService service(test_power(), options);
-    const ServiceDecision decision = service.submit_wait(stream_task(0));
+    const ServiceDecision decision = service.submit(stream_task(0));
     ASSERT_TRUE(decision.admission.admitted);
     EXPECT_EQ(decision.plan_rung, PlanRung::kExact);
   }
 }
 
-TEST(ServiceFaultsTest, InjectedBatchJobFailureIsRetriedInline) {
-  // job_fail:p=1 makes every pool job throw before its body runs — batch
-  // jobs included. The service must catch the batch-job fault, rerun the
-  // batch inline, and still answer every client.
+TEST(ServiceFaultsTest, InjectedPoolJobFailuresChangeNoDecision) {
+  // job_fail:p=1 makes every pool job throw before its body runs. Planning
+  // runs on the caller's thread, which claims every kernel chunk a failed
+  // pool job left behind, so each request is decided exactly as without
+  // the faults.
   FaultInjector injector(FaultPlan::parse("job_fail:p=1"));
-  faults::FaultScope scope(injector);
-
-  ServiceOptions options;
-  options.cores = 2;
-  options.f_max = kInf;
-  options.use_thread_pool = true;
-  SchedulerService service(test_power(), options);
-
-  std::vector<std::future<ServiceDecision>> futures;
-  for (int i = 0; i < 20; ++i) futures.push_back(service.submit(stream_task(i)));
-  service.drain();
-  for (auto& fut : futures) {
-    const ServiceDecision decision = fut.get();
-    EXPECT_TRUE(decision.admission.admitted);
-  }
-  EXPECT_EQ(service.committed_count(), 20u);
-  EXPECT_GE(service.metrics().counter("batch_job_faults_total"), 1u);
-}
-
-TEST(ServiceFaultsTest, DispatcherCrashBreaksInFlightPromisesAndJournalRecovers) {
-  const std::string path = ::testing::TempDir() + "/service_faults_crash.log";
-  std::remove(path.c_str());
-
-  FaultInjector injector(FaultPlan::parse("kill:journal.admit.post@3"));
-  std::uint64_t crashes = 0;
-  {
+  ThreadPool pool(2);  // joined before the injector its late jobs may read
+  ServiceOptions options = service_options();
+  options.pool = &pool;
+  SchedulerService reference(test_power(), options);
+  SchedulerService faulted(test_power(), options);
+  for (int i = 0; i < 20; ++i) {
+    const ServiceDecision expected = reference.submit(stream_task(i));
     faults::FaultScope scope(injector);
-    ServiceOptions options;
-    options.cores = 2;
-    options.f_max = kInf;
-    options.journal_path = path;
-    SchedulerService service(test_power(), options);
-
-    // Serialize one admit per batch so the armed visit maps to request #3.
-    EXPECT_TRUE(service.submit(stream_task(0)).get().admission.admitted);
-    EXPECT_TRUE(service.submit(stream_task(1)).get().admission.admitted);
-    auto doomed = service.submit(stream_task(2));
-    // The dispatcher dies mid-batch: the in-flight promise breaks (the
-    // client sees a dead server, not a fabricated answer).
-    EXPECT_THROW(doomed.get(), std::future_error);
-    // The promise breaks during unwind, slightly before the dispatcher's
-    // catch records the crash — poll briefly for the counter.
-    for (int i = 0; i < 200 && crashes == 0; ++i) {
-      crashes = service.metrics().counter("injected_crashes_total");
-      if (crashes == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    const ServiceDecision got = faulted.submit(stream_task(i));
+    ASSERT_TRUE(got.admission.admitted);
+    EXPECT_EQ(got.id, expected.id);
+    EXPECT_EQ(got.admission.energy_after, expected.admission.energy_after);
   }
-  EXPECT_EQ(crashes, 1u);
-
-  // The kill fired *after* the flush, so all three admits are durable.
-  ServiceOptions options = manual_options();
-  options.journal_path = path;
-  SchedulerService recovered(test_power(), options);
-  EXPECT_EQ(recovered.committed_count(), 3u);
-  EXPECT_TRUE(recovered.current_plan().validate(recovered.committed_task_set(), 1e-5, 1e-5).ok);
+  EXPECT_GT(injector.fired(FaultSite::kJobFail), 0u);
+  EXPECT_EQ(faulted.current_plan().segments(), reference.current_plan().segments());
 }
 
 TEST(ServiceFaultsTest, DroppedRequestsAreAnsweredAndCounted) {
   FaultInjector injector(FaultPlan::parse("seed=3;request_drop:p=0.5"));
   faults::FaultScope scope(injector);
 
-  SchedulerService service(test_power(), manual_options());
+  SchedulerService service(test_power(), service_options());
   int dropped = 0;
   for (int i = 0; i < 40; ++i) {
-    const ServiceDecision decision = service.submit_wait(stream_task(i));
+    const ServiceDecision decision = service.submit(stream_task(i));
     if (decision.error_kind == AdmissionErrorKind::kDropped) {
       ++dropped;
       EXPECT_FALSE(decision.admission.admitted);
@@ -198,8 +155,8 @@ TEST(ServiceFaultsTest, DuplicatedRequestsKeepTheServiceConsistent) {
   FaultInjector injector(FaultPlan::parse("request_dup:p=1"));
   faults::FaultScope scope(injector);
 
-  SchedulerService service(test_power(), manual_options());
-  const ServiceDecision decision = service.submit_wait(stream_task(0));
+  SchedulerService service(test_power(), service_options());
+  const ServiceDecision decision = service.submit(stream_task(0));
   EXPECT_TRUE(decision.admission.admitted);
   // At-least-once delivery: the duplicate is admitted as its own task (a
   // real client retry after a lost ack would do the same); the set stays
@@ -209,17 +166,16 @@ TEST(ServiceFaultsTest, DuplicatedRequestsKeepTheServiceConsistent) {
 }
 
 TEST(ServiceFaultsTest, BoundedQueueMetricsSurfaceOverload) {
-  ServiceOptions options = manual_options();
+  ServiceOptions options = service_options();
   options.queue_capacity = 4;
   SchedulerService service(test_power(), options);
 
-  // Without pumping, pushes past the capacity shed/reject at the queue.
-  std::vector<std::future<ServiceDecision>> futures;
-  for (int i = 0; i < 12; ++i) futures.push_back(service.submit(stream_task(i)));
-  service.pump();
+  // One call of 12 items: the items past the capacity shed/reject at the
+  // intake.
+  std::vector<ServiceRequest> requests;
+  for (int i = 0; i < 12; ++i) requests.push_back({stream_task(i), ""});
   int overloaded = 0;
-  for (auto& fut : futures) {
-    const ServiceDecision decision = fut.get();
+  for (const ServiceDecision& decision : service.submit_batch(requests)) {
     if (decision.error_kind == AdmissionErrorKind::kOverload) ++overloaded;
   }
   EXPECT_EQ(overloaded, 8);

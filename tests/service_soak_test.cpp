@@ -1,12 +1,11 @@
 // SchedulerService under concurrency: batched admission must be
 // deterministic (same accept/reject set as sequential arrival-order
-// admission), and a multi-client soak must never miss a deadline among
-// admitted tasks.
+// admission, also with four threads submitting at once), and a
+// multi-client soak must never miss a deadline among admitted tasks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <future>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -59,19 +58,19 @@ TEST(ServiceDeterminismTest, OneBatchMatchesSequentialArrivalOrderAdmission) {
   ServiceOptions options;
   options.cores = cores;
   options.f_max = f_max;
-  options.manual_dispatch = true;
   options.max_batch = stream.size();  // force a single batch
   SchedulerService service(power, options);
 
-  std::vector<std::future<ServiceDecision>> futures;
-  futures.reserve(stream.size());
-  for (const Task& t : stream) futures.push_back(service.submit(t));
-  EXPECT_EQ(service.pump(), stream.size());
+  std::vector<ServiceRequest> requests;
+  requests.reserve(stream.size());
+  for (const Task& t : stream) requests.push_back({t, ""});
+  const std::vector<ServiceDecision> decisions = service.submit_batch(requests);
+  ASSERT_EQ(decisions.size(), stream.size());
   EXPECT_EQ(service.metrics().counter("batches_total"), 1u);
 
   const auto reference = sequential_reference(stream, power, cores, f_max);
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const ServiceDecision got = futures[i].get();
+    const ServiceDecision& got = decisions[i];
     EXPECT_EQ(got.sequence, i);
     EXPECT_EQ(got.admission.admitted, reference[i].admitted) << "request " << i;
     EXPECT_EQ(got.admission.rejection_reason, reference[i].rejection_reason);
@@ -89,13 +88,11 @@ TEST(ServiceDeterminismTest, ConcurrentSubmissionMatchesSequentialReplayOfArriva
   ServiceOptions options;
   options.cores = cores;
   options.f_max = f_max;
-  options.batch_window = std::chrono::microseconds(300);
-  options.max_batch = 16;
   SchedulerService service(power, options);
 
   const int clients = 4;
   const int per_client = 30;
-  std::vector<std::vector<std::pair<Task, std::future<ServiceDecision>>>> per_thread(
+  std::vector<std::vector<std::pair<Task, ServiceDecision>>> per_thread(
       static_cast<std::size_t>(clients));
   {
     std::vector<std::thread> workers;
@@ -105,20 +102,18 @@ TEST(ServiceDeterminismTest, ConcurrentSubmissionMatchesSequentialReplayOfArriva
         Rng rng(Rng::seed_of("service-concurrent", static_cast<std::uint64_t>(c)));
         for (int i = 0; i < per_client; ++i) {
           Task t = random_task(rng);
-          auto fut = service.submit(t);
-          per_thread[static_cast<std::size_t>(c)].emplace_back(t, std::move(fut));
+          per_thread[static_cast<std::size_t>(c)].emplace_back(t, service.submit(t));
         }
       });
     }
     for (auto& w : workers) w.join();
   }
-  service.drain();
 
   // Recover the service's arrival order from the sequence numbers, then
   // replay that order sequentially: decisions must match exactly.
   std::vector<std::pair<Task, ServiceDecision>> by_sequence;
-  for (auto& client : per_thread) {
-    for (auto& [task, fut] : client) by_sequence.emplace_back(task, fut.get());
+  for (const auto& client : per_thread) {
+    by_sequence.insert(by_sequence.end(), client.begin(), client.end());
   }
   std::sort(by_sequence.begin(), by_sequence.end(),
             [](const auto& a, const auto& b) { return a.second.sequence < b.second.sequence; });
@@ -141,32 +136,27 @@ TEST(ServiceSoakTest, FourClientsThousandRequestsZeroMissesAmongAdmitted) {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = 1.0;
-  options.batch_window = std::chrono::microseconds(200);
-  options.max_batch = 32;
   SchedulerService service(power, options);
 
   const int clients = 4;
   const int per_client = 250;
   std::vector<std::thread> workers;
-  std::vector<std::vector<std::future<ServiceDecision>>> futures(
-      static_cast<std::size_t>(clients));
+  std::vector<std::vector<ServiceDecision>> decisions(static_cast<std::size_t>(clients));
   workers.reserve(clients);
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
       Rng rng(Rng::seed_of("service-soak", static_cast<std::uint64_t>(c)));
       for (int i = 0; i < per_client; ++i) {
-        futures[static_cast<std::size_t>(c)].push_back(service.submit(random_task(rng)));
+        decisions[static_cast<std::size_t>(c)].push_back(service.submit(random_task(rng)));
       }
     });
   }
   for (auto& w : workers) w.join();
-  service.drain();
 
   std::size_t admitted = 0;
   std::size_t rejected = 0;
-  for (auto& client : futures) {
-    for (auto& fut : client) {
-      const ServiceDecision d = fut.get();
+  for (const auto& client : decisions) {
+    for (const ServiceDecision& d : client) {
       if (d.admission.admitted) {
         ++admitted;
         EXPECT_GE(d.id, 0);
@@ -194,7 +184,8 @@ TEST(ServiceSoakTest, FourClientsThousandRequestsZeroMissesAmongAdmitted) {
   EXPECT_TRUE(executed.all_deadlines_met())
       << executed.missed_deadline_count() << " deadline misses among admitted tasks";
 
-  // Batching happened and the cache carried the baseline between batches.
+  // Every call ran as a batch and the cache carried the baseline between
+  // them.
   const HistogramSummary batches = service.metrics().histogram("batch_size");
   EXPECT_GT(batches.count, 0u);
   EXPECT_GT(service.metrics().counter("plan_cache_hits_total"), 0u);

@@ -1,10 +1,9 @@
 // SchedulerService core behavior: admission decisions, quotes, plan cache
-// integration, complete/cancel, snapshot round trip, drain/shutdown.
+// integration, complete/cancel, snapshot round trip.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,24 +19,23 @@ namespace {
 
 PowerModel test_power() { return PowerModel(/*alpha=*/3.0, /*static_power=*/0.1); }
 
-ServiceOptions manual_options(double f_max = kInf) {
+ServiceOptions service_options(double f_max = kInf) {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = f_max;
-  options.manual_dispatch = true;
   return options;
 }
 
 TEST(SchedulerServiceTest, AdmitsFeasibleTasksAndQuotesMarginalEnergy) {
-  SchedulerService service(test_power(), manual_options());
-  const ServiceDecision first = service.submit_wait(Task{0.0, 10.0, 8.0});
+  SchedulerService service(test_power(), service_options());
+  const ServiceDecision first = service.submit(Task{0.0, 10.0, 8.0});
   ASSERT_TRUE(first.admission.admitted);
   EXPECT_EQ(first.id, 0);
   EXPECT_DOUBLE_EQ(first.admission.energy_before, 0.0);
   EXPECT_GT(first.admission.energy_after, 0.0);
   EXPECT_DOUBLE_EQ(first.admission.marginal_energy, first.admission.energy_after);
 
-  const ServiceDecision second = service.submit_wait(Task{2.0, 18.0, 14.0});
+  const ServiceDecision second = service.submit(Task{2.0, 18.0, 14.0});
   ASSERT_TRUE(second.admission.admitted);
   EXPECT_EQ(second.id, 1);
   EXPECT_DOUBLE_EQ(second.admission.energy_before, first.admission.energy_after);
@@ -46,14 +44,14 @@ TEST(SchedulerServiceTest, AdmitsFeasibleTasksAndQuotesMarginalEnergy) {
 }
 
 TEST(SchedulerServiceTest, RejectsMalformedAndOverloadedTasks) {
-  SchedulerService service(test_power(), manual_options(/*f_max=*/1.0));
-  const ServiceDecision malformed = service.submit_wait(Task{5.0, 5.0, 1.0});
+  SchedulerService service(test_power(), service_options(/*f_max=*/1.0));
+  const ServiceDecision malformed = service.submit(Task{5.0, 5.0, 1.0});
   EXPECT_FALSE(malformed.admission.admitted);
   EXPECT_EQ(malformed.id, -1);
   EXPECT_NE(malformed.admission.rejection_reason.find("malformed"), std::string::npos);
 
   // Intensity 2 > f_max = 1: cannot finish even running alone.
-  const ServiceDecision hopeless = service.submit_wait(Task{0.0, 1.0, 2.0});
+  const ServiceDecision hopeless = service.submit(Task{0.0, 1.0, 2.0});
   EXPECT_FALSE(hopeless.admission.admitted);
   EXPECT_NE(hopeless.admission.rejection_reason.find("frequency ceiling"), std::string::npos);
   EXPECT_EQ(service.committed_count(), 0u);
@@ -62,13 +60,13 @@ TEST(SchedulerServiceTest, RejectsMalformedAndOverloadedTasks) {
 TEST(SchedulerServiceTest, RejectionsMatchStandaloneAdmitTask) {
   const PowerModel power = test_power();
   const double f_max = 1.0;
-  SchedulerService service(power, manual_options(f_max));
+  SchedulerService service(power, service_options(f_max));
   // Saturate a 2-core window [0, 10] at f_max = 1 (capacity 20 work units).
   std::vector<Task> stream = {Task{0.0, 10.0, 9.0}, Task{0.0, 10.0, 9.0},
                               Task{0.0, 10.0, 9.0}, Task{1.0, 9.0, 4.0}};
   std::vector<Task> committed;
   for (const Task& t : stream) {
-    const ServiceDecision got = service.submit_wait(t);
+    const ServiceDecision got = service.submit(t);
     const AdmissionDecision want =
         admit_task(TaskSet(committed), t, /*cores=*/2, power, f_max);
     EXPECT_EQ(got.admission.admitted, want.admitted);
@@ -81,8 +79,8 @@ TEST(SchedulerServiceTest, RejectionsMatchStandaloneAdmitTask) {
 }
 
 TEST(SchedulerServiceTest, QuoteDoesNotCommitAndWarmsTheCacheForAdmit) {
-  SchedulerService service(test_power(), manual_options());
-  ASSERT_TRUE(service.submit_wait(Task{0.0, 10.0, 8.0}).admission.admitted);
+  SchedulerService service(test_power(), service_options());
+  ASSERT_TRUE(service.submit(Task{0.0, 10.0, 8.0}).admission.admitted);
   const Task candidate{2.0, 18.0, 14.0};
 
   const AdmissionDecision quoted = service.quote(candidate);
@@ -90,7 +88,7 @@ TEST(SchedulerServiceTest, QuoteDoesNotCommitAndWarmsTheCacheForAdmit) {
   EXPECT_EQ(service.committed_count(), 1u);
 
   const std::uint64_t misses_before = service.metrics().counter("plan_cache_misses_total");
-  const ServiceDecision admitted = service.submit_wait(candidate);
+  const ServiceDecision admitted = service.submit(candidate);
   ASSERT_TRUE(admitted.admission.admitted);
   // The quote already planned committed+candidate, so the admit re-plans
   // nothing: no new cache miss.
@@ -99,8 +97,8 @@ TEST(SchedulerServiceTest, QuoteDoesNotCommitAndWarmsTheCacheForAdmit) {
 }
 
 TEST(SchedulerServiceTest, RepeatedPlanReadsHitTheCache) {
-  SchedulerService service(test_power(), manual_options());
-  ASSERT_TRUE(service.submit_wait(Task{0.0, 10.0, 8.0}).admission.admitted);
+  SchedulerService service(test_power(), service_options());
+  ASSERT_TRUE(service.submit(Task{0.0, 10.0, 8.0}).admission.admitted);
   const double energy = service.current_energy();
   const std::uint64_t misses_before = service.metrics().counter("plan_cache_misses_total");
   for (int i = 0; i < 5; ++i) {
@@ -112,9 +110,9 @@ TEST(SchedulerServiceTest, RepeatedPlanReadsHitTheCache) {
 }
 
 TEST(SchedulerServiceTest, CompleteAndCancelInvalidateThePlan) {
-  SchedulerService service(test_power(), manual_options());
-  const ServiceDecision a = service.submit_wait(Task{0.0, 10.0, 8.0});
-  const ServiceDecision b = service.submit_wait(Task{2.0, 18.0, 14.0});
+  SchedulerService service(test_power(), service_options());
+  const ServiceDecision a = service.submit(Task{0.0, 10.0, 8.0});
+  const ServiceDecision b = service.submit(Task{2.0, 18.0, 14.0});
   const double both = service.current_energy();
 
   ASSERT_TRUE(service.complete(a.id));
@@ -131,10 +129,10 @@ TEST(SchedulerServiceTest, CompleteAndCancelInvalidateThePlan) {
 }
 
 TEST(SchedulerServiceTest, PlanIsValidForCommittedSet) {
-  SchedulerService service(test_power(), manual_options());
-  service.submit_wait(Task{0.0, 10.0, 8.0});
-  service.submit_wait(Task{2.0, 18.0, 14.0});
-  service.submit_wait(Task{5.0, 12.0, 6.0});
+  SchedulerService service(test_power(), service_options());
+  service.submit(Task{0.0, 10.0, 8.0});
+  service.submit(Task{2.0, 18.0, 14.0});
+  service.submit(Task{5.0, 12.0, 6.0});
   const TaskSet committed = service.committed_task_set();
   const Schedule plan = service.current_plan();
   const ValidationReport report = plan.validate(committed, 1e-6);
@@ -146,9 +144,9 @@ TEST(SchedulerServiceTest, PlanIsValidForCommittedSet) {
 }
 
 TEST(SchedulerServiceTest, MetricsDumpCoversTheServiceCounters) {
-  SchedulerService service(test_power(), manual_options(/*f_max=*/1.0));
-  service.submit_wait(Task{0.0, 10.0, 8.0});
-  service.submit_wait(Task{0.0, 10.0, 30.0});  // infeasible at f_max on 2 cores
+  SchedulerService service(test_power(), service_options(/*f_max=*/1.0));
+  service.submit(Task{0.0, 10.0, 8.0});
+  service.submit(Task{0.0, 10.0, 30.0});  // infeasible at f_max on 2 cores
   const std::string dump = service.metrics().dump();
   EXPECT_NE(dump.find("counter admitted_total 1"), std::string::npos);
   EXPECT_NE(dump.find("counter rejected_total 1"), std::string::npos);
@@ -159,9 +157,9 @@ TEST(SchedulerServiceTest, MetricsDumpCoversTheServiceCounters) {
 }
 
 TEST(SchedulerServiceTest, SnapshotRoundTripsThroughText) {
-  SchedulerService service(test_power(), manual_options());
-  service.submit_wait(Task{0.0, 10.0, 8.0});
-  service.submit_wait(Task{2.0, 18.0, 14.0});
+  SchedulerService service(test_power(), service_options());
+  service.submit(Task{0.0, 10.0, 8.0});
+  service.submit(Task{2.0, 18.0, 14.0});
   service.complete(0);  // leave a gap in the id space
 
   const ServiceSnapshot snap = service.snapshot();
@@ -180,12 +178,12 @@ TEST(SchedulerServiceTest, SnapshotRejectsMalformedDocuments) {
 }
 
 TEST(SchedulerServiceTest, RestoredServiceResumesWithIdsAndPlanIntact) {
-  SchedulerService original(test_power(), manual_options());
-  original.submit_wait(Task{0.0, 10.0, 8.0});
-  original.submit_wait(Task{2.0, 18.0, 14.0});
+  SchedulerService original(test_power(), service_options());
+  original.submit(Task{0.0, 10.0, 8.0});
+  original.submit(Task{2.0, 18.0, 14.0});
   const ServiceSnapshot snap = original.snapshot();
 
-  SchedulerService restored(snap, test_power(), manual_options());
+  SchedulerService restored(snap, test_power(), service_options());
   EXPECT_EQ(restored.committed_count(), 2u);
   EXPECT_EQ(restored.committed_ids(), (std::vector<TaskId>{0, 1}));
   // The plan is re-derived from the restored set, bit-identical to the
@@ -193,36 +191,9 @@ TEST(SchedulerServiceTest, RestoredServiceResumesWithIdsAndPlanIntact) {
   EXPECT_EQ(restored.current_energy(), original.current_energy());
 
   // New admissions continue the id sequence rather than reusing ids.
-  const ServiceDecision next = restored.submit_wait(Task{1.0, 30.0, 5.0});
+  const ServiceDecision next = restored.submit(Task{1.0, 30.0, 5.0});
   ASSERT_TRUE(next.admission.admitted);
   EXPECT_EQ(next.id, 2);
-}
-
-TEST(SchedulerServiceTest, ThreadedServiceDrainsAndShutsDownGracefully) {
-  ServiceOptions options;
-  options.cores = 2;
-  options.batch_window = std::chrono::microseconds(100);
-  SchedulerService service(test_power(), options);
-  std::vector<std::future<ServiceDecision>> futures;
-  futures.reserve(20);
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(service.submit(Task{static_cast<double>(i), 100.0 + i, 3.0}));
-  }
-  service.drain();
-  for (auto& f : futures) {
-    EXPECT_TRUE(f.get().admission.admitted);
-  }
-  service.shutdown();
-  EXPECT_THROW(service.submit(Task{0.0, 1.0, 0.5}), std::runtime_error);
-  service.shutdown();  // idempotent
-  EXPECT_EQ(service.committed_count(), 20u);
-}
-
-TEST(SchedulerServiceTest, ShutdownDecidesQueuedRequests) {
-  SchedulerService service(test_power(), manual_options());
-  auto fut = service.submit(Task{0.0, 10.0, 4.0});
-  service.shutdown();  // manual mode: shutdown pumps the queue
-  EXPECT_TRUE(fut.get().admission.admitted);
 }
 
 }  // namespace

@@ -353,6 +353,54 @@ TEST(SupervisorTest, RidsTheJournalCannotStoreAreRejectedBeforeAnything) {
   }
 }
 
+TEST(SupervisorTest, CrashInsideAMultiChunkBatchAnswersOnlyTheFinishedChunks) {
+  // 150 items are decided in three chunks of max_batch = 64. The kill fires
+  // right after the 100th admit is journaled, inside the second chunk: the
+  // first chunk's acks reach the caller, every later item comes back
+  // unavailable, and a same-rid retry finds the journaled admits instead of
+  // committing them twice.
+  SupervisorOptions options = fleet_options("sup_chunk_crash", 1);
+  options.brownout_enabled = false;
+  ASSERT_EQ(options.service.max_batch, 64u);
+  Supervisor supervisor(test_power(), options);
+  std::vector<Supervisor::BatchItem> items;
+  for (int i = 0; i < 150; ++i) {
+    items.push_back({"t", rich_task(i), "req-" + std::to_string(i)});
+  }
+
+  {
+    FaultInjector injector(FaultPlan::parse("kill:journal.admit.post@100"));
+    faults::FaultScope scope(injector);
+    const std::vector<ServiceDecision> first = supervisor.submit_batch(items);
+    ASSERT_EQ(first.size(), items.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      SCOPED_TRACE(i);
+      if (i < 64) {
+        EXPECT_TRUE(first[i].admission.admitted);
+        EXPECT_EQ(first[i].id, static_cast<TaskId>(i));
+      } else {
+        EXPECT_FALSE(first[i].admission.admitted);
+        EXPECT_EQ(first[i].error_kind, AdmissionErrorKind::kUnavailable);
+      }
+    }
+    EXPECT_FALSE(supervisor.shard(0).up());
+    EXPECT_EQ(supervisor.shard(0).stats().crashes_contained, 1u);
+  }
+
+  const std::vector<ServiceDecision> retry = supervisor.submit_batch(items);
+  ASSERT_EQ(retry.size(), items.size());
+  std::vector<TaskId> expected_ids;
+  for (std::size_t i = 0; i < retry.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(retry[i].admission.admitted);
+    // Ids are handed out in item order, so item i holds id i either way.
+    EXPECT_EQ(retry[i].id, static_cast<TaskId>(i));
+    EXPECT_EQ(retry[i].deduplicated, i < 100);
+    expected_ids.push_back(static_cast<TaskId>(i));
+  }
+  EXPECT_EQ(supervisor.shard(0).committed_ids(), expected_ids);
+}
+
 // Shard k's options exactly as `Supervisor` derives them for `options`.
 ShardOptions shard_options_of(const SupervisorOptions& options, std::size_t k) {
   ShardOptions shard;
