@@ -3,7 +3,8 @@
 
 Usage:
     check_regression.py --baseline BENCH_pipeline.json --candidate out.json \
-                        [--threshold 0.25] [--strict-context]
+                        [--threshold 0.25] [--strict-context] \
+                        [--ratio '[FIELD:]A/B>=X' ...]
 
 Policy (the CI perf gate):
   * Benchmarks are matched by name. For runs with repetitions, the `median`
@@ -16,6 +17,11 @@ Policy (the CI perf gate):
     so mismatched contexts downgrade every regression to a warning.
   * Missing benchmarks (in either direction) warn — renames should update
     the baseline in the same PR.
+  * A --ratio 'A/B>=X' (or '<=') divides row A's value by row B's within the
+    candidate run alone, so it holds on any host: a failed ratio, or a row
+    it names that the candidate lacks, fails the gate whatever the host
+    context. The value is cpu_time unless a FIELD prefix names another
+    (`real_time`, `items_per_second`).
 
 The exit code is the contract; the report on stdout is for the CI log.
 """
@@ -66,6 +72,36 @@ def metric(entry):
     return float(entry["cpu_time"]), entry.get("time_unit", "ns")
 
 
+RATIO_FIELDS = ("cpu_time", "real_time", "items_per_second")
+
+
+def check_ratio(expr, entries):
+    """Evaluate one --ratio against the candidate's rows: (ok, report line)."""
+    for op in (">=", "<="):
+        if op in expr:
+            names, bound = expr.rsplit(op, 1)
+            break
+    else:
+        return False, f"ratio {expr!r} needs '>=' or '<='"
+    field, sep, rest = names.partition(":")
+    if sep and field in RATIO_FIELDS:
+        names = rest
+    else:
+        field = "cpu_time"
+    # Row names contain '/', so split where both halves name a row.
+    for i, ch in enumerate(names):
+        a, b = names[:i].strip(), names[i + 1:].strip()
+        if ch == "/" and a in entries and b in entries:
+            break
+    else:
+        return False, f"ratio {expr!r}: the candidate run lacks a row it names"
+    if field not in entries[a] or field not in entries[b]:
+        return False, f"ratio {expr!r}: a row has no {field}"
+    value = float(entries[a][field]) / float(entries[b][field])
+    ok = value >= float(bound) if op == ">=" else value <= float(bound)
+    return ok, f"ratio {a} / {b} ({field}) = {value:.3f}, want {op} {float(bound):g}"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True, help="checked-in BENCH_*.json")
@@ -78,6 +114,9 @@ def main(argv=None):
                         help="benchmark name (or prefix) that must be present in both "
                              "runs; missing coverage fails the gate even on a "
                              "mismatched host (repeatable)")
+    parser.add_argument("--ratio", action="append", default=[], metavar="[FIELD:]A/B>=X",
+                        help="ratio of two candidate rows that must hold on any host; "
+                             "'<=' also accepted (repeatable)")
     args = parser.parse_args(argv)
 
     baseline = load(args.baseline)
@@ -151,6 +190,14 @@ def main(argv=None):
 
     for w in warnings:
         print(f"warning: {w}")
+    failed_ratios = 0
+    for expr in args.ratio:
+        ok, report = check_ratio(expr, cand_entries)
+        print(f"{report}: {'OK' if ok else 'FAIL'}")
+        failed_ratios += not ok
+    if failed_ratios:
+        print(f"FAIL: {failed_ratios} ratio(s) do not hold in the candidate run")
+        return 1
     for name, ratio in improvements:
         print(f"note: {name} improved {ratio:.2f}x vs baseline — "
               "consider refreshing the checked-in baseline")

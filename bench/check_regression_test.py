@@ -27,6 +27,12 @@ def bench(name, cpu_time):
             "time_unit": "ns"}
 
 
+def rate(name, cpu_time, items_per_second):
+    entry = bench(name, cpu_time)
+    entry["items_per_second"] = items_per_second
+    return entry
+
+
 def median(run_name, cpu_time):
     return {"name": run_name + "_median", "run_name": run_name,
             "run_type": "aggregate", "aggregate_name": "median",
@@ -105,6 +111,37 @@ class CheckRegressionTest(unittest.TestCase):
         cand = self._write("c.json", [bench("BM_A", 100.0)],
                            context=OTHER_CONTEXT)
         self.assertEqual(self._run(base, cand, "--strict-context"), 1)
+
+    def test_ratio_passes(self):
+        rows = [rate("BM_Batched/16", 400.0, 40000.0), rate("BM_Loopback/1", 100.0, 10000.0)]
+        base = self._write("b.json", rows)
+        cand = self._write("c.json", rows)
+        self.assertEqual(self._run(base, cand, "--ratio",
+                                   "items_per_second:BM_Batched/16/BM_Loopback/1>=2"), 0)
+
+    def test_ratio_fails(self):
+        rows = [bench("BM_Supervised/64", 120.0), bench("BM_Journaled/64", 100.0)]
+        base = self._write("b.json", rows)
+        cand = self._write("c.json", rows)
+        self.assertEqual(self._run(base, cand, "--ratio",
+                                   "BM_Supervised/64/BM_Journaled/64<=1.1"), 1)
+
+    def test_ratio_fails_when_a_row_is_missing(self):
+        base = self._write("b.json", [bench("BM_A", 100.0), bench("BM_B", 50.0)])
+        cand = self._write("c.json", [bench("BM_A", 100.0)])
+        self.assertEqual(self._run(base, cand, "--ratio", "BM_A/BM_B>=1"), 1)
+
+    def test_ratio_catches_a_2x_slowdown_on_a_foreign_host(self):
+        # The baseline gate only warns on a foreign host; a ratio within the
+        # candidate run still fails when one layer doubles.
+        base = self._write("b.json", [bench("BM_Full/n:10000", 450.0),
+                                      bench("BM_Delta/n:10000", 50.0)])
+        cand = self._write("c.json", [bench("BM_Full/n:10000", 450.0),
+                                      bench("BM_Delta/n:10000", 100.0)],
+                           context=OTHER_CONTEXT)
+        self.assertEqual(self._run(base, cand), 0)
+        self.assertEqual(self._run(base, cand, "--ratio",
+                                   "BM_Full/n:10000/BM_Delta/n:10000>=5"), 1)
 
 
 if __name__ == "__main__":

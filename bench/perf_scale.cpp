@@ -21,13 +21,22 @@
 // Both amortize the per-round-trip cost the per-frame bench pays in full;
 // the perf gate requires the batched row to hold its win over
 // BM_LoopbackAdmission/1.
+//
+// BM_ShardScaledAdmission is the shard-scaling row: S connections × S
+// shards with S op workers, each connection driving its own shard, all in
+// flight at once. BM_LoopbackAdmission keeps one request in flight, so extra
+// shards cannot show there; the /4 over /1 admissions/s ratio is the
+// scaling the shard fleet buys on the host.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <filesystem>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "easched/common/rng.hpp"
@@ -53,7 +62,6 @@ SupervisorOptions fleet_options(const std::string& name, std::size_t shards) {
   std::filesystem::create_directories(options.data_dir);
   options.service.cores = 2;
   options.service.f_max = kInf;
-  options.service.use_thread_pool = false;  // planning stays on the op worker
   return options;
 }
 
@@ -222,6 +230,89 @@ void BM_PipelinedAdmission(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelinedAdmission)
     ->Arg(32)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// Per-frame admit + complete, as in BM_LoopbackAdmission, on `shards`
+// connections at once. Each connection's tenant is picked through
+// `Supervisor::route` so its load lands on its own shard; an iteration is
+// `kRound` admits per connection, driven by one thread per connection.
+void BM_ShardScaledAdmission(benchmark::State& state) {
+  constexpr int kRound = 16;
+  const auto shards = static_cast<std::size_t>(state.range(0));
+  Supervisor supervisor(bench_power(), fleet_options("k" + std::to_string(shards), shards));
+  net::FrontEndOptions front_options;
+  front_options.workers = shards;
+  net::FrontEnd front_end(supervisor, front_options);
+  front_end.start();
+
+  std::vector<std::string> tenants(shards);
+  for (std::size_t found = 0, i = 0; found < shards; ++i) {
+    const std::string tenant = "tenant-" + std::to_string(i);
+    std::string& owner = tenants[supervisor.route(tenant)];
+    if (owner.empty()) {
+      owner = tenant;
+      ++found;
+    }
+  }
+
+  // Drivers meet the timing thread twice per iteration: once to start a
+  // round, once when every connection has finished it.
+  std::barrier sync(static_cast<std::ptrdiff_t>(shards + 1));
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::jthread> drivers;
+  for (std::size_t k = 0; k < shards; ++k) {
+    drivers.emplace_back([&, k] {
+      net::BlockingClient client;
+      client.connect("127.0.0.1", front_end.port());
+      Rng rng(Rng::seed_of("perf-scale-shards", shards, k));
+      std::uint64_t sequence = 0;
+      for (;;) {
+        sync.arrive_and_wait();
+        if (stop.load()) return;
+        for (int r = 0; r < kRound && !failed.load(); ++r) {
+          net::AdmitRequest admit;
+          admit.tenant = tenants[k];
+          admit.rid = "perfk-" + std::to_string(k) + "-" + std::to_string(sequence++);
+          const double release = rng.uniform(0.0, 5.0);
+          admit.task = Task{release, release + 20.0, rng.uniform(0.5, 1.5)};
+          const net::AdmitResponse response = client.admit(admit);
+          if (response.status != net::Status::kOk) {
+            failed.store(true);
+            break;
+          }
+          net::TaskOpRequest done;
+          done.tenant = admit.tenant;
+          done.id = response.id;
+          benchmark::DoNotOptimize(client.complete_task(done));
+        }
+        sync.arrive_and_wait();
+      }
+    });
+  }
+  for (auto _ : state) {
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+    if (failed.load()) {
+      state.SkipWithError("admit failed");
+      break;
+    }
+  }
+  stop.store(true);
+  sync.arrive_and_wait();
+  drivers.clear();
+
+  const double admits =
+      static_cast<double>(state.iterations()) * static_cast<double>(shards) * kRound;
+  state.SetItemsProcessed(static_cast<std::int64_t>(admits));
+  state.counters["admissions_per_s"] = benchmark::Counter(admits, benchmark::Counter::kIsRate);
+  front_end.stop();
+}
+BENCHMARK(BM_ShardScaledAdmission)
+    ->Arg(1)
+    ->Arg(4)
     ->MeasureProcessCPUTime()
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);

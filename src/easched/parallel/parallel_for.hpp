@@ -9,9 +9,9 @@
 ///  * **No deadlock under nesting.** A job already running on a pool worker
 ///    may call `parallel_for` on the same pool; if every worker is busy the
 ///    caller simply executes all chunks itself. This is what lets the
-///    scheduling kernel, the Monte-Carlo harness, and `SchedulerService`
-///    batch jobs share one machine-wide thread budget without reserving
-///    threads for each other or oversubscribing the host.
+///    scheduling kernel and the Monte-Carlo harness share one machine-wide
+///    thread budget without reserving threads for each other or
+///    oversubscribing the host.
 ///  * **No idle caller.** The submitting thread is always one of the
 ///    executors, so a pool of `k` workers yields up to `k + 1` lanes.
 ///

@@ -25,9 +25,8 @@ namespace easched {
 
 /// A fixed-size thread pool.
 ///
-/// **Exception contract** (load-bearing for `SchedulerService`, which runs
-/// batch admission jobs on this pool): a job that throws never terminates a
-/// worker or the process. The exception is captured into the shared state
+/// **Exception contract**: a job that throws never terminates a worker or
+/// the process. The exception is captured into the shared state
 /// of the future returned by `submit()` and rethrown from `future::get()`;
 /// if the caller discards the future, the exception is silently dropped
 /// with the shared state. Workers keep serving subsequent jobs either way.

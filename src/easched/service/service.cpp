@@ -428,7 +428,7 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
     const auto delta_started = std::chrono::steady_clock::now();
     try {
       DeltaOutcome outcome;
-      DeltaPlan delta = delta_planner_->plan_to(task_set, kernel_exec(), &outcome);
+      DeltaPlan delta = delta_planner_->plan_to(task_set, Exec::serial(), &outcome);
       const ValidationReport report = delta.schedule.validate(task_set);
       if (report.ok && std::isfinite(delta.energy)) {
         const double spent = elapsed_us(delta_started);
@@ -459,7 +459,7 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
   plan_span.arg("tasks", static_cast<double>(live.size()));
   const auto plan_started = std::chrono::steady_clock::now();
   const FallbackPlan planned =
-      plan_with_fallback(task_set, options_.cores, power_, fallback_options(), kernel_exec());
+      plan_with_fallback(task_set, options_.cores, power_, fallback_options(), Exec::serial());
   metrics_.observe_bucketed(plan_latency_metric(planned.outcome.served),
                             elapsed_us(plan_started));
   plan_span.set_status(plan_rung_name(planned.outcome.served).data());
@@ -540,11 +540,6 @@ void SchedulerService::replay_journal_locked() {
     metrics_.increment("journal_corruption_total", recovery.corruptions.size());
   }
   metrics_.set_gauge("journal_recovered_tasks", static_cast<double>(recovery.committed.size()));
-}
-
-Exec SchedulerService::kernel_exec() const {
-  if (!options_.use_thread_pool) return Exec::serial();
-  return options_.pool != nullptr ? Exec::on(*options_.pool) : Exec::global();
 }
 
 AdmissionDecision SchedulerService::evaluate_locked(const Task& candidate,

@@ -30,10 +30,11 @@
 ///     admits/completions/cancellations change the signature and thereby
 ///     invalidate structurally.
 ///
-///  3. **Shared compute.** Planning kernels fan out over the existing
-///     `ThreadPool` (`ServiceOptions::pool`), so many service instances (or
-///     a service plus the Monte-Carlo harness) share one machine-wide
-///     worker budget.
+///  3. **Planning on the caller's thread.** Every plan (delta path,
+///     fallback chain, quotes, `current_plan`) runs serially on the thread
+///     that holds the state lock: at a shard's sizes, fanning the kernel
+///     out over a pool costs more than the work it splits. Parallelism
+///     comes from running many services (shards) side by side.
 ///
 /// The service also supports snapshot/restore (`snapshot.hpp`), so a
 /// restarted daemon resumes its commitments mid-horizon.
@@ -91,8 +92,6 @@ class PlanningError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-class ThreadPool;
-
 /// Tunables of a `SchedulerService`.
 struct ServiceOptions {
   int cores = 4;
@@ -106,11 +105,6 @@ struct ServiceOptions {
   std::size_t cache_capacity = 128;
   /// Quantization grain of the plan-cache signature.
   double signature_quantum = 1e-6;
-  /// Fan the planning kernel out over `ThreadPool::global()` (or `pool`).
-  /// The kernel shares that one worker budget — a planning pass never
-  /// spawns threads of its own — and its plans are bit-identical to serial
-  /// planning at any pool size.
-  bool use_thread_pool = true;
   /// Try the exact convex solve as the top rung of every planning pass,
   /// falling back to F2 → F1 when it fails or runs out of budget. Off by
   /// default: the heuristic-only chain reproduces the pre-fallback plans
@@ -137,16 +131,7 @@ struct ServiceOptions {
   /// journaling. On construction the journal is replayed — on top of the
   /// snapshot, when resuming from one — before any request is served.
   std::string journal_path;
-  /// Run planning kernels on this pool instead of
-  /// `ThreadPool::global()`. Lets owners give each service instance —
-  /// supervisor shards, tests at pools {1, 2, 8} — its own worker budget;
-  /// plans are bit-identical at any pool size (the `Exec` contract).
-  /// Ignored when `use_thread_pool` is false. Not owned; must outlive the
-  /// service.
-  ThreadPool* pool = nullptr;
 };
-
-struct Exec;
 
 /// The batched admission daemon. Thread-safe: any number of client threads
 /// may call `submit`, `submit_batch`, `quote`, `complete`, `cancel`, and the
@@ -316,10 +301,6 @@ class SchedulerService {
   AdmissionDecision evaluate_locked(const Task& candidate, double energy_before,
                                     bool commit, TaskId* out_id,
                                     PlanRung* out_rung = nullptr);
-  /// Execution context for planning kernels: the global pool when
-  /// `use_thread_pool` is set, serial otherwise — one shared thread budget,
-  /// never a private one.
-  Exec kernel_exec() const;
   void refresh_gauges_locked();
 
   PowerModel power_;

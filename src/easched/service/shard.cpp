@@ -1,7 +1,8 @@
 #include "easched/service/shard.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <filesystem>
+#include <stdexcept>
 #include <utility>
 
 #include "easched/common/contracts.hpp"
@@ -307,11 +308,14 @@ bool ServiceShard::start_service_locked(BringUpOrder* order) {
     ServiceOptions service_options = options_.service;
     service_options.journal_path = options_.journal_path;
     std::optional<ServiceSnapshot> base;
-    if (!options_.snapshot_path.empty()) {
-      std::ifstream probe(options_.snapshot_path);
-      if (probe.is_open()) {
-        probe.close();
+    if (!options_.snapshot_path.empty() && std::filesystem::exists(options_.snapshot_path)) {
+      try {
         base = read_snapshot(options_.snapshot_path);
+      } catch (const std::runtime_error&) {
+        // The journal alone holds the live set, `next` and the dedup ledger
+        // (compaction writes all three), so a damaged snapshot is skipped;
+        // the bring-up below writes a fresh one.
+        ++stats_.snapshot_discards;
       }
     }
     // Mid-restart crash site: the snapshot is loaded, the journal replay

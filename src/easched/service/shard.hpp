@@ -5,11 +5,11 @@
 ///        crash-containment boundary with automatic snapshot+journal
 ///        recovery and a per-shard brownout ladder.
 ///
-/// A shard is the supervisor's unit of failure. It owns a private
-/// `SchedulerService` (own journal path, own snapshot file, own plan cache,
-/// own kernel `Exec` via `ServiceOptions::pool`) and calls it under the
-/// shard lock, so every operation is decided synchronously on the caller's
-/// thread with deterministic crash points.
+/// A shard is the supervisor's unit of failure and of parallelism. It owns
+/// a private `SchedulerService` (own journal path, own snapshot file, own
+/// plan cache) and calls it under the shard lock, so every operation is
+/// decided and planned synchronously on the caller's thread with
+/// deterministic crash points.
 ///
 /// **Crash containment.** Service code never swallows `InjectedCrash`; the
 /// shard is the layer that finally catches it. A crash tears down the inner
@@ -24,13 +24,15 @@
 /// **Recovery.** Restart rebuilds the service from its snapshot file plus
 /// the journal replayed over it once — every acked admit survives, and the
 /// journal's rid→id records make retried acks dedup instead of
-/// double-committing. A torn tail left by a mid-append crash is cut before
-/// the first append. A `Supervisor` brings all its shards up at once, each
-/// on its own thread (snapshot load, journal replay, service construction
-/// and bring-up snapshot side by side), so a fleet restart costs its slowest
-/// shard; a `BringUpOrder` keeps the restart kill points in shard order.
-/// Restart plans nothing: the first request routed to the shard plans the
-/// recovered set. It writes a snapshot of the recovered state, but rewrites the journal only when the journal needs it: replay
+/// double-committing. An unreadable snapshot is skipped, since the journal
+/// alone holds the whole state. A torn tail left by a mid-append crash is
+/// cut before the first append. A `Supervisor` brings all its shards up at
+/// once, each on its own thread (snapshot load, journal replay, service
+/// construction and bring-up snapshot side by side), so a fleet restart
+/// costs its slowest shard; a `BringUpOrder` keeps the restart kill points
+/// in shard order. Restart plans nothing: the first request routed to the
+/// shard plans the recovered set. It writes a snapshot of the recovered
+/// state, but rewrites the journal only when the journal needs it: replay
 /// skipped mid-file corrupt records (compaction drops them), or the journal
 /// is past the compaction threshold — the same threshold every served op
 /// checks: `max(journal_compact_bytes, 2 × the last compacted size)`. So
@@ -94,6 +96,7 @@ struct ShardStats {
   std::uint64_t brownout_sheds = 0;      ///< level-3 lowest-laxity sheds
   std::uint64_t compactions = 0;         ///< journal compactions
   std::uint64_t restart_failures = 0;    ///< restarts aborted by a crash mid-recovery
+  std::uint64_t snapshot_discards = 0;   ///< unreadable snapshots recovered around
 };
 
 /// Turn order for the restart kill points of shards brought up
@@ -123,7 +126,7 @@ class ServiceShard {
   /// (snapshot + journal recovery, like any restart). A crash injected at
   /// `shard.restart.replay` during this first bring-up leaves the shard
   /// down with an immediate retry, so the first routed op brings it up;
-  /// any other bring-up failure (say, an unreadable snapshot) throws. With
+  /// any other bring-up failure (say, an unreadable journal) throws. With
   /// `order`, the restart kill points wait for this shard's turn (see
   /// `BringUpOrder`), so the shards of one fleet can be built on
   /// concurrent threads.

@@ -1,6 +1,7 @@
 #include "easched/service/snapshot.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -171,7 +172,12 @@ ServiceSnapshot snapshot_from_text(const std::string& text) {
 }
 
 void write_snapshot(const std::string& path, const ServiceSnapshot& snapshot) {
-  write_file(path, snapshot_to_text(snapshot));
+  // A crash mid-write leaves the old snapshot or the new one, never a torn one.
+  const std::string temp_path = path + ".tmp";
+  write_file(temp_path, snapshot_to_text(snapshot));
+  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error("snapshot rename failed: " + path);
+  }
 }
 
 ServiceSnapshot read_snapshot(const std::string& path) {

@@ -51,7 +51,8 @@ std::string snapshot_to_text(const ServiceSnapshot& snapshot);
 /// input (bad header, id/task count mismatch, malformed task rows).
 ServiceSnapshot snapshot_from_text(const std::string& text);
 
-/// File-based convenience wrappers.
+/// File-based convenience wrappers. `write_snapshot` writes a temp file in
+/// the same directory and renames it over `path`.
 void write_snapshot(const std::string& path, const ServiceSnapshot& snapshot);
 ServiceSnapshot read_snapshot(const std::string& path);
 

@@ -283,6 +283,7 @@ MetricsSnapshot Supervisor::metrics_snapshot() const {
     merged.counters[prefix + "brownout_sheds_total"] = s.brownout_sheds;
     merged.counters[prefix + "compactions_total"] = s.compactions;
     merged.counters[prefix + "restart_failures_total"] = s.restart_failures;
+    merged.counters[prefix + "snapshot_discards_total"] = s.snapshot_discards;
 
     const MetricsSnapshot inner = shard.metrics_snapshot();
     for (const auto& [name, value] : inner.counters) merged.counters[prefix + name] = value;

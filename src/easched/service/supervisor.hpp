@@ -63,8 +63,7 @@ struct SupervisorOptions {
   /// contract across restarts.
   std::string data_dir;
   /// Inner-service template applied to every shard (`journal_path`
-  /// replaced per shard). Set `ServiceOptions::pool` here to give the
-  /// whole fleet one worker budget.
+  /// replaced per shard).
   ServiceOptions service;
   /// Brownout watermarks applied to every shard's ladder.
   BrownoutOptions brownout;

@@ -46,7 +46,6 @@ SupervisorOptions fleet_options(const std::string& name, std::size_t shards) {
   std::filesystem::create_directories(options.data_dir);
   options.service.cores = 2;
   options.service.f_max = kInf;
-  options.service.use_thread_pool = false;
   return options;
 }
 

@@ -5,8 +5,8 @@
 // plan), bit-exact record round-trips, that a restarted shard plans the set
 // it recovered rather than the one its snapshot saw, when a restart rewrites
 // the journal (mid-file corruption, or past the compaction threshold — never
-// a clean journal under it), and that a torn tail is cut before the next
-// append.
+// a clean journal under it), that a torn tail is cut before the next
+// append, and that a snapshot the shard cannot read is recovered around.
 
 #include <gtest/gtest.h>
 
@@ -46,7 +46,6 @@ SupervisorOptions one_shard(const std::string& data_dir) {
   options.data_dir = data_dir;
   options.service.cores = 2;
   options.service.f_max = kInf;
-  options.service.use_thread_pool = false;
   return options;
 }
 
@@ -342,7 +341,6 @@ ServiceOptions journaled(const std::string& wal) {
   ServiceOptions options;
   options.cores = 2;
   options.f_max = kInf;
-  options.use_thread_pool = false;
   options.journal_path = wal;
   return options;
 }
@@ -415,6 +413,73 @@ TEST(RestartTest, SupervisedShardCutsATornTailWithoutCompacting) {
   const ServiceDecision retry = fleet.submit("t", churn_task(2), "c");
   EXPECT_TRUE(retry.deduplicated);
   EXPECT_EQ(retry.id, c_id);
+}
+
+TEST(RestartTest, UnreadableSnapshotIsRecoveredFromTheJournalAlone) {
+  // A crash inside a snapshot write, or a damaged file, must not refuse the
+  // next start: the journal alone holds the live set, `next` and the dedup
+  // ledger, so the shard skips a snapshot it cannot read.
+  const SupervisorOptions options = one_shard(fresh_dir("restart_snapshot"));
+  {
+    Supervisor fleet(test_power(), options);
+    fill(fleet, "snap-", 30, {4, 9, 17});
+  }
+  {
+    // This bring-up snapshots the 27 live tasks; the ops after it are in
+    // the journal only.
+    Supervisor fleet(test_power(), options);
+    for (int i = 30; i < 40; ++i) {
+      ASSERT_TRUE(
+          fleet.submit("t", churn_task(i), "snap-" + std::to_string(i)).admission.admitted);
+    }
+    for (const TaskId id : {21, 33}) ASSERT_EQ(fleet.complete("t", id), std::optional<bool>(true));
+  }
+  const std::string text = read_bytes(options.data_dir + "/shard0.snap");
+  ASSERT_EQ(snapshot_from_text(text).committed.size(), 27u);
+  // The start of the tenth task row.
+  std::size_t row = text.find("release,deadline,work\n");
+  ASSERT_NE(row, std::string::npos);
+  for (int i = 0; i < 10; ++i) row = text.find('\n', row) + 1;
+
+  const auto copy_with_snapshot = [&](const std::string& name, const std::string& snapshot) {
+    SupervisorOptions copy = one_shard(fresh_dir(name));
+    std::filesystem::copy_file(options.data_dir + "/shard0.wal", copy.data_dir + "/shard0.wal");
+    std::ofstream(copy.data_dir + "/shard0.snap", std::ios::binary) << snapshot;
+    return copy;
+  };
+  std::vector<TaskId> live;
+  TaskSet live_tasks;
+  {
+    Supervisor intact(test_power(), copy_with_snapshot("restart_snapshot_intact", text));
+    ASSERT_EQ(intact.shard(0).stats().snapshot_discards, 0u);
+    live = intact.shard(0).committed_ids();
+    live_tasks = intact.shard(0).committed_task_set();
+  }
+  ASSERT_EQ(live.size(), 35u);
+
+  const std::vector<std::pair<std::string, std::string>> damages = {
+      {"mid_row", text.substr(0, text.find(',', row) + 2)},
+      {"row_boundary", text.substr(0, row)},
+      {"garbage", std::string(text.size(), '\xff')},
+  };
+  for (const auto& [label, snapshot] : damages) {
+    SCOPED_TRACE(label);
+    const SupervisorOptions copy = copy_with_snapshot("restart_snapshot_" + label, snapshot);
+    Supervisor fleet(test_power(), copy);
+    EXPECT_EQ(fleet.shard(0).stats().snapshot_discards, 1u);
+    EXPECT_NE(fleet.prometheus().find("shard0_snapshot_discards_total 1"), std::string::npos);
+    ASSERT_EQ(fleet.shard(0).committed_ids(), live);
+    const TaskSet tasks = fleet.shard(0).committed_task_set();
+    for (std::size_t i = 0; i < live.size(); ++i) expect_same_bits(tasks[i], live_tasks[i]);
+    // The bring-up replaced the damaged file with a readable one.
+    EXPECT_EQ(read_snapshot(copy.data_dir + "/shard0.snap").next_id, 40);
+    for (int i = 0; i < 40; ++i) {
+      const ServiceDecision retry = fleet.submit("t", churn_task(i), "snap-" + std::to_string(i));
+      EXPECT_TRUE(retry.deduplicated) << i;
+      EXPECT_EQ(retry.id, i);
+    }
+    EXPECT_EQ(fleet.submit("t", churn_task(40), "snap-40").id, 40);
+  }
 }
 
 }  // namespace

@@ -17,7 +17,6 @@ namespace {
 ServiceOptions service_options(bool incremental) {
   ServiceOptions options;
   options.cores = 2;
-  options.use_thread_pool = false;
   options.incremental = incremental;
   return options;
 }

@@ -1,7 +1,6 @@
 // Service-level fault tolerance: 100% exact-solver failure (every request
 // answered by a fallback rung or reasoned rejection, zero invalid plans),
-// structured error kinds, pool job failures, and the intake's fault hooks
-// and overload shed.
+// structured error kinds, and the intake's fault hooks and overload shed.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 
 #include "easched/common/math.hpp"
 #include "easched/faults/fault_injection.hpp"
-#include "easched/parallel/thread_pool.hpp"
 #include "easched/service/service.hpp"
 
 namespace easched {
@@ -105,29 +103,6 @@ TEST(ServiceFaultsTest, DecisionsCarryTheServingRung) {
     ASSERT_TRUE(decision.admission.admitted);
     EXPECT_EQ(decision.plan_rung, PlanRung::kExact);
   }
-}
-
-TEST(ServiceFaultsTest, InjectedPoolJobFailuresChangeNoDecision) {
-  // job_fail:p=1 makes every pool job throw before its body runs. Planning
-  // runs on the caller's thread, which claims every kernel chunk a failed
-  // pool job left behind, so each request is decided exactly as without
-  // the faults.
-  FaultInjector injector(FaultPlan::parse("job_fail:p=1"));
-  ThreadPool pool(2);  // joined before the injector its late jobs may read
-  ServiceOptions options = service_options();
-  options.pool = &pool;
-  SchedulerService reference(test_power(), options);
-  SchedulerService faulted(test_power(), options);
-  for (int i = 0; i < 20; ++i) {
-    const ServiceDecision expected = reference.submit(stream_task(i));
-    faults::FaultScope scope(injector);
-    const ServiceDecision got = faulted.submit(stream_task(i));
-    ASSERT_TRUE(got.admission.admitted);
-    EXPECT_EQ(got.id, expected.id);
-    EXPECT_EQ(got.admission.energy_after, expected.admission.energy_after);
-  }
-  EXPECT_GT(injector.fired(FaultSite::kJobFail), 0u);
-  EXPECT_EQ(faulted.current_plan().segments(), reference.current_plan().segments());
 }
 
 TEST(ServiceFaultsTest, DroppedRequestsAreAnsweredAndCounted) {

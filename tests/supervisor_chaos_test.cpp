@@ -2,9 +2,9 @@
 // schedule (crashes at every journal boundary, on arrival, and mid-restart-
 // replay) and once clean, with clients retrying unavailable ops under the
 // same rid. The recovered fleet must end bit-identical to the uninterrupted
-// run — same committed ids, same task sets, same plans, same energy — at
-// kernel pools of 1, 2, and 8 threads. A separate test drives 4x overload
-// through the brownout ladder and checks the fleet keeps accepting.
+// run — same committed ids, same task sets, same plans, same energy. A
+// separate test drives 4x overload through the brownout ladder and checks
+// the fleet keeps accepting.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "easched/common/math.hpp"
 #include "easched/common/rng.hpp"
 #include "easched/faults/fault_injection.hpp"
-#include "easched/parallel/thread_pool.hpp"
 #include "easched/service/supervisor.hpp"
 
 namespace easched {
@@ -27,7 +26,7 @@ constexpr std::size_t kShards = 2;
 constexpr int kOps = 60;
 constexpr std::uint64_t kStreamSeed = 20140811;  // ICPP'14 vintage
 
-SupervisorOptions chaos_options(const std::string& name, ThreadPool* pool) {
+SupervisorOptions chaos_options(const std::string& name) {
   SupervisorOptions options;
   options.shards = kShards;
   options.data_dir = ::testing::TempDir() + "/" + name;
@@ -35,8 +34,6 @@ SupervisorOptions chaos_options(const std::string& name, ThreadPool* pool) {
   std::filesystem::create_directories(options.data_dir);
   options.service.cores = 2;
   options.service.f_max = kInf;
-  options.service.use_thread_pool = pool != nullptr;
-  options.service.pool = pool;
   // The differential needs brownout OFF: the faulted run's retries add
   // extra pressure observations, so a live ladder would diverge between
   // the two runs by design, not by bug.
@@ -90,9 +87,8 @@ void expect_states_equal(const std::vector<ShardState>& faulted,
 /// four are submits (rid "op-<i>"); op 3 completes the oldest still-live ack.
 /// Unavailable answers are retried with the SAME rid until decided — the
 /// client behavior the journal's idempotent re-admission exists for.
-std::vector<ShardState> run_stream(const std::string& name, ThreadPool* pool,
-                                   const std::string& fault_spec) {
-  Supervisor supervisor(PowerModel(3.0, 0.1), chaos_options(name, pool));
+std::vector<ShardState> run_stream(const std::string& name, const std::string& fault_spec) {
+  Supervisor supervisor(PowerModel(3.0, 0.1), chaos_options(name));
 
   std::optional<FaultInjector> injector;
   std::optional<faults::FaultScope> scope;
@@ -158,27 +154,10 @@ const std::vector<std::pair<std::string, std::string>> kSchedules = {
 };
 
 TEST(SupervisorChaosTest, EveryCrashBoundaryRecoversToTheUninterruptedState) {
-  ThreadPool pool(2);
-  const std::vector<ShardState> clean = run_stream("chaos_clean_p2", &pool, "");
+  const std::vector<ShardState> clean = run_stream("chaos_clean", "");
   for (const auto& [label, spec] : kSchedules) {
-    const std::vector<ShardState> faulted = run_stream("chaos_" + label, &pool, spec);
+    const std::vector<ShardState> faulted = run_stream("chaos_" + label, spec);
     expect_states_equal(faulted, clean, label);
-  }
-}
-
-TEST(SupervisorChaosTest, RecoveryIsBitIdenticalAcrossKernelPoolSizes) {
-  // The Exec contract: plans are bit-identical at any pool size. Run the
-  // mixed storm at pools {1, 2, 8} and serial, and compare everything to
-  // the clean serial run — one differential closes over both crash
-  // recovery AND kernel parallelism.
-  const std::string storm = kSchedules.back().second;
-  const std::vector<ShardState> clean = run_stream("chaos_pool_clean", nullptr, "");
-
-  expect_states_equal(run_stream("chaos_pool_serial", nullptr, storm), clean, "serial");
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    const std::string label = "pool" + std::to_string(threads);
-    expect_states_equal(run_stream("chaos_" + label, &pool, storm), clean, label);
   }
 }
 
@@ -190,7 +169,6 @@ TEST(SupervisorChaosTest, FourTimesOverloadDegradesButKeepsAccepting) {
   std::filesystem::create_directories(options.data_dir);
   options.service.cores = 2;
   options.service.f_max = kInf;
-  options.service.use_thread_pool = false;
 
   Supervisor supervisor(PowerModel(3.0, 0.1), options);
 

@@ -35,7 +35,6 @@ SupervisorOptions fleet_options(const std::string& name, std::size_t shards) {
   std::filesystem::create_directories(options.data_dir);
   options.service.cores = 2;
   options.service.f_max = kInf;
-  options.service.use_thread_pool = false;  // serial planning: fully in-thread
   return options;
 }
 
@@ -477,13 +476,14 @@ TEST(SupervisorTest, BringUpRethrowsTheLowestFailingShardsError) {
   populate(options);
   const std::string base = options.data_dir + "/shard";
 
-  // A corrupt snapshot header on shard 2 fails the fleet with its error.
-  overwrite(base + "2.snap", "# not a snapshot\n");
+  // A corrupt journal header on shard 2 fails the fleet with its error.
+  overwrite(base + "2.wal", "# not a journal\n");
   try {
     Supervisor fleet(test_power(), options);
-    FAIL() << "bring-up over a corrupt snapshot must throw";
+    FAIL() << "bring-up over a corrupt journal must throw";
   } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "not an easched-service-snapshot v1 document");
+    EXPECT_EQ(std::string(e.what()),
+              "not an easched-admission-journal v1 file: " + base + "2.wal");
   }
 
   // With shard 1 failing too (its journal header), shard 1's error wins.
