@@ -84,9 +84,9 @@ void BM_ServiceBatchedAdmission(benchmark::State& state) {
     SchedulerService service(power, service_options(max_batch));
     benchmark::DoNotOptimize(service.submit_batch(requests));
     hit_rate = service.metrics().gauge("plan_cache_hit_rate");
-    const HistogramSummary latency = service.metrics().histogram("replan_latency_us");
-    p50 = latency.p50;
-    p99 = latency.p99;
+    const obs::BucketHistogram latency = service.metrics().bucket_histogram("replan_latency_us");
+    p50 = latency.quantile(0.50);
+    p99 = latency.quantile(0.99);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.counters["rps"] =

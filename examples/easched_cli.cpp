@@ -9,7 +9,7 @@
 //   ./easched_cli run --demo --policy la --acet-ratio 0.4 --migrate
 //   ./easched_cli serve --data-dir /tmp/fleet --clients 4 --requests 200 --fmax 1.0
 //   ./easched_cli serve --data-dir /tmp/fleet --planner exact --plan-budget-ms 5
-//       --queue-depth 32 --faults "seed=7;solver_stall:p=1"
+//       --faults "seed=7;solver_stall:p=1"
 //   ./easched_cli serve --shards 4 --data-dir /tmp/fleet --brownout
 //       --faults "seed=7;kill:shard.submit@9;restart_after=5"
 //   ./easched_cli serve --listen 7411 --shards 2 --data-dir /tmp/fleet
@@ -105,9 +105,7 @@ std::optional<SupervisorOptions> fleet_options(const CliParser& args) {
   sup.service.cores = args.get_int("cores");
   sup.service.f_max = fmax > 0.0 ? fmax : kInf;
   sup.service.exact_first = planner == "exact";
-  sup.service.incremental = !args.get_switch("no-incremental");
   sup.service.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  sup.service.queue_capacity = static_cast<std::size_t>(std::max(0, args.get_int("queue-depth")));
   // A forced ladder walk and the pressure-driven ladder would fight (the
   // ladder releases a forced level as soon as pressure looks calm), so the
   // walk runs with observation off.
@@ -693,11 +691,6 @@ int main(int argc, char** argv) {
   args.add_option("plan-budget-ms", "0",
                   "wall-clock budget per planning pass / exact solve (0 = unlimited)");
   args.add_option("planner", "f2", "serve: top planning rung: f2 | exact (budgeted, falls back)");
-  args.add_switch("no-incremental",
-                  "serve: disable incremental delta replanning on plan-cache misses");
-  args.add_option("queue-depth", "0",
-                  "serve: bound on the items of one admission call; sheds lowest laxity "
-                  "(0 = unbounded)");
   args.add_option("faults", "",
                   "deterministic fault plan, e.g. seed=7;solver_stall:p=1;kill:journal.admit.post@3");
   args.add_option("retries", "2",

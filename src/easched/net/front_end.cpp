@@ -34,11 +34,12 @@ std::string encode_status_frame(Op op, std::uint64_t correlation, Status status,
   return encode_frame(op, /*response=*/true, correlation, encode_status_response(response));
 }
 
+constexpr int kListenBacklog = 128;
+
 constexpr const char* kRateLimitReason =
     "rate limit exceeded (per-connection token bucket); retry with backoff";
 
-/// Map a service decision onto the wire message — shared by the single and
-/// batched admit handlers so the two paths cannot drift.
+/// Map a service decision onto the wire message.
 AdmitResponse to_admit_response(const ServiceDecision& decision, const Task& task) {
   AdmitResponse response;
   response.status = admit_status(decision, task);
@@ -84,7 +85,7 @@ void FrontEnd::start() {
     errno = saved;
     throw_errno("bind");
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     const int saved = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -489,6 +490,39 @@ std::size_t FrontEnd::charge_admits(const std::shared_ptr<Connection>& connectio
   return granted;
 }
 
+std::vector<AdmitResponse> FrontEnd::admit(const std::shared_ptr<Connection>& connection,
+                                           std::vector<Supervisor::BatchItem> items,
+                                           std::size_t pressure) {
+  // The token bucket grants a prefix (arrival order); everything past it is
+  // answered kOverload per item — partial failure, never a dropped frame.
+  std::vector<AdmitResponse> responses(items.size());
+  const std::size_t granted = charge_admits(connection, items.size());
+  if (granted < items.size()) {
+    {
+      std::lock_guard lock(stats_mutex_);
+      stats_.rate_limited += items.size() - granted;
+    }
+    for (std::size_t i = granted; i < items.size(); ++i) {
+      responses[i].status = Status::kOverload;
+      responses[i].reason = kRateLimitReason;
+    }
+    items.resize(granted);
+  }
+
+  const std::vector<ServiceDecision> decisions = supervisor_.submit_batch(items, pressure);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Supervisor::BatchItem& item = items[i];
+    const ServiceDecision& decision = decisions[i];
+    responses[i] = to_admit_response(decision, item.task);
+    if (responses[i].status == Status::kOk && !item.rid.empty() && !decision.retired) {
+      const std::size_t shard = supervisor_.route(item.tenant);
+      std::lock_guard lock(acks_mutex_);
+      acked_[item.rid] = {shard, decision.id};
+    }
+  }
+  return responses;
+}
+
 std::string FrontEnd::handle_admit(const std::shared_ptr<Connection>& connection,
                                    const Frame& frame) {
   AdmitRequest request;
@@ -502,28 +536,12 @@ std::string FrontEnd::handle_admit(const std::shared_ptr<Connection>& connection
     std::lock_guard lock(stats_mutex_);
     ++stats_.admits;
   }
-  if (charge_admits(connection, 1) == 0) {
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.rate_limited;
-    }
-    AdmitResponse overload;
-    overload.status = Status::kOverload;
-    overload.reason = kRateLimitReason;
-    return encode_frame(Op::kAdmit, /*response=*/true, frame.correlation,
-                        encode_admit_response(overload));
-  }
-  const ServiceDecision decision =
-      supervisor_.submit(request.tenant, request.task, request.rid, request.pressure);
-
-  const AdmitResponse response = to_admit_response(decision, request.task);
-  if (response.status == Status::kOk && !request.rid.empty() && !decision.retired) {
-    const std::size_t shard = supervisor_.route(request.tenant);
-    std::lock_guard lock(acks_mutex_);
-    acked_[request.rid] = {shard, decision.id};
-  }
+  std::vector<Supervisor::BatchItem> items;
+  items.push_back({std::move(request.tenant), request.task, std::move(request.rid)});
+  const std::vector<AdmitResponse> responses =
+      admit(connection, std::move(items), request.pressure);
   return encode_frame(Op::kAdmit, /*response=*/true, frame.correlation,
-                      encode_admit_response(response));
+                      encode_admit_response(responses.front()));
 }
 
 std::string FrontEnd::handle_admit_batch(const std::shared_ptr<Connection>& connection,
@@ -540,42 +558,14 @@ std::string FrontEnd::handle_admit_batch(const std::shared_ptr<Connection>& conn
     ++stats_.admit_batches;
     stats_.admit_batch_items += request.items.size();
   }
-
+  std::vector<Supervisor::BatchItem> items;
+  items.reserve(request.items.size());
+  for (AdmitBatchItem& item : request.items) {
+    items.push_back({std::move(item.tenant), item.task, std::move(item.rid)});
+  }
   AdmitBatchResponse response;
   response.status = Status::kOk;
-  response.items.resize(request.items.size());
-
-  // The token bucket grants a prefix (arrival order); everything past it is
-  // answered kOverload per item — partial failure, never a dropped frame.
-  const std::size_t granted = charge_admits(connection, request.items.size());
-  if (granted < request.items.size()) {
-    std::lock_guard lock(stats_mutex_);
-    stats_.rate_limited += request.items.size() - granted;
-  }
-
-  std::vector<Supervisor::BatchItem> batch;
-  batch.reserve(granted);
-  for (std::size_t i = 0; i < granted; ++i) {
-    const AdmitBatchItem& item = request.items[i];
-    batch.push_back({item.tenant, item.task, item.rid});
-  }
-  const std::vector<ServiceDecision> decisions =
-      supervisor_.submit_batch(batch, request.pressure);
-
-  for (std::size_t i = 0; i < granted; ++i) {
-    const AdmitBatchItem& item = request.items[i];
-    const ServiceDecision& decision = decisions[i];
-    response.items[i] = to_admit_response(decision, item.task);
-    if (response.items[i].status == Status::kOk && !item.rid.empty() && !decision.retired) {
-      const std::size_t shard = supervisor_.route(item.tenant);
-      std::lock_guard lock(acks_mutex_);
-      acked_[item.rid] = {shard, decision.id};
-    }
-  }
-  for (std::size_t i = granted; i < request.items.size(); ++i) {
-    response.items[i].status = Status::kOverload;
-    response.items[i].reason = kRateLimitReason;
-  }
+  response.items = admit(connection, std::move(items), request.pressure);
   return encode_frame(Op::kAdmitBatch, /*response=*/true, frame.correlation,
                       encode_admit_batch_response(response));
 }

@@ -63,8 +63,6 @@ struct FrontEndOptions {
   /// Op-handler threads. Planning dominates op cost, so a few workers are
   /// enough to keep the loop thread doing pure I/O.
   std::size_t workers = 2;
-  /// Listen backlog.
-  int backlog = 128;
   /// Per-connection admission rate limit in tasks per second — each admit
   /// (and each task of an admit batch) costs one token. Over-limit admits
   /// are *answered* `Status::kOverload` (retryable), never dropped. 0
@@ -198,6 +196,13 @@ class FrontEnd {
   std::string handle_admit(const std::shared_ptr<Connection>& connection, const Frame& frame);
   std::string handle_admit_batch(const std::shared_ptr<Connection>& connection,
                                  const Frame& frame);
+  /// The one admission path behind both admit ops: charge the rate limit,
+  /// run the granted prefix of `items` as one `Supervisor::submit_batch`,
+  /// record its acks, and answer every item in order (kOverload past the
+  /// granted prefix). A single admit is a batch of one.
+  std::vector<AdmitResponse> admit(const std::shared_ptr<Connection>& connection,
+                                   std::vector<Supervisor::BatchItem> items,
+                                   std::size_t pressure);
   /// Take up to `requested` tokens from the connection's bucket; returns
   /// how many were granted (the prefix of a batch that may proceed).
   std::size_t charge_admits(const std::shared_ptr<Connection>& connection,

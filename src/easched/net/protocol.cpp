@@ -42,12 +42,9 @@ Status admit_status(const ServiceDecision& decision, const Task& task) {
       // same retryable condition as a down shard.
       return Status::kUnavailable;
     case AdmissionErrorKind::kOverload:
-      // The brownout ladder's level-3 shed and the bounded queue's overload
-      // shed arrive under the same error kind; the reason prefix is the
-      // only signal that separates them (see ServiceShard::submit).
-      return decision.admission.rejection_reason.rfind("brownout shed", 0) == 0
-                 ? Status::kShedBrownout
-                 : Status::kOverload;
+      // The service sheds only at brownout level 3; the front end's rate
+      // limit answers `Status::kOverload` itself, without a decision.
+      return Status::kShedBrownout;
     case AdmissionErrorKind::kPlanning:
       return Status::kPlanningFailed;
     case AdmissionErrorKind::kInvalid:

@@ -46,7 +46,7 @@
 #include <string_view>
 #include <vector>
 
-#include "easched/service/request_queue.hpp"
+#include "easched/service/decision.hpp"
 #include "easched/tasksys/task.hpp"
 
 namespace easched::net {
@@ -89,7 +89,7 @@ enum class Status : std::uint8_t {
   /// The routed shard is down (crash containment) or the request was lost;
   /// retry with the same rid.
   kUnavailable = 3,
-  /// Shed by the bounded queue under overload; retry with backoff.
+  /// Over the connection's admit rate limit; retry with backoff.
   kOverload = 4,
   /// Shed by the brownout ladder at level 3 (lowest-laxity drop); retry
   /// with stretched backoff.

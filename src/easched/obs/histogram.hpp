@@ -3,12 +3,9 @@
 /// \file histogram.hpp
 /// \brief Fixed-bucket histograms with deterministic quantile estimates.
 ///
-/// The registry's original sampled histograms keep exact samples (decimated
-/// under load) — good fidelity, but the dump cost grows with retention and
-/// two dumps of the same traffic can disagree once decimation strides
-/// diverge. Fixed-bucket histograms are the exposition-friendly complement:
-/// O(#buckets) memory and dump cost, mergeable across per-thread shards by
-/// plain addition, and directly renderable as Prometheus `_bucket{le=...}`
+/// The metrics registry's one histogram kind. O(#buckets) memory and dump
+/// cost however long the process runs, mergeable across shards by plain
+/// addition, and directly renderable as Prometheus `_bucket{le=...}`
 /// series. Quantiles (p50/p90/p99) are derived from the bucket counts by
 /// linear interpolation inside the holding bucket, so they are reproducible
 /// from any dump of the same counts.
@@ -25,7 +22,7 @@ namespace easched::obs {
 const std::vector<double>& default_latency_buckets_us();
 
 /// Power-of-two bounds {1, 2, 4, ..., 2^(n-1)} for size-like quantities
-/// (queue depth, cache ages in operations).
+/// (batch sizes, queue depth, cache ages in operations).
 std::vector<double> pow2_buckets(std::size_t n);
 
 /// A histogram over fixed, strictly increasing upper bounds. Observation

@@ -102,32 +102,6 @@ std::string to_prometheus(const MetricsSnapshot& snapshot, std::string_view pref
     out += '\n';
   }
 
-  // Sampled histograms carry pre-computed quantiles, which maps onto the
-  // Prometheus summary type (quantiles are not aggregatable — the bucketed
-  // form above is the one to prefer for new instrumentation).
-  for (const auto& [name, s] : snapshot.histograms) {
-    const std::string metric = prometheus_metric_name(name, prefix);
-    append_family(out, metric, "summary");
-    const std::pair<const char*, double> quantiles[] = {
-        {"0.5", s.p50}, {"0.9", s.p90}, {"0.99", s.p99}};
-    for (const auto& [label, value] : quantiles) {
-      out += metric;
-      out += "{quantile=\"";
-      out += label;
-      out += "\"} ";
-      append_value(out, value);
-      out += '\n';
-    }
-    out += metric;
-    out += "_sum ";
-    append_value(out, s.sum);
-    out += '\n';
-    out += metric;
-    out += "_count ";
-    out += std::to_string(s.count);
-    out += '\n';
-  }
-
   return out;
 }
 

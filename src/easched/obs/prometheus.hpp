@@ -4,11 +4,10 @@
 /// \brief Prometheus text-exposition rendering of a MetricsSnapshot.
 ///
 /// Renders the same data as `MetricsRegistry::dump()` in the Prometheus
-/// text format (version 0.0.4): `# TYPE` headers, `_bucket{le="..."}` /
-/// `_sum` / `_count` series for fixed-bucket histograms, and
-/// `{quantile="..."}` summary series for the sampled histograms. Works from
-/// a `MetricsSnapshot`, never the live registry, so exposition cannot
-/// contend with the admission path.
+/// text format (version 0.0.4): `# TYPE` headers and `_bucket{le="..."}` /
+/// `_sum` / `_count` series for the fixed-bucket histograms. Works from a
+/// `MetricsSnapshot`, never the live registry, so exposition cannot contend
+/// with the admission path.
 
 #include <iosfwd>
 #include <string>
@@ -25,10 +24,9 @@ std::string prometheus_metric_name(std::string_view name,
                                    std::string_view prefix = "easched_");
 
 /// Render `snapshot` in Prometheus text-exposition format. Counters become
-/// `counter` series, gauges `gauge`, bucketed histograms full `histogram`
+/// `counter` series, gauges `gauge`, and histograms full `histogram`
 /// families (cumulative `_bucket{le=...}` including `+Inf`, `_sum`,
-/// `_count`), and sampled histograms `summary` families with
-/// p50/p90/p99 quantile labels.
+/// `_count`).
 std::string to_prometheus(const MetricsSnapshot& snapshot,
                           std::string_view prefix = "easched_");
 void write_prometheus(std::ostream& out, const MetricsSnapshot& snapshot,

@@ -342,7 +342,6 @@ JournalRecovery AdmissionJournal::recover(const std::string& path) {
         break;
       case Record::Kind::kComplete:
         live.remove(record->id);
-        recovery.removed_ids.push_back(record->id);
         break;
       case Record::Kind::kNext:
         recovery.next_id = std::max(recovery.next_id, record->id);
@@ -357,9 +356,6 @@ JournalRecovery AdmissionJournal::recover(const std::string& path) {
   recovery.dropped_lines = unclassified.size();
 
   recovery.committed = live.take();
-  auto& removed = recovery.removed_ids;
-  std::sort(removed.begin(), removed.end());
-  removed.erase(std::unique(removed.begin(), removed.end()), removed.end());
   return recovery;
 }
 

@@ -3,12 +3,12 @@
 /// \file journal.hpp
 /// \brief Crash-safe write-ahead log of admission decisions.
 ///
-/// Snapshots (`snapshot.hpp`) capture the service's state at one instant; a
-/// crash between snapshots loses every admit since the last one. The journal
-/// closes that gap: before a batch's decisions are acknowledged to clients,
-/// each admitted task is appended (and flushed) here, and completions and
-/// cancellations append removal records. On restart, `recover()` replays the
-/// log and hands the service back exactly the committed set it had promised.
+/// The journal is a service's only durable state: before a batch's decisions
+/// are acknowledged to clients, each admitted task is appended (and flushed)
+/// here, and completions and cancellations append removal records. On
+/// restart, `recover()` replays the log and hands the service back exactly
+/// the committed set it had promised, its id counter and its rid dedup
+/// ledger; `compact()` rewrites the log to that state when it grows.
 ///
 /// **Durability contract** (enforced by `SchedulerService`): the admit record
 /// is flushed *before* the admission call returns its decision, so every
@@ -87,10 +87,6 @@ struct JournalRecovery {
   /// One past the highest id ever admitted (0 for an empty log) — the
   /// restart value for the service's id counter.
   TaskId next_id = 0;
-  /// Ids that have a removal record (deduplicated, ascending). Lets a
-  /// caller replaying the journal over a snapshot base also apply the
-  /// removals, not just the surviving admits.
-  std::vector<TaskId> removed_ids;
   /// Request-id → task-id for every rid-tagged admit (and every `dedup`
   /// record), in record order. The restart seed for idempotent re-admission.
   std::vector<std::pair<std::string, TaskId>> request_ids;
@@ -142,12 +138,11 @@ class AdmissionJournal {
   /// Tracked by the handle, so reading it touches no file.
   std::uint64_t size_bytes() const;
 
-  /// Rewrite the journal in place against a fresh snapshot: the new file
-  /// holds only a `next` record pinning the id counter, the caller's `live`
-  /// admits (in id order; empty when a just-written snapshot already covers
-  /// the live set), and `dedup` records for every rid→id mapping so late
-  /// retries still dedup. Atomic via write-temp-then-rename; the handle stays open
-  /// for appending afterwards.
+  /// Rewrite the journal in place to the live state: the new file holds
+  /// only a `next` record pinning the id counter, the caller's `live` admits
+  /// (in id order), and `dedup` records for every rid→id mapping so late
+  /// retries still dedup. Atomic via write-temp-then-rename; the handle
+  /// stays open for appending afterwards.
   JournalCompaction compact(TaskId next_id,
                             const std::vector<std::pair<TaskId, Task>>& live,
                             const std::vector<std::pair<std::string, TaskId>>& dedup);

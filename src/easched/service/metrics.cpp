@@ -1,13 +1,8 @@
 #include "easched/service/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace easched {
-
-MetricsRegistry::MetricsRegistry(std::size_t histogram_capacity)
-    : histogram_capacity_(std::max<std::size_t>(2, histogram_capacity)) {}
 
 void MetricsRegistry::increment(std::string_view name, std::uint64_t by) {
   std::lock_guard lock(mutex_);
@@ -39,36 +34,6 @@ void MetricsRegistry::set_gauge(std::string_view name, double value) {
   }
 }
 
-void MetricsRegistry::observe(std::string_view name, double sample) {
-  std::lock_guard lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), Histogram{}).first;
-  }
-  Histogram& h = it->second;
-  if (h.count == 0) {
-    h.min = h.max = sample;
-  } else {
-    h.min = std::min(h.min, sample);
-    h.max = std::max(h.max, sample);
-  }
-  h.sum += sample;
-  // Deterministic decimation: when the reservoir fills, keep every other
-  // retained sample and double the stride for future admissions. Quantiles
-  // degrade gracefully (uniform thinning) and never allocate unboundedly.
-  if (h.count % h.keep_every == 0) {
-    if (h.samples.size() >= histogram_capacity_) {
-      std::vector<double> thinned;
-      thinned.reserve(h.samples.size() / 2 + 1);
-      for (std::size_t i = 0; i < h.samples.size(); i += 2) thinned.push_back(h.samples[i]);
-      h.samples = std::move(thinned);
-      h.keep_every *= 2;
-    }
-    if (h.count % h.keep_every == 0) h.samples.push_back(sample);
-  }
-  ++h.count;
-}
-
 void MetricsRegistry::observe_bucketed(std::string_view name, double sample) {
   std::lock_guard lock(mutex_);
   auto it = bucketed_.find(name);
@@ -96,36 +61,6 @@ double MetricsRegistry::gauge(std::string_view name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-HistogramSummary MetricsRegistry::summarize(const Histogram& h) const {
-  HistogramSummary out;
-  out.count = h.count;
-  if (h.count == 0) return out;
-  out.sum = h.sum;
-  out.min = h.min;
-  out.max = h.max;
-  out.mean = h.sum / static_cast<double>(h.count);
-  std::vector<double> sorted = h.samples;
-  std::sort(sorted.begin(), sorted.end());
-  const auto quantile = [&sorted](double q) {
-    if (sorted.empty()) return 0.0;
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const auto hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-  };
-  out.p50 = quantile(0.50);
-  out.p90 = quantile(0.90);
-  out.p99 = quantile(0.99);
-  return out;
-}
-
-HistogramSummary MetricsRegistry::histogram(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? HistogramSummary{} : summarize(it->second);
-}
-
 obs::BucketHistogram MetricsRegistry::bucket_histogram(std::string_view name) const {
   std::lock_guard lock(mutex_);
   auto it = bucketed_.find(name);
@@ -137,7 +72,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
   out.counters.insert(counters_.begin(), counters_.end());
   out.gauges.insert(gauges_.begin(), gauges_.end());
-  for (const auto& [name, h] : histograms_) out.histograms.emplace(name, summarize(h));
   out.bucketed.insert(bucketed_.begin(), bucketed_.end());
   return out;
 }
@@ -154,11 +88,6 @@ std::string MetricsRegistry::dump() const {
   for (const auto& [name, value] : snap.gauges) {
     out << "gauge " << name << " " << value << "\n";
   }
-  for (const auto& [name, s] : snap.histograms) {
-    out << "histogram " << name << " count=" << s.count << " mean=" << s.mean
-        << " p50=" << s.p50 << " p90=" << s.p90 << " p99=" << s.p99 << " min=" << s.min
-        << " max=" << s.max << "\n";
-  }
   for (const auto& [name, h] : snap.bucketed) {
     out << "bucket_histogram " << name << " count=" << h.count() << " mean=" << h.mean()
         << " p50=" << h.quantile(0.50) << " p90=" << h.quantile(0.90)
@@ -171,7 +100,6 @@ void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
   counters_.clear();
   gauges_.clear();
-  histograms_.clear();
   bucketed_.clear();
 }
 

@@ -6,15 +6,11 @@
 /// The service layer is the first part of the library built for sustained
 /// traffic, so its behavior has to be observable without a debugger:
 /// counters (monotone event totals), gauges (last-written values), and
-/// histograms (latency/size distributions with quantiles). The registry is
-/// name-addressed so benches and tests can assert on a text dump instead of
-/// threading accessor plumbing through every layer.
-///
-/// Histograms keep exact samples up to a fixed capacity and then fall back
-/// to decimated retention (keep every k-th sample), which keeps quantiles
-/// deterministic — no RNG — and memory bounded under soak loads.
+/// fixed-bucket histograms (latency/size distributions with quantiles, see
+/// `obs/histogram.hpp`). The registry is name-addressed so benches and
+/// tests can assert on a text dump instead of threading accessor plumbing
+/// through every layer.
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -26,28 +22,14 @@
 
 namespace easched {
 
-/// Summary statistics of one histogram, computed on demand.
-struct HistogramSummary {
-  std::uint64_t count = 0;  ///< total observations (including decimated-away)
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-};
-
 /// A point-in-time copy of every metric, taken under the registry mutex in
 /// one short critical section. Formatting (text dump, Prometheus
-/// exposition) and persistence (service snapshots) work from this copy so
-/// they never hold the registry lock while doing string work — a dump
-/// during a hot admission burst costs the writers one map copy, not a
-/// formatting pass.
+/// exposition, the supervisor's merge) works from this copy so it never
+/// holds the registry lock while doing string work — a dump during a hot
+/// admission burst costs the writers one map copy, not a formatting pass.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSummary> histograms;
   std::map<std::string, obs::BucketHistogram> bucketed;
 };
 
@@ -55,23 +37,17 @@ struct MetricsSnapshot {
 /// thread-safe; names are created on first use.
 class MetricsRegistry {
  public:
-  /// Retain at most `histogram_capacity` exact samples per histogram before
-  /// switching to deterministic decimation.
-  explicit MetricsRegistry(std::size_t histogram_capacity = 8192);
-
   /// \name Writers
   /// @{
   void increment(std::string_view name, std::uint64_t by = 1);
-  /// Overwrite a counter (restore path: re-seeding totals from a service
-  /// snapshot after recovery). Normal accounting should use `increment`.
+  /// Overwrite a counter (copying totals from another registry's
+  /// snapshot). Normal accounting should use `increment`.
   void set_counter(std::string_view name, std::uint64_t value);
   void set_gauge(std::string_view name, double value);
-  void observe(std::string_view name, double sample);
   /// Record into a fixed-bucket histogram (created on first use with
   /// `default_latency_buckets_us` unless `declare_buckets` ran first).
-  /// Unlike `observe`, quantiles from these are exact functions of the
-  /// bucket counts — reproducible from any dump — and export directly as
-  /// Prometheus `_bucket{le=...}` series.
+  /// Quantiles are exact functions of the bucket counts — reproducible from
+  /// any dump — and export directly as Prometheus `_bucket{le=...}` series.
   void observe_bucketed(std::string_view name, double sample);
   /// Pre-register a bucketed histogram with explicit bounds (strictly
   /// increasing). No-op if the name already exists.
@@ -82,7 +58,6 @@ class MetricsRegistry {
   /// @{
   std::uint64_t counter(std::string_view name) const;
   double gauge(std::string_view name) const;
-  HistogramSummary histogram(std::string_view name) const;
   obs::BucketHistogram bucket_histogram(std::string_view name) const;
   /// @}
 
@@ -92,7 +67,6 @@ class MetricsRegistry {
   /// Text exposition, one metric per line, sorted by kind then name:
   ///   counter <name> <value>
   ///   gauge <name> <value>
-  ///   histogram <name> count=<n> mean=<m> p50=<q> p90=<q> p99=<q> ...
   ///   bucket_histogram <name> count=<n> mean=<m> p50=<q> p90=<q> p99=<q> ...
   /// Formats from a `snapshot()`, so writers are blocked only for the copy.
   std::string dump() const;
@@ -101,22 +75,9 @@ class MetricsRegistry {
   void reset();
 
  private:
-  struct Histogram {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::vector<double> samples;  ///< decimated reservoir for quantiles
-    std::uint64_t keep_every = 1;  ///< current decimation stride
-  };
-
-  HistogramSummary summarize(const Histogram& h) const;
-
   mutable std::mutex mutex_;
-  std::size_t histogram_capacity_;
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
   std::map<std::string, obs::BucketHistogram, std::less<>> bucketed_;
 };
 

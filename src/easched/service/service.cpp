@@ -35,6 +35,9 @@ TaskSet task_set_of(const std::vector<std::pair<TaskId, Task>>& live) {
   return TaskSet(std::move(tasks));
 }
 
+/// Quantization grain of the plan-cache signature.
+constexpr double kSignatureQuantum = 1e-6;
+
 /// Request ids in trace spans are `sequence + 1` (0 means "no request"), so
 /// the first request of a stream is still visible in the trace.
 std::uint64_t trace_request_id(std::uint64_t sequence) { return sequence + 1; }
@@ -55,68 +58,40 @@ const char* plan_latency_metric(PlanRung rung) {
   return "plan_latency_us_none";
 }
 
+DeltaOptions delta_options(int cores) {
+  DeltaOptions options;
+  options.cores = cores;
+  return options;
+}
+
 }  // namespace
 
 SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions options)
-    : SchedulerService(power, std::move(options), nullptr) {}
-
-SchedulerService::SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
-                                   ServiceOptions options)
-    : SchedulerService(power,
-                       [&] {
-                         options.cores = snapshot.cores;
-                         return std::move(options);
-                       }(),
-                       &snapshot) {}
-
-SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions options,
-                                   const ServiceSnapshot* base)
     : power_(power),
       options_(std::move(options)),
-      queue_(options_.queue_capacity),
-      cache_(options_.cache_capacity) {
+      cache_(options_.cache_capacity),
+      delta_planner_(power_, delta_options(options_.cores)) {
   EASCHED_EXPECTS(options_.cores > 0);
   EASCHED_EXPECTS(options_.f_max > 0.0);
   EASCHED_EXPECTS(options_.max_batch > 0);
-  EASCHED_EXPECTS(options_.signature_quantum > 0.0);
   // Fixed-bucket latency/size histograms, declared up front so they appear
   // in dumps and Prometheus exposition before the first observation.
   metrics_.declare_buckets("admission_latency_us", obs::default_latency_buckets_us());
   metrics_.declare_buckets("queue_wait_us", obs::default_latency_buckets_us());
+  metrics_.declare_buckets("replan_latency_us", obs::default_latency_buckets_us());
   for (const PlanRung rung : {PlanRung::kExact, PlanRung::kDer, PlanRung::kEven}) {
     metrics_.declare_buckets(plan_latency_metric(rung), obs::default_latency_buckets_us());
   }
+  metrics_.declare_buckets("batch_size", obs::pow2_buckets(16));
   metrics_.declare_buckets("queue_depth_seen", obs::pow2_buckets(16));
   metrics_.declare_buckets("plan_cache_hit_age", obs::pow2_buckets(24));
   metrics_.declare_buckets("plan_delta_latency_us", obs::default_latency_buckets_us());
-  if (options_.incremental) {
-    DeltaOptions delta_options;
-    delta_options.cores = options_.cores;
-    delta_planner_.emplace(power_, delta_options);
-  }
-  if (base != nullptr || !options_.journal_path.empty()) {
+  if (!options_.journal_path.empty()) {
     std::lock_guard lock(state_mutex_);
-    if (base != nullptr) {
-      committed_ = base->committed;
-      std::sort(committed_.begin(), committed_.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      next_id_ = base->next_id;
-      for (const auto& [id, task] : committed_) {
-        EASCHED_EXPECTS_MSG(id < next_id_, "snapshot id at or above next_id");
-      }
-      // Re-seed monotone counters from the snapshot *before* replay, so
-      // replay increments (and the restore marker below) land on top of the
-      // totals the previous incarnation had already accumulated.
-      for (const auto& [name, value] : base->counters) metrics_.set_counter(name, value);
-    }
-    // The journal is the log of everything that happened since it was
-    // compacted, so it replays *over* the snapshot base, once. The plan is
-    // not restored: the first request derives it from the recovered set.
     replay_journal_locked();
-    if (base != nullptr) metrics_.increment("restores_total");
     refresh_gauges_locked();
+    journal_.emplace(options_.journal_path);
   }
-  if (!options_.journal_path.empty()) journal_.emplace(options_.journal_path);
 }
 
 ServiceDecision SchedulerService::submit(const Task& task, std::string rid) {
@@ -139,20 +114,38 @@ void SchedulerService::submit_batch(const std::vector<ServiceRequest>& requests,
                                     std::vector<std::optional<ServiceDecision>>& decided) {
   std::lock_guard lock(state_mutex_);
   metrics_.increment("requests_total", requests.size());
-  const std::vector<PendingRequest> pending = queue_.intake(requests, decided);
+  decided.assign(requests.size(), std::nullopt);
+  const auto enqueued_at = std::chrono::steady_clock::now();
+  std::vector<Pending> pending;
+  pending.reserve(requests.size());
+  for (std::size_t item = 0; item < requests.size(); ++item) {
+    const std::uint64_t sequence = next_sequence_++;
+    // Injected message loss: the item is answered right here (the client
+    // still gets an answer — only the admission run is lost).
+    if (faults::fire(FaultSite::kRequestDrop)) {
+      ServiceDecision dropped;
+      dropped.sequence = sequence;
+      dropped.error_kind = AdmissionErrorKind::kDropped;
+      dropped.admission.rejection_reason = "request dropped (injected fault)";
+      decided[item] = std::move(dropped);
+      continue;
+    }
+    pending.push_back({sequence, item, false});
+    // Injected retry-after-lost-ack: a second copy follows under its own
+    // sequence; its decision answers nobody.
+    if (faults::fire(FaultSite::kRequestDup)) pending.push_back({next_sequence_++, item, true});
+  }
   std::vector<ServiceDecision> chunk_decisions;
   for (std::size_t begin = 0; begin < pending.size(); begin += options_.max_batch) {
     // Depth at pickup: this chunk plus the rest of the call behind it.
     metrics_.observe_bucketed("queue_depth_seen", static_cast<double>(pending.size() - begin));
-    const std::span<const PendingRequest> chunk(
-        pending.data() + begin, std::min(options_.max_batch, pending.size() - begin));
-    decide_chunk_locked(chunk, chunk_decisions);
+    const std::span<const Pending> chunk(pending.data() + begin,
+                                         std::min(options_.max_batch, pending.size() - begin));
+    decide_chunk_locked(requests, chunk, enqueued_at, chunk_decisions);
     // Only here, with the whole chunk decided, do its answers reach the
     // caller: an `InjectedCrash` mid-chunk leaves the chunk unanswered.
     for (std::size_t j = 0; j < chunk.size(); ++j) {
-      if (chunk[j].slot != PendingRequest::kNoSlot) {
-        decided[chunk[j].slot] = std::move(chunk_decisions[j]);
-      }
+      if (!chunk[j].duplicate) decided[chunk[j].item] = std::move(chunk_decisions[j]);
     }
   }
   refresh_gauges_locked();
@@ -245,15 +238,21 @@ ServiceSnapshot SchedulerService::snapshot() {
   snap.next_id = next_id_;
   snap.committed = committed_;
   metrics_.increment("snapshots_total");
-  snap.counters = metrics_.snapshot().counters;
   return snap;
+}
+
+TaskId SchedulerService::next_id() const {
+  std::lock_guard lock(state_mutex_);
+  return next_id_;
 }
 
 std::uint64_t SchedulerService::journal_size_bytes() const {
   return journal_ ? journal_->size_bytes() : 0;
 }
 
-void SchedulerService::decide_chunk_locked(std::span<const PendingRequest> chunk,
+void SchedulerService::decide_chunk_locked(const std::vector<ServiceRequest>& requests,
+                                           std::span<const Pending> chunk,
+                                           std::chrono::steady_clock::time_point enqueued_at,
                                            std::vector<ServiceDecision>& out) {
   const auto started = std::chrono::steady_clock::now();
   obs::Span batch_span("service.batch");
@@ -262,7 +261,7 @@ void SchedulerService::decide_chunk_locked(std::span<const PendingRequest> chunk
   out.reserve(chunk.size());
   const std::uint64_t batch_index = batches_++;
   metrics_.increment("batches_total");
-  metrics_.observe("batch_size", static_cast<double>(chunk.size()));
+  metrics_.observe_bucketed("batch_size", static_cast<double>(chunk.size()));
 
   // One baseline per chunk, chained through the accepted candidates. A
   // baseline planning failure fails the whole chunk with a reasoned
@@ -277,18 +276,19 @@ void SchedulerService::decide_chunk_locked(std::span<const PendingRequest> chunk
     baseline_reason = e.what();
   }
 
-  for (const PendingRequest& request : chunk) {
+  for (const Pending& admission : chunk) {
+    const ServiceRequest& request = requests[admission.item];
     // Everything this request does — planning spans included — is tagged
     // with its id and nests under its lifecycle span.
-    obs::RequestScope request_scope(trace_request_id(request.sequence));
+    obs::RequestScope request_scope(trace_request_id(admission.sequence));
     obs::Span request_span("service.request");
-    request_span.arg("sequence", static_cast<double>(request.sequence));
+    request_span.arg("sequence", static_cast<double>(admission.sequence));
     const auto request_started = std::chrono::steady_clock::now();
-    obs::emit("service.queue_wait", request.enqueued_at, request_started,
-              trace_request_id(request.sequence));
-    metrics_.observe_bucketed("queue_wait_us", between_us(request.enqueued_at, request_started));
+    obs::emit("service.queue_wait", enqueued_at, request_started,
+              trace_request_id(admission.sequence));
+    metrics_.observe_bucketed("queue_wait_us", between_us(enqueued_at, request_started));
     ServiceDecision decision;
-    decision.sequence = request.sequence;
+    decision.sequence = admission.sequence;
     decision.batch = batch_index;
     decision.brownout_level = brownout_level_.load(std::memory_order_relaxed);
     // A rid the journal cannot store would split its admit record on
@@ -355,7 +355,6 @@ void SchedulerService::decide_chunk_locked(std::span<const PendingRequest> chunk
       if (!request.rid.empty()) dedup_[request.rid] = decision.id;
       energy_before = decision.admission.energy_after;
       metrics_.increment("admitted_total");
-      metrics_.observe("quoted_marginal_energy", decision.admission.marginal_energy);
       request_span.set_status("admitted");
     } else {
       metrics_.increment("rejected_total");
@@ -363,10 +362,10 @@ void SchedulerService::decide_chunk_locked(std::span<const PendingRequest> chunk
     }
     // Admission latency covers the request's whole time in the call:
     // waiting behind earlier items plus its own evaluation.
-    metrics_.observe_bucketed("admission_latency_us", elapsed_us(request.enqueued_at));
+    metrics_.observe_bucketed("admission_latency_us", elapsed_us(enqueued_at));
     out.push_back(std::move(decision));
   }
-  metrics_.observe("replan_latency_us", elapsed_us(started));
+  metrics_.observe_bucketed("replan_latency_us", elapsed_us(started));
 }
 
 FallbackOptions SchedulerService::fallback_options() const {
@@ -375,7 +374,6 @@ FallbackOptions SchedulerService::fallback_options() const {
   if (options_.plan_budget.count() > 0) {
     fo.budget.deadline = PlanBudget::Clock::now() + options_.plan_budget;
   }
-  fo.budget.max_solver_iterations = options_.plan_max_iterations;
   // The brownout ladder trims the chain from the top: level ≥ 1 drops the
   // exact rung, level ≥ 2 enters the heuristics at F1.
   const int brownout = brownout_level_.load(std::memory_order_relaxed);
@@ -422,13 +420,13 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
   // bit-identical to the fallback chain's DER rung, so this changes
   // latency, never answers. Any validation or planner failure invalidates
   // the planner and falls through to the ordinary chain.
-  if (delta_planner_ && !options_.exact_first && brownout < 2) {
+  if (!options_.exact_first && brownout < 2) {
     obs::Span delta_span("service.plan_delta");
     delta_span.arg("tasks", static_cast<double>(live.size()));
     const auto delta_started = std::chrono::steady_clock::now();
     try {
       DeltaOutcome outcome;
-      DeltaPlan delta = delta_planner_->plan_to(task_set, Exec::serial(), &outcome);
+      DeltaPlan delta = delta_planner_.plan_to(task_set, Exec::serial(), &outcome);
       const ValidationReport report = delta.schedule.validate(task_set);
       if (report.ok && std::isfinite(delta.energy)) {
         const double spent = elapsed_us(delta_started);
@@ -442,14 +440,14 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
         cache_.insert(signature, plan);
         return plan;
       }
-      delta_planner_->invalidate();
+      delta_planner_.invalidate();
       metrics_.increment("plan_delta_fallbacks_total");
       delta_span.set_status("invalid");
     } catch (const InjectedCrash&) {
-      delta_planner_->invalidate();
+      delta_planner_.invalidate();
       throw;
     } catch (const std::exception&) {
-      delta_planner_->invalidate();
+      delta_planner_.invalidate();
       metrics_.increment("plan_delta_fallbacks_total");
       delta_span.set_status("failed");
     }
@@ -487,14 +485,13 @@ CachedPlan SchedulerService::plan_for_committed_locked() {
 
 const std::string& SchedulerService::committed_signature_locked() {
   if (!committed_signature_valid_) {
-    committed_signature_ = plan_signature(committed_, options_.signature_quantum);
+    committed_signature_ = plan_signature(committed_, kSignatureQuantum);
     committed_signature_valid_ = true;
   }
   return committed_signature_;
 }
 
 void SchedulerService::replay_journal_locked() {
-  if (options_.journal_path.empty()) return;
   JournalRecovery recovery = AdmissionJournal::recover(options_.journal_path);
   // Before anything appends: a record appended onto a torn tail would fail
   // its checksum on the next replay, losing an admit this incarnation acked.
@@ -503,30 +500,11 @@ void SchedulerService::replay_journal_locked() {
   if (recovery.records == 0 && recovery.dropped_lines == 0 && recovery.corruptions.empty()) {
     return;
   }
-  // One merge of three id-sorted lists: a base entry the journal re-admits
-  // takes the journal's task, one it removed is dropped (a task the journal
-  // saw completed must not survive from a snapshot base), the rest stay.
-  std::vector<std::pair<TaskId, Task>> merged;
-  merged.reserve(committed_.size() + recovery.committed.size());
-  auto admitted = recovery.committed.begin();
-  auto removed = recovery.removed_ids.begin();
-  for (const auto& entry : committed_) {
-    while (admitted != recovery.committed.end() && admitted->first < entry.first) {
-      merged.push_back(*admitted++);
-    }
-    if (admitted != recovery.committed.end() && admitted->first == entry.first) {
-      merged.push_back(*admitted++);
-      continue;
-    }
-    while (removed != recovery.removed_ids.end() && *removed < entry.first) ++removed;
-    if (removed == recovery.removed_ids.end() || *removed != entry.first) merged.push_back(entry);
-  }
-  merged.insert(merged.end(), admitted, recovery.committed.end());
-  committed_ = std::move(merged);
-  next_id_ = std::max(next_id_, recovery.next_id);
+  committed_ = std::move(recovery.committed);
+  next_id_ = recovery.next_id;
   // Re-seed the dedup map: a client retrying an admit that was acked by the
   // previous incarnation must get the same id back, not a second commit.
-  dedup_.reserve(dedup_.size() + recovery.request_ids.size());
+  dedup_.reserve(recovery.request_ids.size());
   for (auto& [rid, id] : recovery.request_ids) dedup_.insert_or_assign(std::move(rid), id);
   committed_signature_valid_ = false;
   metrics_.increment("journal_replays_total");
@@ -539,7 +517,7 @@ void SchedulerService::replay_journal_locked() {
   if (!recovery.corruptions.empty()) {
     metrics_.increment("journal_corruption_total", recovery.corruptions.size());
   }
-  metrics_.set_gauge("journal_recovered_tasks", static_cast<double>(recovery.committed.size()));
+  metrics_.set_gauge("journal_recovered_tasks", static_cast<double>(committed_.size()));
 }
 
 AdmissionDecision SchedulerService::evaluate_locked(const Task& candidate,
@@ -584,7 +562,7 @@ AdmissionDecision SchedulerService::evaluate_locked(const Task& candidate,
   // is the committed one plus a single appended fragment — O(1) on top of
   // the memoized committed signature instead of an O(n) rebuild per request.
   std::string merged_signature = committed_signature_locked();
-  append_plan_signature(merged_signature, next_id_, candidate, options_.signature_quantum);
+  append_plan_signature(merged_signature, next_id_, candidate, kSignatureQuantum);
 
   // Plan the merged set through the cache and the fallback chain. A prior
   // quote of the same candidate against the same committed set left this
@@ -636,12 +614,6 @@ void SchedulerService::refresh_gauges_locked() {
   metrics_.set_gauge("committed_work", work);
   metrics_.set_gauge("plan_cache_size", static_cast<double>(cache_.size()));
   metrics_.set_gauge("plan_cache_hit_rate", cache_.hit_rate());
-  metrics_.set_gauge("queue_shed_total", static_cast<double>(queue_.shed()));
-  metrics_.set_gauge("queue_overload_rejected_total",
-                     static_cast<double>(queue_.overload_rejected()));
-  metrics_.set_gauge("queue_fault_dropped_total", static_cast<double>(queue_.fault_dropped()));
-  metrics_.set_gauge("queue_fault_duplicated_total",
-                     static_cast<double>(queue_.fault_duplicated()));
 }
 
 }  // namespace easched

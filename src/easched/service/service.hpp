@@ -36,18 +36,20 @@
 ///     out over a pool costs more than the work it splits. Parallelism
 ///     comes from running many services (shards) side by side.
 ///
-/// The service also supports snapshot/restore (`snapshot.hpp`), so a
-/// restarted daemon resumes its commitments mid-horizon.
+/// **Recovery.** With a `journal_path`, every admit is written ahead (and
+/// flushed) to the journal before its decision is returned, and
+/// construction replays the journal into an empty committed set: the
+/// journal alone holds the live tasks, the id counter and the rid dedup
+/// ledger (`journal.hpp`), so a crashed service restarts with every
+/// acknowledged admit intact. Nothing is planned during recovery; the first
+/// request that needs the plan derives it from the recovered set. Metric
+/// counters start from zero in every incarnation, as ordinary Prometheus
+/// counters do across a process restart.
 ///
 /// **Failure model.** Planning runs through the fallback chain of
 /// `sched/fallback.hpp` (optionally exact-first under a `PlanBudget`), so a
 /// misbehaving solver degrades a plan instead of stalling the service; the
-/// chain's validator guarantee means an invalid plan is never served. With
-/// a `journal_path`, every admit is written ahead (and flushed) to a WAL
-/// before its decision is returned, and construction replays the journal
-/// so a crashed service restarts with every acknowledged admit intact
-/// (`journal.hpp`). A bounded intake (`queue_capacity`) sheds the
-/// lowest-laxity items of an oversized call instead of planning them all.
+/// chain's validator guarantee means an invalid plan is never served.
 /// Injected faults (`faults/fault_injection.hpp`) surface as structured
 /// error kinds on decisions — except `InjectedCrash`, which is *never*
 /// swallowed: it propagates out of the admission call (simulating the
@@ -72,10 +74,10 @@
 #include "easched/sched/fallback.hpp"
 #include "easched/sched/incremental.hpp"
 #include "easched/sched/schedule.hpp"
+#include "easched/service/decision.hpp"
 #include "easched/service/journal.hpp"
 #include "easched/service/metrics.hpp"
 #include "easched/service/plan_cache.hpp"
-#include "easched/service/request_queue.hpp"
 #include "easched/service/snapshot.hpp"
 #include "easched/solver/plan_budget.hpp"
 #include "easched/tasksys/task_set.hpp"
@@ -103,33 +105,19 @@ struct ServiceOptions {
   std::size_t max_batch = 64;
   /// Plan cache entries (0 disables caching).
   std::size_t cache_capacity = 128;
-  /// Quantization grain of the plan-cache signature.
-  double signature_quantum = 1e-6;
   /// Try the exact convex solve as the top rung of every planning pass,
   /// falling back to F2 → F1 when it fails or runs out of budget. Off by
   /// default: the heuristic-only chain reproduces the pre-fallback plans
-  /// bit-for-bit.
+  /// bit-for-bit. With it off, plan-cache misses are served by the
+  /// incremental delta planner (`sched/incremental.hpp`), whose plans are
+  /// bit-identical to the chain's.
   bool exact_first = false;
-  /// Serve plan-cache misses through the incremental delta planner
-  /// (`sched/incremental.hpp`) when the exact rung is off: a committed set
-  /// that differs from the previously planned one by a few tasks is spliced
-  /// instead of re-planned from scratch. Plans are bit-identical either
-  /// way (the delta path's exactness contract); a delta that cannot keep
-  /// the contract rebuilds from scratch inside the planner, and a planner
-  /// failure falls back to the ordinary fallback chain.
-  bool incremental = true;
   /// Wall-clock budget per planning pass (only the exact rung consumes it
   /// cooperatively; the heuristic rescue rungs always run). 0 = unlimited.
   std::chrono::microseconds plan_budget{0};
-  /// Iteration ceiling for the exact rung's solver. 0 = the solver default.
-  std::size_t plan_max_iterations = 0;
-  /// Bound on the items of one admission call that go on to admission;
-  /// overflow sheds the lowest-laxity item (see `request_queue.hpp`).
-  /// 0 = unbounded.
-  std::size_t queue_capacity = 0;
   /// Path of the crash-safe admission journal (WAL). Empty disables
-  /// journaling. On construction the journal is replayed — on top of the
-  /// snapshot, when resuming from one — before any request is served.
+  /// journaling. On construction the journal is replayed before any
+  /// request is served.
   std::string journal_path;
 };
 
@@ -139,16 +127,10 @@ struct ServiceOptions {
 /// the state lock.
 class SchedulerService {
  public:
+  /// Replays `options.journal_path` (when set) into an empty committed
+  /// set. Nothing is planned here: the first request that needs the plan
+  /// derives it through the ordinary cache and delta-planner path.
   explicit SchedulerService(const PowerModel& power, ServiceOptions options = {});
-
-  /// Resume from a snapshot: the committed set, id counter and metric
-  /// counters are restored and the journal (if any) is replayed once over
-  /// them. Nothing is planned here: the first request that needs the plan
-  /// derives it through the ordinary cache and delta-planner path, so the
-  /// plan is always that of the recovered set. `options.cores` is
-  /// overridden by the snapshot's core count.
-  SchedulerService(const ServiceSnapshot& snapshot, const PowerModel& power,
-                   ServiceOptions options = {});
 
   SchedulerService(const SchedulerService&) = delete;
   SchedulerService& operator=(const SchedulerService&) = delete;
@@ -167,16 +149,18 @@ class SchedulerService {
   /// journaled. An `InjectedCrash` propagates.
   ServiceDecision submit(const Task& task, std::string rid = {});
 
-  /// Decide one call's `requests` on the calling thread, in order: the
-  /// intake numbers them (sequence order is decision order) and applies
-  /// `queue_capacity`, then the survivors are decided in chunks of
-  /// `max_batch`, one energy baseline per chunk. Returns one decision per
-  /// request, in request order; each request behaves as in `submit`.
+  /// Decide one call's `requests` on the calling thread, in order: each is
+  /// numbered (sequence order is decision order) and the requests are
+  /// decided in chunks of `max_batch`, one energy baseline per chunk.
+  /// Returns one decision per request, in request order; each request
+  /// behaves as in `submit`. The `request_drop` fault answers an item as
+  /// dropped without deciding it; `request_dup` decides a second copy
+  /// right after it, under its own sequence number, answering nobody.
   std::vector<ServiceDecision> submit_batch(const std::vector<ServiceRequest>& requests);
 
   /// `submit_batch` for owners that contain `InjectedCrash`: `decided`
   /// (resized to `requests.size()`) receives each decision once it is
-  /// final — intake answers at once, a chunk's decisions when the whole
+  /// final — a dropped item at once, a chunk's decisions when the whole
   /// chunk is decided — so after a crash it holds exactly the answers the
   /// "process" gave before it died; the other entries stay empty.
   void submit_batch(const std::vector<ServiceRequest>& requests,
@@ -216,9 +200,11 @@ class SchedulerService {
   /// counters and reclaimed-slack / sleep-residency histograms land in
   /// `metrics()` (see `record_runtime_metrics`).
   RuntimeReport simulate_runtime(const RuntimeOptions& runtime_options = {});
-  /// Serialize current state for restart (see `snapshot.hpp`). Plans
+  /// Export the committed set and id counter (see `snapshot.hpp`). Plans
   /// nothing: the plan is derived state and is not part of a snapshot.
   ServiceSnapshot snapshot();
+  /// The id the next admit will get (one past every id ever handed out).
+  TaskId next_id() const;
   /// Size of the journal file in bytes (0 when journaling is off), as
   /// tracked by the journal handle — no file-system call.
   std::uint64_t journal_size_bytes() const;
@@ -245,17 +231,17 @@ class SchedulerService {
   /// Rewrite the journal in place so replay cost stays proportional to the
   /// *live* state instead of history: the compacted log holds a `next`
   /// record, the committed set, and the rid→id dedup map. Returns nothing
-  /// when journaling is off. Any snapshot taken before the compaction is
-  /// invalidated (its completions were compacted away) — owners resuming
-  /// from snapshots must re-snapshot at the compaction point, which is what
-  /// `ServiceShard` does.
+  /// when journaling is off.
   std::optional<JournalCompaction> compact_journal();
 
  private:
-  /// Both public constructors land here; `base` (nullable) is the snapshot
-  /// to resume from.
-  SchedulerService(const PowerModel& power, ServiceOptions options,
-                   const ServiceSnapshot* base);
+  /// One admission of a call, in decision order: an item of the call, or
+  /// the copy the `request_dup` fault injected right behind it.
+  struct Pending {
+    std::uint64_t sequence = 0;
+    std::size_t item = 0;    ///< index into the call's requests
+    bool duplicate = false;  ///< injected copy: its decision answers nobody
+  };
 
   /// `complete` / `cancel`: drop `id` from the committed set and journal
   /// the removal, counting it under `counter`.
@@ -264,9 +250,12 @@ class SchedulerService {
   /// Caller holds `state_mutex_`.
   std::vector<std::pair<TaskId, Task>>::iterator find_committed_locked(TaskId id);
 
-  /// Decide `chunk` (sequence order) against one energy baseline into
-  /// `out`, one decision per request. Caller holds `state_mutex_`.
-  void decide_chunk_locked(std::span<const PendingRequest> chunk,
+  /// Decide `chunk` (sequence order) of the call's `requests`, taken in at
+  /// `enqueued_at`, against one energy baseline into `out`, one decision
+  /// per admission. Caller holds `state_mutex_`.
+  void decide_chunk_locked(const std::vector<ServiceRequest>& requests,
+                           std::span<const Pending> chunk,
+                           std::chrono::steady_clock::time_point enqueued_at,
                            std::vector<ServiceDecision>& out);
 
   /// Fallback-chain configuration derived from the options; the budget
@@ -286,11 +275,10 @@ class SchedulerService {
   /// invalidated it, so steady-state quotes/baselines skip the O(n) rebuild.
   /// Caller holds `state_mutex_`.
   const std::string& committed_signature_locked();
-  /// Replay the journal at `options_.journal_path` over the current
-  /// committed set in one merge: removals drop base entries, surviving
-  /// admits replace or join them. Then trims the file to the records it
+  /// Rebuild the committed set, id counter and dedup map from the journal
+  /// at `options_.journal_path`, then trim the file to the records it
   /// replayed, so the first append starts a fresh line. Caller holds
-  /// `state_mutex_` (or is the constructor).
+  /// `state_mutex_`.
   void replay_journal_locked();
   /// Admission core shared by batches and quotes. Evaluates `candidate`
   /// against the committed set; when `commit` is set and the candidate is
@@ -306,7 +294,6 @@ class SchedulerService {
   PowerModel power_;
   ServiceOptions options_;
   MetricsRegistry metrics_;
-  RequestQueue queue_;
   std::optional<AdmissionJournal> journal_;  ///< open iff `journal_path` set
 
   mutable std::mutex state_mutex_;
@@ -322,9 +309,10 @@ class SchedulerService {
   /// admit. Guarded by `state_mutex_`.
   std::unordered_map<std::string, TaskId> dedup_;
   PlanCache cache_;
-  /// Present iff `options_.incremental`; guarded by `state_mutex_` like the
-  /// cache it sits behind.
-  std::optional<DeltaPlanner> delta_planner_;
+  /// Serves cache misses while the exact rung is off; guarded by
+  /// `state_mutex_` like the cache it sits behind.
+  DeltaPlanner delta_planner_;
+  std::uint64_t next_sequence_ = 0;  ///< guarded by `state_mutex_`
   std::uint64_t batches_ = 0;
   std::size_t replayed_corruptions_ = 0;  ///< set once, by the constructor
 

@@ -1,8 +1,6 @@
 #include "easched/service/shard.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <stdexcept>
 #include <utility>
 
 #include "easched/common/contracts.hpp"
@@ -52,43 +50,6 @@ ServiceShard::ServiceShard(const PowerModel& power, ShardOptions options, BringU
 
 ServiceShard::~ServiceShard() = default;
 
-ServiceDecision ServiceShard::submit(const Task& task, std::string rid, std::size_t pressure) {
-  std::lock_guard lock(mutex_);
-  if (!service_ && !tick_down_locked()) {
-    return unavailable_decision_locked("shard down (restart scheduled)");
-  }
-
-  if (options_.brownout_enabled) apply_brownout_locked(ladder_.observe(pressure));
-  const int level = ladder_.level();
-  if (level >= kBrownoutMaxLevel && slack_ratio(task) < ladder_.options().shed_slack) {
-    ++stats_.brownout_sheds;
-    last_activity_ = std::chrono::steady_clock::now();
-    ServiceDecision shed;
-    shed.error_kind = AdmissionErrorKind::kOverload;
-    shed.admission.admitted = false;
-    shed.admission.rejection_reason = "brownout shed (level 3, lowest laxity)";
-    shed.brownout_level = level;
-    return shed;
-  }
-
-  try {
-    // Arrival crash site: fires before anything is queued or committed, so
-    // a kill here loses nothing a client was ever acked for. Both the
-    // fleet-wide and the shard-addressed name are consulted.
-    faults::kill_point("shard.submit");
-    faults::kill_point(submit_site_);
-    ServiceDecision decision = service_->submit(task, std::move(rid));
-    decision.brownout_level = level;
-    last_activity_ = std::chrono::steady_clock::now();
-    compact_if_over_threshold_locked();
-    return decision;
-  } catch (const InjectedCrash& crash) {
-    ++stats_.crashes_contained;
-    mark_down_locked(crash.restart_after());
-    return unavailable_decision_locked(std::string("shard crashed at ") + crash.point());
-  }
-}
-
 std::vector<ServiceDecision> ServiceShard::submit_batch(
     const std::vector<ServiceRequest>& items, std::size_t pressure) {
   std::vector<ServiceDecision> out(items.size());
@@ -102,7 +63,7 @@ std::vector<ServiceDecision> ServiceShard::submit_batch(
   }
 
   // One brownout observation for the whole batch: the ladder sees the burst
-  // as one pressure sample, exactly as a single submit would.
+  // as one pressure sample.
   if (options_.brownout_enabled) apply_brownout_locked(ladder_.observe(pressure));
   const int level = ladder_.level();
 
@@ -135,6 +96,9 @@ std::vector<ServiceDecision> ServiceShard::submit_batch(
       continue;
     }
     try {
+      // Arrival crash site: fires before anything is committed, so a kill
+      // here loses nothing a client was ever acked for. Both the fleet-wide
+      // and the shard-addressed name are consulted.
       faults::kill_point("shard.submit");
       faults::kill_point(submit_site_);
     } catch (const InjectedCrash& crash) {
@@ -255,6 +219,11 @@ std::vector<TaskId> ServiceShard::committed_ids() const {
   return service_ ? service_->committed_ids() : std::vector<TaskId>{};
 }
 
+TaskId ServiceShard::next_id() const {
+  std::lock_guard lock(mutex_);
+  return service_ ? service_->next_id() : 0;
+}
+
 TaskSet ServiceShard::committed_task_set() const {
   std::lock_guard lock(mutex_);
   return service_ ? service_->committed_task_set() : TaskSet{};
@@ -307,20 +276,9 @@ bool ServiceShard::start_service_locked(BringUpOrder* order) {
   try {
     ServiceOptions service_options = options_.service;
     service_options.journal_path = options_.journal_path;
-    std::optional<ServiceSnapshot> base;
-    if (!options_.snapshot_path.empty() && std::filesystem::exists(options_.snapshot_path)) {
-      try {
-        base = read_snapshot(options_.snapshot_path);
-      } catch (const std::runtime_error&) {
-        // The journal alone holds the live set, `next` and the dedup ledger
-        // (compaction writes all three), so a damaged snapshot is skipped;
-        // the bring-up below writes a fresh one.
-        ++stats_.snapshot_discards;
-      }
-    }
-    // Mid-restart crash site: the snapshot is loaded, the journal replay
-    // (inside the service constructor) has not happened. A kill here leaves
-    // the shard down; the next routed op retries recovery from scratch.
+    // Mid-restart crash site, before journal replay (inside the service
+    // constructor). A kill here leaves the shard down; the next routed op
+    // retries recovery from scratch.
     if (order != nullptr) order->wait(options_.index);
     try {
       faults::kill_point("shard.restart.replay");
@@ -330,19 +288,20 @@ bool ServiceShard::start_service_locked(BringUpOrder* order) {
       throw;
     }
     if (order != nullptr) order->pass(options_.index);
-    service_ = base ? std::make_unique<SchedulerService>(*base, power_, service_options)
-                    : std::make_unique<SchedulerService>(power_, service_options);
+    service_ = std::make_unique<SchedulerService>(power_, service_options);
     // A restarted incarnation resumes at the ladder's current level.
     if (ladder_.level() > 0) service_->set_brownout_level(ladder_.level());
     if (stats_.crashes_contained + stats_.restart_failures > 0) ++stats_.restarts;
-    // The snapshot file always names the recovered state, id counter
-    // included (the e2e benchmark's replay reads it from there). The journal
-    // is rewritten only when it needs to be: replay skipped corrupt records,
-    // which compaction drops, or it is past the threshold every op checks.
+    // The journal is rewritten only when it needs to be: replay skipped
+    // corrupt records, which compaction drops, or it is past the threshold
+    // every op checks.
     if (service_->replayed_corruptions() > 0 || journal_over_threshold_locked()) {
-      snapshot_and_compact_locked();
-    } else {
-      write_snapshot_locked();
+      compact_locked();
+    }
+    // The export always names the recovered state, id counter included
+    // (the e2e benchmark's replay reads it from there).
+    if (!options_.snapshot_path.empty()) {
+      write_snapshot(options_.snapshot_path, service_->snapshot());
     }
     last_activity_ = std::chrono::steady_clock::now();
     return true;
@@ -374,18 +333,7 @@ bool ServiceShard::tick_down_locked() {
   return true;
 }
 
-void ServiceShard::write_snapshot_locked() {
-  if (!options_.snapshot_path.empty()) {
-    write_snapshot(options_.snapshot_path, service_->snapshot());
-  }
-}
-
-void ServiceShard::snapshot_and_compact_locked() {
-  if (!service_) return;
-  // Fresh snapshot first, then the journal is rewritten against it — the
-  // pre-compaction snapshot would resurrect completed tasks (the compacted
-  // log has no removal records).
-  write_snapshot_locked();
+void ServiceShard::compact_locked() {
   if (const auto compaction = service_->compact_journal()) {
     ++stats_.compactions;
     compact_floor_bytes_ = compaction->bytes_after;
@@ -403,7 +351,7 @@ bool ServiceShard::journal_over_threshold_locked() const {
 }
 
 void ServiceShard::compact_if_over_threshold_locked() {
-  if (journal_over_threshold_locked()) snapshot_and_compact_locked();
+  if (journal_over_threshold_locked()) compact_locked();
 }
 
 void ServiceShard::apply_brownout_locked(int level) {

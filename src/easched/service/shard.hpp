@@ -2,14 +2,13 @@
 
 /// \file shard.hpp
 /// \brief One supervised scheduler shard: a `SchedulerService` wrapped in a
-///        crash-containment boundary with automatic snapshot+journal
-///        recovery and a per-shard brownout ladder.
+///        crash-containment boundary with automatic journal recovery and a
+///        per-shard brownout ladder.
 ///
 /// A shard is the supervisor's unit of failure and of parallelism. It owns
-/// a private `SchedulerService` (own journal path, own snapshot file, own
-/// plan cache) and calls it under the shard lock, so every operation is
-/// decided and planned synchronously on the caller's thread with
-/// deterministic crash points.
+/// a private `SchedulerService` (own journal, own plan cache) and calls it
+/// under the shard lock, so every operation is decided and planned
+/// synchronously on the caller's thread with deterministic crash points.
 ///
 /// **Crash containment.** Service code never swallows `InjectedCrash`; the
 /// shard is the layer that finally catches it. A crash tears down the inner
@@ -21,26 +20,27 @@
 /// (clients retry with the same rid) and each one ticks the restart
 /// countdown.
 ///
-/// **Recovery.** Restart rebuilds the service from its snapshot file plus
-/// the journal replayed over it once — every acked admit survives, and the
-/// journal's rid→id records make retried acks dedup instead of
-/// double-committing. An unreadable snapshot is skipped, since the journal
-/// alone holds the whole state. A torn tail left by a mid-append crash is
-/// cut before the first append. A `Supervisor` brings all its shards up at
-/// once, each on its own thread (snapshot load, journal replay, service
-/// construction and bring-up snapshot side by side), so a fleet restart
-/// costs its slowest shard; a `BringUpOrder` keeps the restart kill points
-/// in shard order. Restart plans nothing: the first request routed to the
-/// shard plans the recovered set. It writes a snapshot of the recovered
-/// state, but rewrites the journal only when the journal needs it: replay
-/// skipped mid-file corrupt records (compaction drops them), or the journal
-/// is past the compaction threshold — the same threshold every served op
-/// checks: `max(journal_compact_bytes, 2 × the last compacted size)`. So
-/// the journal, and with it recovery time, stays bounded by the threshold
-/// and by twice the compacted state (live tasks plus the dedup ledger).
-/// Kill points `shard.submit` (on arrival, before anything commits) and
-/// `shard.restart.replay` (between snapshot load and journal replay) extend
-/// the crash-boundary coverage to the supervisor era.
+/// **Recovery.** Restart rebuilds the service from its journal alone: the
+/// journal holds the live set, the id counter and the rid dedup ledger, so
+/// every acked admit survives and retried acks dedup instead of
+/// double-committing. A torn tail left by a mid-append crash is cut before
+/// the first append; a record damaged mid-file is skipped, reported as a
+/// `JournalCorruption` and counted in `journal_corruption_total`. A
+/// `Supervisor` brings all its shards up at once, each on its own thread
+/// (journal replay and service construction side by side), so a fleet
+/// restart costs its slowest shard; a `BringUpOrder` keeps the restart kill
+/// points in shard order. Restart plans nothing: the first request routed
+/// to the shard plans the recovered set. It rewrites the journal only when
+/// the journal needs it: replay skipped mid-file corrupt records
+/// (compaction drops them), or the journal is past the compaction threshold
+/// — the same threshold every served op checks: `max(journal_compact_bytes,
+/// 2 × the last compacted size)`. So the journal, and with it recovery
+/// time, stays bounded by the threshold and by twice the compacted state
+/// (live tasks plus the dedup ledger). Each bring-up also exports the
+/// recovered state to `snapshot_path` (see `snapshot.hpp`); nothing here
+/// reads it back. Kill points `shard.submit` (on arrival, before anything
+/// commits) and `shard.restart.replay` (before journal replay) extend the
+/// crash-boundary coverage to the supervisor era.
 ///
 /// **Brownout.** Each shard runs its own `BrownoutLadder`, fed the
 /// supervisor's in-flight pressure at every decision point. The level
@@ -69,8 +69,8 @@ struct ShardOptions {
   std::size_t index = 0;
   /// WAL path (required: a shard without a journal cannot recover).
   std::string journal_path;
-  /// Snapshot file path; empty disables snapshots (recovery then replays
-  /// the whole journal).
+  /// Where each bring-up exports the recovered state (see `snapshot.hpp`);
+  /// empty disables the export. Recovery never reads it.
   std::string snapshot_path;
   /// Inner service tuning. `journal_path` is overwritten with the shard's
   /// own.
@@ -80,9 +80,8 @@ struct ShardOptions {
   /// Drive the ladder from pressure observations; off leaves level 0
   /// unless `force_brownout_level` is called.
   bool brownout_enabled = true;
-  /// Compact the journal (and re-snapshot) when it grows past this many
-  /// bytes, checked after every served op and at restart. 0 disables
-  /// threshold compaction.
+  /// Compact the journal when it grows past this many bytes, checked after
+  /// every served op and at restart. 0 disables threshold compaction.
   std::uint64_t journal_compact_bytes = std::uint64_t{1} << 20;
 };
 
@@ -96,7 +95,6 @@ struct ShardStats {
   std::uint64_t brownout_sheds = 0;      ///< level-3 lowest-laxity sheds
   std::uint64_t compactions = 0;         ///< journal compactions
   std::uint64_t restart_failures = 0;    ///< restarts aborted by a crash mid-recovery
-  std::uint64_t snapshot_discards = 0;   ///< unreadable snapshots recovered around
 };
 
 /// Turn order for the restart kill points of shards brought up
@@ -123,7 +121,7 @@ class BringUpOrder {
 class ServiceShard {
  public:
   /// Builds the shard and brings the inner service up immediately
-  /// (snapshot + journal recovery, like any restart). A crash injected at
+  /// (journal recovery, like any restart). A crash injected at
   /// `shard.restart.replay` during this first bring-up leaves the shard
   /// down with an immediate retry, so the first routed op brings it up;
   /// any other bring-up failure (say, an unreadable journal) throws. With
@@ -136,22 +134,15 @@ class ServiceShard {
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  /// Synchronous admission round. `pressure` is the caller's congestion
-  /// observation (supervisor in-flight count) feeding the brownout ladder.
-  /// Never throws `InjectedCrash`: a crash is contained and the decision
-  /// comes back `kUnavailable`.
-  ServiceDecision submit(const Task& task, std::string rid = {}, std::size_t pressure = 0);
-
-  /// Batched admission round: N arrivals decided under one shard lock with
-  /// one brownout observation, as one inner `submit_batch` call (one
-  /// planning baseline per `max_batch` chunk). Decisions come back in item
-  /// order and a batch of one is bit-identical to `submit` — same lock
-  /// scope, same kill-point order, same dedup and journal behavior. Partial
-  /// failure is per-item and never throws: an arrival crash at item j
-  /// decides the arrivals before j and answers j..N-1 `kUnavailable`
-  /// (retryable, same rid); a crash inside the service keeps the answers of
-  /// the chunks it finished and answers every other arrival
-  /// `kUnavailable`.
+  /// Admission round, the shard's only one: N arrivals decided under one
+  /// shard lock with one brownout observation (`pressure`, the caller's
+  /// congestion estimate), as one inner `submit_batch` call (one planning
+  /// baseline per `max_batch` chunk). Decisions come back in item order; a
+  /// single admit is a batch of one. Partial failure is per-item and never
+  /// throws: an arrival crash at item j decides the arrivals before j and
+  /// answers j..N-1 `kUnavailable` (retryable, same rid); a crash inside the
+  /// service keeps the answers of the chunks it finished and answers every
+  /// other arrival `kUnavailable`.
   std::vector<ServiceDecision> submit_batch(const std::vector<ServiceRequest>& items,
                                             std::size_t pressure = 0);
 
@@ -164,7 +155,7 @@ class ServiceShard {
   /// Non-binding admission check + energy quote against this shard's
   /// committed set. `nullopt` while the shard is down (ticks the restart
   /// countdown like any routed op); a crash is contained the same way
-  /// `submit` contains it.
+  /// `submit_batch` contains it.
   std::optional<AdmissionDecision> quote(const Task& task);
 
   /// What-if simulation: execute this shard's current plan through the
@@ -176,6 +167,8 @@ class ServiceShard {
   bool up() const;
   std::size_t committed_count() const;
   std::vector<TaskId> committed_ids() const;
+  /// The id the shard's next admit will get.
+  TaskId next_id() const;
   TaskSet committed_task_set() const;
   Schedule current_plan();
   double current_energy();
@@ -199,8 +192,8 @@ class ServiceShard {
   const ShardOptions& options() const { return options_; }
 
  private:
-  /// Bring the inner service up from snapshot + journal. Caller holds the
-  /// shard lock. Returns false (shard stays down) when recovery itself
+  /// Bring the inner service up from its journal. Caller holds the shard
+  /// lock. Returns false (shard stays down) when recovery itself
   /// crashes at `shard.restart.replay`, whose visit waits for this shard's
   /// turn in `order` when one is given.
   bool start_service_locked(BringUpOrder* order = nullptr);
@@ -210,20 +203,17 @@ class ServiceShard {
   /// Down-path bookkeeping for one routed op: ticks the countdown and
   /// restarts when it expires. Returns true when the shard is up after it.
   bool tick_down_locked();
-  /// Write the service's snapshot to `snapshot_path` (if any). Caller
+  /// Compact the journal (threshold, corruption or restart path). Caller
   /// holds the lock and the service is up.
-  void write_snapshot_locked();
-  /// Snapshot + compact (threshold, corruption or restart path). Caller
-  /// holds the lock and the service is up.
-  void snapshot_and_compact_locked();
+  void compact_locked();
   /// True when the journal exceeds `max(journal_compact_bytes, 2 × last
   /// compacted size)` — threshold compaction with hysteresis. The journal
   /// tracks its own size, so the check is free. Caller holds the lock and
   /// the service is up.
   bool journal_over_threshold_locked() const;
-  /// Threshold compaction, checked after every served op: snapshot +
-  /// compact when `journal_over_threshold_locked()`. Caller holds the lock
-  /// and the service is up.
+  /// Threshold compaction, checked after every served op: compact when
+  /// `journal_over_threshold_locked()`. Caller holds the lock and the
+  /// service is up.
   void compact_if_over_threshold_locked();
   /// Apply a (possibly new) ladder level to the inner service + tracing.
   void apply_brownout_locked(int level);

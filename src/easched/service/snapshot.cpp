@@ -73,7 +73,7 @@ std::vector<Task> parse_tasks(std::string_view& rest) {
 
 std::string snapshot_to_text(const ServiceSnapshot& snapshot) {
   std::string out;
-  out.reserve(256 + 64 * (snapshot.committed.size() + snapshot.counters.size()));
+  out.reserve(256 + 64 * snapshot.committed.size());
   out += kHeader;
   out += "\n# cores=";
   append_number(out, snapshot.cores);
@@ -85,15 +85,6 @@ std::string snapshot_to_text(const ServiceSnapshot& snapshot) {
     append_number(out, snapshot.committed[i].first);
   }
   out += '\n';
-  // Counters ride in header comments so the v1 parser shape is unchanged;
-  // readers that predate them skip unknown '# ' lines.
-  for (const auto& [name, value] : snapshot.counters) {
-    out += "# counter=";
-    out += name;
-    out += ' ';
-    append_number(out, value);
-    out += '\n';
-  }
   out += kTasksMarker;
   out += '\n';
   out += kTaskHeader;
@@ -126,7 +117,8 @@ ServiceSnapshot snapshot_from_text(const std::string& text) {
   bool saw_tasks = false;
 
   // Header comments until the tasks marker. Unknown lines (`# energy=` of
-  // documents that stored a plan, among others) are skipped.
+  // documents that stored a plan, `# counter=` of older writers) are
+  // skipped.
   while (!rest.empty()) {
     const std::string_view t = trimmed(take_field(rest, '\n'));
     if (t == kTasksMarker) {
@@ -137,13 +129,6 @@ ServiceSnapshot snapshot_from_text(const std::string& text) {
       snapshot.cores = header_number<int>(t.substr(8), "cores=");
     } else if (t.starts_with("# next_id=")) {
       snapshot.next_id = header_number<TaskId>(t.substr(10), "next_id=");
-    } else if (t.starts_with("# counter=")) {
-      std::string_view body = t.substr(10);
-      const std::string_view name = take_field(body, ' ');
-      if (name.empty() || body.empty()) {
-        throw std::runtime_error("malformed '# counter=' line in snapshot");
-      }
-      snapshot.counters[std::string(name)] = header_number<std::uint64_t>(body, "counter=");
     } else if (t.starts_with("# ids=")) {
       saw_ids = true;
       std::string_view list = t.substr(6);

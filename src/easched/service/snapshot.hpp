@@ -1,26 +1,22 @@
 #pragma once
 
 /// \file snapshot.hpp
-/// \brief Durable service state: committed set, ids, id counter and metric
-///        counters, round-trippable.
+/// \brief An export of a service's state: committed set, ids and id
+///        counter, round-trippable.
 ///
-/// A restarted service must resume mid-horizon: the tasks it already
-/// admitted are commitments, and ids handed to clients must stay valid
-/// across the restart. The snapshot holds exactly that — the service ids,
-/// `next_id`, the committed tasks (exact: every number is written in its
-/// shortest round-trip form) and the metric counters. The plan is derived
-/// state and is not stored: on restart the journal (`journal.hpp`) is
-/// replayed once over the snapshot, and the first request that needs the
-/// plan re-derives it through the ordinary plan cache and delta planner.
+/// The journal (`journal.hpp`) is what a service recovers from; the
+/// snapshot is an export of the same state in one readable document: the
+/// service ids, `next_id` and the committed tasks (exact: every number is
+/// written in its shortest round-trip form). The plan is derived state and
+/// is not stored. A `ServiceShard` writes one at every bring-up, which
+/// tools read for the recovered id counter; nothing restores from it.
 ///
 /// The format is one text document embedding the task-trace CSV
 /// (`trace_io`). For older readers the writer still ends it with a
 /// `--- plan ---` section holding an empty schedule table; the reader skips
-/// any plan section and `# energy=` line it finds, so documents written
-/// with a stored plan still load.
+/// any plan section and unknown `# ` header lines (`# energy=` and
+/// `# counter=` of older writers), so those documents still load.
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,19 +25,13 @@
 
 namespace easched {
 
-/// Everything a `SchedulerService` needs to resume.
+/// A `SchedulerService`'s committed state.
 struct ServiceSnapshot {
   int cores = 1;
   /// Next id the service will assign (ids already handed out stay unique).
   TaskId next_id = 0;
   /// Committed tasks with their service ids, in id order.
   std::vector<std::pair<TaskId, Task>> committed;
-  /// Metric counters at snapshot time. A service restored from the snapshot
-  /// re-seeds its registry with them, so monotone totals (admits,
-  /// rejections, journal replays, ...) survive recovery instead of
-  /// restarting from zero. Optional in the text format — documents written
-  /// before counters existed parse to an empty map.
-  std::map<std::string, std::uint64_t> counters;
 };
 
 /// Serialize to the `easched-service-snapshot v1` text format.

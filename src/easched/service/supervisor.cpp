@@ -18,6 +18,9 @@ namespace {
 /// load lands.
 constexpr std::string_view kRingLabel = "easched-shard-ring";
 
+/// Ring points per shard. More points → smoother tenant balance.
+constexpr std::size_t kVirtualNodes = 64;
+
 /// `Rng::seed_of`'s index mix is additive and leaves the label hash owning
 /// the high bits, so raw ring points for (k, v) all land on one tiny arc of
 /// the 64-bit circle — every tenant would route to the shard holding the
@@ -35,10 +38,8 @@ std::uint64_t avalanche(std::uint64_t x) {
 Supervisor::Supervisor(const PowerModel& power, SupervisorOptions options)
     : options_(std::move(options)) {
   EASCHED_EXPECTS_MSG(options_.shards >= 1, "a supervisor needs at least one shard");
-  EASCHED_EXPECTS_MSG(options_.virtual_nodes >= 1,
-                      "the consistent-hash ring needs at least one point per shard");
   EASCHED_EXPECTS_MSG(!options_.data_dir.empty(),
-                      "supervised shards need a data_dir for their journals + snapshots");
+                      "supervised shards need a data_dir for their journals");
 
   // Bring-up: every shard recovers on its own thread (this one takes shard
   // 0), so a restart costs the slowest shard rather than the sum. `order`
@@ -88,9 +89,9 @@ Supervisor::Supervisor(const PowerModel& power, SupervisorOptions options)
     shard_level_.push_back(std::make_unique<std::atomic<int>>(shard->brownout_level()));
   }
 
-  ring_.reserve(options_.shards * options_.virtual_nodes);
+  ring_.reserve(options_.shards * kVirtualNodes);
   for (std::size_t k = 0; k < options_.shards; ++k) {
-    for (std::size_t v = 0; v < options_.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       ring_.emplace_back(avalanche(Rng::seed_of(kRingLabel, k, v)), k);
     }
   }
@@ -118,20 +119,8 @@ std::size_t Supervisor::route(std::string_view tenant) const {
 
 ServiceDecision Supervisor::submit(std::string_view tenant, const Task& task, std::string rid,
                                    std::size_t pressure_hint) {
-  const std::size_t k = route(tenant);
-  std::atomic<std::size_t>& in_flight = *in_flight_[k];
-  const std::size_t concurrent = in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
-  requests_routed_.fetch_add(1, std::memory_order_relaxed);
-
-  ServiceDecision decision =
-      shards_[k]->submit(task, std::move(rid), std::max(pressure_hint, concurrent));
-  in_flight.fetch_sub(1, std::memory_order_relaxed);
-
-  if (shard_level_[k]->exchange(decision.brownout_level, std::memory_order_relaxed) !=
-      decision.brownout_level) {
-    refresh_brownout_state();
-  }
-  return decision;
+  return std::move(
+      submit_batch({BatchItem{std::string(tenant), task, std::move(rid)}}, pressure_hint).front());
 }
 
 std::vector<ServiceDecision> Supervisor::submit_batch(const std::vector<BatchItem>& items,
@@ -283,12 +272,10 @@ MetricsSnapshot Supervisor::metrics_snapshot() const {
     merged.counters[prefix + "brownout_sheds_total"] = s.brownout_sheds;
     merged.counters[prefix + "compactions_total"] = s.compactions;
     merged.counters[prefix + "restart_failures_total"] = s.restart_failures;
-    merged.counters[prefix + "snapshot_discards_total"] = s.snapshot_discards;
 
     const MetricsSnapshot inner = shard.metrics_snapshot();
     for (const auto& [name, value] : inner.counters) merged.counters[prefix + name] = value;
     for (const auto& [name, value] : inner.gauges) merged.gauges[prefix + name] = value;
-    for (const auto& [name, value] : inner.histograms) merged.histograms[prefix + name] = value;
     for (const auto& [name, value] : inner.bucketed) merged.bucketed[prefix + name] = value;
   }
   return merged;

@@ -7,11 +7,11 @@
 ///
 /// The `Supervisor` is the deployment-shaped front door of the service
 /// layer: it owns N `ServiceShard`s (each a crash-containment boundary
-/// around its own `SchedulerService`, journal, and snapshot file — see
-/// `shard.hpp`) and routes every tenant to exactly one of them.
+/// around its own `SchedulerService` and journal — see `shard.hpp`) and
+/// routes every tenant to exactly one of them.
 ///
 /// **Routing.** Tenants map to shards through a consistent-hash ring:
-/// each shard contributes `virtual_nodes` points derived from
+/// each shard contributes 64 virtual-node points derived from
 /// `Rng::seed_of("easched-shard-ring", shard, node)`, and a tenant lands on
 /// the first ring point at or after its own hash (wrapping). The ring is
 /// fixed at construction — determinism matters more than elasticity here —
@@ -37,6 +37,7 @@
 /// under `shard<k>_` prefixes with supervision-level series
 /// (`shard<k>_up`, `shard<k>_restarts_total`, `brownout_level`, ...);
 /// `prometheus()` renders the merged snapshot in text-exposition format.
+/// Inner-registry series count from zero in every shard incarnation.
 
 #include <atomic>
 #include <chrono>
@@ -54,13 +55,13 @@ namespace easched {
 
 /// Tunables of a `Supervisor`.
 struct SupervisorOptions {
-  /// Number of shards (>= 1). Each gets its own journal, snapshot, plan
-  /// cache, and brownout ladder.
+  /// Number of shards (>= 1). Each gets its own journal, plan cache, and
+  /// brownout ladder.
   std::size_t shards = 2;
-  /// Directory (must exist) for per-shard durability files:
-  /// `<data_dir>/shard<k>.wal` and `<data_dir>/shard<k>.snap`. Required —
-  /// a supervised fleet without journals could not honor the no-lost-acks
-  /// contract across restarts.
+  /// Directory (must exist) for the per-shard journals
+  /// `<data_dir>/shard<k>.wal`, and the bring-up exports
+  /// `<data_dir>/shard<k>.snap`. Required — a supervised fleet without
+  /// journals could not honor the no-lost-acks contract across restarts.
   std::string data_dir;
   /// Inner-service template applied to every shard (`journal_path`
   /// replaced per shard).
@@ -69,8 +70,6 @@ struct SupervisorOptions {
   BrownoutOptions brownout;
   /// Drive the ladders from pressure observations (see `ShardOptions`).
   bool brownout_enabled = true;
-  /// Ring points per shard. More points → smoother tenant balance.
-  std::size_t virtual_nodes = 64;
   /// A down shard idle longer than this is force-restarted by
   /// `check_watchdogs()` regardless of its remaining restart countdown.
   /// Zero restarts every down shard on every watchdog sweep.
@@ -106,11 +105,10 @@ class Supervisor {
   /// Consistent-hash lookup: which shard serves `tenant`.
   std::size_t route(std::string_view tenant) const;
 
-  /// Route and admit. `rid` is the client request id for idempotent
-  /// re-admission (retries across shard crashes must reuse it).
-  /// `pressure_hint` lets a closed-loop client report its backlog depth to
-  /// the shard's brownout ladder; the shard sees
-  /// `max(hint, in-flight ops on this shard)`. Never throws
+  /// Route and admit one task: a `submit_batch` of one. `rid` is the client
+  /// request id for idempotent re-admission (retries across shard crashes
+  /// must reuse it). `pressure_hint` lets a closed-loop client report its
+  /// backlog depth to the shard's brownout ladder. Never throws
   /// `InjectedCrash`; a crash comes back as `kUnavailable`.
   ServiceDecision submit(std::string_view tenant, const Task& task, std::string rid = {},
                          std::size_t pressure_hint = 0);
@@ -122,13 +120,13 @@ class Supervisor {
     std::string rid;
   };
 
-  /// Batched admission: split `items` across the consistent-hash ring,
-  /// preserve arrival order within each shard, run each shard's slice as
-  /// one `ServiceShard::submit_batch` round (one lock, one brownout
-  /// observation, one planning baseline per `max_batch` chunk), and merge
-  /// the decisions back into request order. A batch of one is
-  /// bit-identical to `submit`. Partial failure is per-item; this never
-  /// throws `InjectedCrash`.
+  /// Batched admission, the fleet's only admission path: split `items`
+  /// across the consistent-hash ring, preserve arrival order within each
+  /// shard, run each shard's slice as one `ServiceShard::submit_batch`
+  /// round (one lock, one brownout observation, one planning baseline per
+  /// `max_batch` chunk), and merge the decisions back into request order.
+  /// Each shard sees `max(pressure_hint, in-flight ops on that shard)`.
+  /// Partial failure is per-item; this never throws `InjectedCrash`.
   std::vector<ServiceDecision> submit_batch(const std::vector<BatchItem>& items,
                                             std::size_t pressure_hint = 0);
 

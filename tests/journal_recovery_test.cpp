@@ -125,33 +125,5 @@ TEST(JournalRecoveryTest, KillAroundCompletionRecord) {
   }
 }
 
-TEST(JournalRecoveryTest, JournalReplaysOverSnapshotBase) {
-  const std::string path = fresh_path("journal_recovery_snapshot.log");
-  ServiceSnapshot snap;
-  {
-    SchedulerService service(test_power(), journal_options(path));
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(service.submit(nth_task(i)).admission.admitted);
-    }
-    snap = service.snapshot();
-    // Post-snapshot history lives only in the journal: one removal, one
-    // fresh admit.
-    ASSERT_TRUE(service.complete(0));
-    ASSERT_TRUE(service.submit(nth_task(7)).admission.admitted);
-  }
-
-  // Restore from the (stale) snapshot plus the journal: the removal and the
-  // late admit must both come back.
-  SchedulerService restored(snap, test_power(), journal_options(path));
-  const std::vector<TaskId> ids = restored.committed_ids();
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(ids[0], 1);
-  EXPECT_EQ(ids[1], 2);
-  EXPECT_EQ(ids[2], 3);
-  const ServiceDecision next = restored.submit(Task{0.0, 40.0, 2.0});
-  EXPECT_TRUE(next.admission.admitted);
-  EXPECT_EQ(next.id, 4);
-}
-
 }  // namespace
 }  // namespace easched

@@ -76,8 +76,6 @@ TEST(JournalTest, CompleteRemovesAndIsRemembered) {
   EXPECT_EQ(recovery.committed[0].first, 0);
   EXPECT_EQ(recovery.committed[1].first, 2);
   EXPECT_EQ(recovery.next_id, 3);  // completion does not reuse ids
-  ASSERT_EQ(recovery.removed_ids.size(), 1u);
-  EXPECT_EQ(recovery.removed_ids[0], 1);
   EXPECT_EQ(recovery.records, 4u);
 }
 
@@ -191,9 +189,8 @@ TEST(JournalTest, BadHeaderThrows) {
 }
 
 TEST(JournalTest, ReadmitAfterRemovalSurvives) {
-  // complete(id) then a later admit of the same id (snapshot-restore replays
-  // can produce this order): the admit wins because replay applies records
-  // in sequence.
+  // complete(id) then a later admit of the same id: the admit wins because
+  // replay applies records in sequence.
   const std::string path = fresh_path("journal_readmit.log");
   {
     AdmissionJournal journal(path);
@@ -204,10 +201,6 @@ TEST(JournalTest, ReadmitAfterRemovalSurvives) {
   const JournalRecovery recovery = AdmissionJournal::recover(path);
   ASSERT_EQ(recovery.committed.size(), 1u);
   EXPECT_EQ(recovery.committed[0].second.work, 1.0);
-  // The id still appears in removed_ids — callers replaying over a snapshot
-  // apply removals first, then surviving admits, so this stays consistent.
-  ASSERT_EQ(recovery.removed_ids.size(), 1u);
-  EXPECT_EQ(recovery.removed_ids[0], 0);
 }
 
 TEST(JournalTest, CompactShrinksToLiveStateAndStaysAppendable) {
@@ -230,7 +223,6 @@ TEST(JournalTest, CompactShrinksToLiveStateAndStaysAppendable) {
   EXPECT_EQ(recovery.committed[0].first, 42);
   EXPECT_EQ(recovery.committed[1].first, 50);
   EXPECT_EQ(recovery.records, 3u);
-  EXPECT_TRUE(recovery.removed_ids.empty());  // history is gone, by design
 }
 
 TEST(JournalTest, CompactionNextRecordPinsTheIdCounter) {

@@ -296,18 +296,15 @@ TEST(ProtocolStatusTest, TaxonomyMapsEveryErrorKindDistinctly) {
             Status::kInternalError);
 }
 
-TEST(ProtocolStatusTest, BrownoutShedIsDistinctFromQueueOverload) {
+TEST(ProtocolStatusTest, ServiceOverloadIsABrownoutShed) {
   const Task good{0.0, 10.0, 1.0};
-  // Both arrive as kOverload; the reason prefix separates the ladder's shed
-  // (stretch the backoff) from a full queue (plain backoff).
+  // The brownout ladder's level-3 shed is the service's only kOverload; the
+  // client stretches its backoff for it. The front end's rate limit answers
+  // Status::kOverload without a service decision.
   EXPECT_EQ(admit_status(decision_with(AdmissionErrorKind::kOverload, false,
                                        "brownout shed (level 3, lowest laxity)"),
                          good),
             Status::kShedBrownout);
-  EXPECT_EQ(admit_status(decision_with(AdmissionErrorKind::kOverload, false,
-                                       "request queue full"),
-                         good),
-            Status::kOverload);
 }
 
 TEST(ProtocolStatusTest, InvalidAndInfeasibleRejectionsAreDistinguished) {

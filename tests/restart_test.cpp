@@ -1,12 +1,12 @@
-// Restart does each step once: a snapshot holds ids, next_id, exact tasks
-// and counters but no plan; the journal replays once over it; the first
-// request re-derives the plan. Pins compatibility with data dirs written in
-// the older formats (17-digit journal records, snapshots with a stored
-// plan), bit-exact record round-trips, that a restarted shard plans the set
-// it recovered rather than the one its snapshot saw, when a restart rewrites
-// the journal (mid-file corruption, or past the compaction threshold — never
-// a clean journal under it), that a torn tail is cut before the next
-// append, and that a snapshot the shard cannot read is recovered around.
+// Restart does each step once: the journal alone is replayed, once, and the
+// first request re-derives the plan. Pins compatibility with data dirs
+// written in the older formats (17-digit journal records, snapshots with a
+// stored plan and counters), bit-exact record round-trips, that a restarted
+// shard plans the set it recovered rather than the one its last snapshot
+// export saw, when a restart rewrites the journal (mid-file corruption, or
+// past the compaction threshold — never a clean journal under it), that a
+// torn tail is cut before the next append, and that a missing or damaged
+// snapshot export changes nothing a restart recovers.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,7 +86,8 @@ TEST(RestartTest, OlderFormatDataDirRestoresBitExactly) {
     std::filesystem::copy_file(std::string(EASCHED_TEST_DATA_DIR) + "/older_format/" + name,
                                dir + "/" + name);
   }
-  // The snapshot's plan section and `# energy=` line are skipped.
+  // The snapshot's plan section, `# energy=` and `# counter=` lines are
+  // skipped.
   const ServiceSnapshot snapshot = read_snapshot(dir + "/shard0.snap");
   EXPECT_EQ(snapshot.next_id, 12);
   EXPECT_EQ(snapshot.committed.size(), 10u);
@@ -93,8 +95,9 @@ TEST(RestartTest, OlderFormatDataDirRestoresBitExactly) {
   Supervisor fleet(test_power(), one_shard(dir));
   const std::vector<TaskId> live = {1, 2, 4, 5, 6, 8, 9, 10, 11, 13, 14, 15};
   ASSERT_EQ(fleet.shard(0).committed_ids(), live);
-  // The snapshot rounded its tasks to 9 decimals; the journal's 17-digit
-  // records replayed over it restore the admitted bits.
+  EXPECT_EQ(fleet.shard(0).next_id(), 16);
+  // The snapshot rounded its tasks to 9 decimals; recovery reads the
+  // journal's 17-digit records, which restore the admitted bits.
   const TaskSet tasks = fleet.shard(0).committed_task_set();
   for (std::size_t i = 0; i < live.size(); ++i) expect_same_bits(tasks[i], fixture_task(live[i]));
 
@@ -200,7 +203,7 @@ Task churn_task(int i) {
 }
 
 TEST(RestartTest, RestartedShardPlansTheRecoveredSetNotTheSnapshots) {
-  // Fleet A restarts after its snapshot fell behind its journal; the
+  // Fleet A restarts after its snapshot export fell behind its journal; the
   // never-restarted fleet sees the same ops. Plans are a function of the
   // committed set, so both must agree bit for bit.
   const SupervisorOptions restarting = one_shard(fresh_dir("restart_stale"));
@@ -215,8 +218,8 @@ TEST(RestartTest, RestartedShardPlansTheRecoveredSetNotTheSnapshots) {
     for (int i = 0; i < 20; ++i) both(first, i);
   }
   {
-    // A bring-up that finds the journal past a tiny threshold compacts it
-    // and snapshots the 20 tasks.
+    // A bring-up that finds the journal past a tiny threshold compacts it;
+    // every bring-up exports the 20 tasks.
     SupervisorOptions compacting = restarting;
     compacting.journal_compact_bytes = 1;
     Supervisor snapshotting(test_power(), compacting);
@@ -230,7 +233,7 @@ TEST(RestartTest, RestartedShardPlansTheRecoveredSetNotTheSnapshots) {
       ASSERT_EQ(never_restarted.complete("t", id), std::optional<bool>(true));
     }
     ASSERT_EQ(second.shard(0).stats().compactions, 0u);
-  }  // the journal now holds 20 admits and 3 completions past the snapshot
+  }  // the journal now holds 20 admits and 3 completions past the export
   ASSERT_EQ(read_snapshot(restarting.data_dir + "/shard0.snap").committed.size(), 20u);
 
   // Two rebuilds over copies of the same data dir: one reads the plan
@@ -416,17 +419,17 @@ TEST(RestartTest, SupervisedShardCutsATornTailWithoutCompacting) {
 }
 
 TEST(RestartTest, UnreadableSnapshotIsRecoveredFromTheJournalAlone) {
-  // A crash inside a snapshot write, or a damaged file, must not refuse the
-  // next start: the journal alone holds the live set, `next` and the dedup
-  // ledger, so the shard skips a snapshot it cannot read.
+  // Recovery reads the journal alone — it holds the live set, `next` and
+  // the dedup ledger — so a snapshot export that is missing, torn by a
+  // crash inside its write, or damaged changes nothing a restart recovers.
   const SupervisorOptions options = one_shard(fresh_dir("restart_snapshot"));
   {
     Supervisor fleet(test_power(), options);
     fill(fleet, "snap-", 30, {4, 9, 17});
   }
   {
-    // This bring-up snapshots the 27 live tasks; the ops after it are in
-    // the journal only.
+    // This bring-up exports the 27 live tasks; the ops after it are in the
+    // journal only.
     Supervisor fleet(test_power(), options);
     for (int i = 30; i < 40; ++i) {
       ASSERT_TRUE(
@@ -441,23 +444,24 @@ TEST(RestartTest, UnreadableSnapshotIsRecoveredFromTheJournalAlone) {
   ASSERT_NE(row, std::string::npos);
   for (int i = 0; i < 10; ++i) row = text.find('\n', row) + 1;
 
-  const auto copy_with_snapshot = [&](const std::string& name, const std::string& snapshot) {
+  const auto copy_with_snapshot = [&](const std::string& name,
+                                      const std::optional<std::string>& snapshot) {
     SupervisorOptions copy = one_shard(fresh_dir(name));
     std::filesystem::copy_file(options.data_dir + "/shard0.wal", copy.data_dir + "/shard0.wal");
-    std::ofstream(copy.data_dir + "/shard0.snap", std::ios::binary) << snapshot;
+    if (snapshot) std::ofstream(copy.data_dir + "/shard0.snap", std::ios::binary) << *snapshot;
     return copy;
   };
   std::vector<TaskId> live;
   TaskSet live_tasks;
   {
     Supervisor intact(test_power(), copy_with_snapshot("restart_snapshot_intact", text));
-    ASSERT_EQ(intact.shard(0).stats().snapshot_discards, 0u);
     live = intact.shard(0).committed_ids();
     live_tasks = intact.shard(0).committed_task_set();
   }
   ASSERT_EQ(live.size(), 35u);
 
-  const std::vector<std::pair<std::string, std::string>> damages = {
+  const std::vector<std::pair<std::string, std::optional<std::string>>> damages = {
+      {"deleted", std::nullopt},
       {"mid_row", text.substr(0, text.find(',', row) + 2)},
       {"row_boundary", text.substr(0, row)},
       {"garbage", std::string(text.size(), '\xff')},
@@ -466,13 +470,12 @@ TEST(RestartTest, UnreadableSnapshotIsRecoveredFromTheJournalAlone) {
     SCOPED_TRACE(label);
     const SupervisorOptions copy = copy_with_snapshot("restart_snapshot_" + label, snapshot);
     Supervisor fleet(test_power(), copy);
-    EXPECT_EQ(fleet.shard(0).stats().snapshot_discards, 1u);
-    EXPECT_NE(fleet.prometheus().find("shard0_snapshot_discards_total 1"), std::string::npos);
     ASSERT_EQ(fleet.shard(0).committed_ids(), live);
     const TaskSet tasks = fleet.shard(0).committed_task_set();
     for (std::size_t i = 0; i < live.size(); ++i) expect_same_bits(tasks[i], live_tasks[i]);
-    // The bring-up replaced the damaged file with a readable one.
-    EXPECT_EQ(read_snapshot(copy.data_dir + "/shard0.snap").next_id, 40);
+    EXPECT_EQ(fleet.shard(0).next_id(), 40);
+    // The bring-up wrote a fresh export of the recovered state.
+    EXPECT_EQ(read_snapshot(copy.data_dir + "/shard0.snap").committed.size(), live.size());
     for (int i = 0; i < 40; ++i) {
       const ServiceDecision retry = fleet.submit("t", churn_task(i), "snap-" + std::to_string(i));
       EXPECT_TRUE(retry.deduplicated) << i;

@@ -1,23 +1,27 @@
 // Service-level contract of the incremental delta path: plans and quotes
-// are identical with the delta planner on or off, cache signatures follow
-// the *post-delta* set (the admit → remove → re-quote poisoning scenario),
-// and the `plan_delta_*` metrics account for every cache miss.
+// are identical to a from-scratch fallback-chain plan of the same set,
+// cache signatures follow the *post-delta* set (the admit → remove →
+// re-quote poisoning scenario), and the `plan_delta_*` metrics account for
+// every cache miss.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
+#include "easched/parallel/exec.hpp"
 #include "easched/power/power_model.hpp"
+#include "easched/sched/fallback.hpp"
 #include "easched/service/service.hpp"
 
 namespace easched {
 namespace {
 
-ServiceOptions service_options(bool incremental) {
+constexpr int kCores = 2;
+
+ServiceOptions service_options() {
   ServiceOptions options;
-  options.cores = 2;
-  options.incremental = incremental;
+  options.cores = kCores;
   return options;
 }
 
@@ -37,7 +41,7 @@ TEST(ServiceDelta, DepartureInvalidatesCachedDeltaPlan) {
   const Task task_a{0.0, 10.0, 4.0};
   const Task task_b{2.0, 12.0, 3.0};
 
-  SchedulerService service(power, service_options(true));
+  SchedulerService service(power, service_options());
   const ServiceDecision a = service.submit(task_a);
   ASSERT_TRUE(a.admission.admitted);
   const ServiceDecision b = service.submit(task_b);
@@ -49,7 +53,7 @@ TEST(ServiceDelta, DepartureInvalidatesCachedDeltaPlan) {
   const Schedule plan_after = service.current_plan();
   ASSERT_NE(energy_after, energy_both);
 
-  SchedulerService fresh(power, service_options(true));
+  SchedulerService fresh(power, service_options());
   ASSERT_TRUE(fresh.submit(task_b).admission.admitted);
   ASSERT_EQ(energy_after, fresh.current_energy());
   expect_same_segments(plan_after, fresh.current_plan());
@@ -63,37 +67,37 @@ TEST(ServiceDelta, DepartureInvalidatesCachedDeltaPlan) {
   ASSERT_EQ(quote.marginal_energy, fresh_quote.marginal_energy);
 }
 
-// The delta path changes latency, never answers: an identical admit /
-// complete / quote sequence through an incremental and a non-incremental
-// service produces identical decisions, energies, and plans at every step.
+// The delta path changes latency, never answers: at every step of an admit
+// / complete sequence, the service's decisions, energies and plans equal a
+// from-scratch plan of the same set through the fallback chain — the path
+// the service takes when the delta planner is bypassed.
 TEST(ServiceDelta, IncrementalAndFullReplanServeIdenticalPlans) {
   const PowerModel power(3.0, 0.05);
-  SchedulerService with_delta(power, service_options(true));
-  SchedulerService without_delta(power, service_options(false));
+  SchedulerService service(power, service_options());
+  const auto expect_scratch_plan = [&](double energy) {
+    const FallbackPlan scratch = plan_with_fallback(service.committed_task_set(), kCores,
+                                                    power, FallbackOptions{}, Exec::serial());
+    ASSERT_EQ(energy, scratch.energy);
+    ASSERT_EQ(service.current_energy(), scratch.energy);
+    expect_same_segments(service.current_plan(), scratch.schedule);
+  };
 
   const std::vector<Task> arrivals = {
       {0.0, 10.0, 4.0}, {2.0, 8.0, 3.0},  {5.0, 15.0, 2.0},
       {1.0, 6.0, 1.5},  {7.0, 14.0, 2.5}, {3.0, 11.0, 3.5},
   };
-  std::vector<TaskId> ids_with;
-  std::vector<TaskId> ids_without;
+  std::vector<TaskId> ids;
   for (std::size_t k = 0; k < arrivals.size(); ++k) {
-    const ServiceDecision da = with_delta.submit(arrivals[k]);
-    const ServiceDecision db = without_delta.submit(arrivals[k]);
-    ASSERT_EQ(da.admission.admitted, db.admission.admitted) << "arrival " << k;
-    ASSERT_EQ(da.admission.energy_after, db.admission.energy_after) << "arrival " << k;
-    ids_with.push_back(da.id);
-    ids_without.push_back(db.id);
-
-    ASSERT_EQ(with_delta.current_energy(), without_delta.current_energy());
-    expect_same_segments(with_delta.current_plan(), without_delta.current_plan());
+    SCOPED_TRACE(k);
+    const ServiceDecision decision = service.submit(arrivals[k]);
+    ASSERT_TRUE(decision.admission.admitted);
+    ids.push_back(decision.id);
+    expect_scratch_plan(decision.admission.energy_after);
     if (HasFatalFailure()) return;
 
     if (k % 2 == 1) {  // interleave departures
-      ASSERT_TRUE(with_delta.complete(ids_with[k / 2]));
-      ASSERT_TRUE(without_delta.complete(ids_without[k / 2]));
-      ASSERT_EQ(with_delta.current_energy(), without_delta.current_energy());
-      expect_same_segments(with_delta.current_plan(), without_delta.current_plan());
+      ASSERT_TRUE(service.complete(ids[k / 2]));
+      expect_scratch_plan(service.current_energy());
       if (HasFatalFailure()) return;
     }
   }
@@ -103,7 +107,7 @@ TEST(ServiceDelta, IncrementalAndFullReplanServeIdenticalPlans) {
 // one of the delta counters, and steady-state misses ride the splice.
 TEST(ServiceDelta, DeltaMetricsAccountForCacheMisses) {
   const PowerModel power(3.0, 0.05);
-  SchedulerService service(power, service_options(true));
+  SchedulerService service(power, service_options());
 
   const std::vector<Task> arrivals = {
       {0.0, 10.0, 4.0}, {2.0, 8.0, 3.0}, {5.0, 15.0, 2.0}, {1.0, 6.0, 1.5},

@@ -1,5 +1,5 @@
-// MetricsRegistry: counters, gauges, histogram quantiles, text dump,
-// thread-safety under concurrent writers.
+// MetricsRegistry: counters, gauges, histograms, text dump, thread-safety
+// under concurrent writers.
 
 #include <gtest/gtest.h>
 
@@ -28,64 +28,26 @@ TEST(MetricsRegistryTest, GaugesOverwrite) {
   EXPECT_DOUBLE_EQ(metrics.gauge("unknown"), 0.0);
 }
 
-TEST(MetricsRegistryTest, HistogramSummaryIsExactWhenUnderCapacity) {
-  MetricsRegistry metrics;
-  for (int i = 1; i <= 100; ++i) {
-    metrics.observe("latency", static_cast<double>(i));
-  }
-  const HistogramSummary s = metrics.histogram("latency");
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_NEAR(s.p50, 50.5, 1.0);
-  EXPECT_NEAR(s.p90, 90.1, 1.0);
-  EXPECT_NEAR(s.p99, 99.01, 1.0);
-}
-
-TEST(MetricsRegistryTest, EmptyHistogramIsAllZero) {
-  MetricsRegistry metrics;
-  const HistogramSummary s = metrics.histogram("nothing");
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.p99, 0.0);
-}
-
-TEST(MetricsRegistryTest, DecimationKeepsCountExactAndQuantilesClose) {
-  MetricsRegistry metrics(/*histogram_capacity=*/64);
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    metrics.observe("latency", static_cast<double>(i % 1000));
-  }
-  const HistogramSummary s = metrics.histogram("latency");
-  EXPECT_EQ(s.count, static_cast<std::uint64_t>(n));
-  EXPECT_DOUBLE_EQ(s.min, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, 999.0);
-  // Thinned reservoir: quantiles are approximate but must stay in range.
-  EXPECT_GE(s.p50, 0.0);
-  EXPECT_LE(s.p50, 999.0);
-  EXPECT_GE(s.p99, s.p50);
-}
-
 TEST(MetricsRegistryTest, DumpListsEveryMetricKind) {
   MetricsRegistry metrics;
   metrics.increment("admitted_total", 2);
   metrics.set_gauge("committed_tasks", 2.0);
-  metrics.observe("batch_size", 4.0);
+  metrics.observe_bucketed("batch_size", 4.0);
   const std::string dump = metrics.dump();
   EXPECT_NE(dump.find("counter admitted_total 2"), std::string::npos);
   EXPECT_NE(dump.find("gauge committed_tasks 2"), std::string::npos);
-  EXPECT_NE(dump.find("histogram batch_size count=1"), std::string::npos);
+  EXPECT_NE(dump.find("bucket_histogram batch_size count=1"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, ResetClearsEverything) {
   MetricsRegistry metrics;
   metrics.increment("a");
   metrics.set_gauge("b", 1.0);
-  metrics.observe("c", 1.0);
+  metrics.observe_bucketed("c", 1.0);
   metrics.reset();
   EXPECT_EQ(metrics.counter("a"), 0u);
   EXPECT_DOUBLE_EQ(metrics.gauge("b"), 0.0);
-  EXPECT_EQ(metrics.histogram("c").count, 0u);
+  EXPECT_EQ(metrics.bucket_histogram("c").count(), 0u);
 }
 
 TEST(MetricsRegistryTest, ConcurrentWritersLoseNothing) {
@@ -98,14 +60,14 @@ TEST(MetricsRegistryTest, ConcurrentWritersLoseNothing) {
     workers.emplace_back([&metrics] {
       for (int i = 0; i < per_thread; ++i) {
         metrics.increment("events_total");
-        metrics.observe("sample", 1.0);
+        metrics.observe_bucketed("sample", 1.0);
       }
     });
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(metrics.counter("events_total"),
             static_cast<std::uint64_t>(threads) * per_thread);
-  EXPECT_EQ(metrics.histogram("sample").count,
+  EXPECT_EQ(metrics.bucket_histogram("sample").count(),
             static_cast<std::uint64_t>(threads) * per_thread);
 }
 

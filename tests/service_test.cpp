@@ -1,5 +1,6 @@
 // SchedulerService core behavior: admission decisions, quotes, plan cache
-// integration, complete/cancel, snapshot round trip.
+// integration, complete/cancel, snapshot export round trip, restart from
+// the journal.
 
 #include <gtest/gtest.h>
 
@@ -152,8 +153,8 @@ TEST(SchedulerServiceTest, MetricsDumpCoversTheServiceCounters) {
   EXPECT_NE(dump.find("counter rejected_total 1"), std::string::npos);
   EXPECT_NE(dump.find("counter requests_total 2"), std::string::npos);
   EXPECT_NE(dump.find("gauge committed_tasks 1"), std::string::npos);
-  EXPECT_NE(dump.find("histogram batch_size"), std::string::npos);
-  EXPECT_NE(dump.find("histogram replan_latency_us"), std::string::npos);
+  EXPECT_NE(dump.find("bucket_histogram batch_size"), std::string::npos);
+  EXPECT_NE(dump.find("bucket_histogram replan_latency_us"), std::string::npos);
 }
 
 TEST(SchedulerServiceTest, SnapshotRoundTripsThroughText) {
@@ -178,17 +179,27 @@ TEST(SchedulerServiceTest, SnapshotRejectsMalformedDocuments) {
 }
 
 TEST(SchedulerServiceTest, RestoredServiceResumesWithIdsAndPlanIntact) {
-  SchedulerService original(test_power(), service_options());
-  original.submit(Task{0.0, 10.0, 8.0});
-  original.submit(Task{2.0, 18.0, 14.0});
-  const ServiceSnapshot snap = original.snapshot();
+  const std::string journal = ::testing::TempDir() + "/service_restart.wal";
+  std::remove(journal.c_str());
+  ServiceOptions options = service_options();
+  options.journal_path = journal;
 
-  SchedulerService restored(snap, test_power(), service_options());
+  double energy = 0.0;
+  {
+    SchedulerService original(test_power(), options);
+    original.submit(Task{0.0, 10.0, 8.0});
+    original.submit(Task{2.0, 18.0, 14.0});
+    energy = original.current_energy();
+  }
+
+  // A restart on the same journal recovers the committed set and counter.
+  SchedulerService restored(test_power(), options);
   EXPECT_EQ(restored.committed_count(), 2u);
   EXPECT_EQ(restored.committed_ids(), (std::vector<TaskId>{0, 1}));
+  EXPECT_EQ(restored.next_id(), 2);
   // The plan is re-derived from the restored set, bit-identical to the
-  // plan the original service holds for the same set.
-  EXPECT_EQ(restored.current_energy(), original.current_energy());
+  // plan the original service held for the same set.
+  EXPECT_EQ(restored.current_energy(), energy);
 
   // New admissions continue the id sequence rather than reusing ids.
   const ServiceDecision next = restored.submit(Task{1.0, 30.0, 5.0});

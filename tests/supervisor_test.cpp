@@ -102,7 +102,7 @@ TEST(SupervisorTest, CrashIsContainedAndRestartAfterSchedulesRecovery) {
   EXPECT_TRUE(recovered.admission.admitted);
   EXPECT_TRUE(supervisor.shard(0).up());
 
-  // Every acked admit survived the crash (journal replay over the snapshot).
+  // Every acked admit survived the crash (journal replay).
   EXPECT_EQ(supervisor.shard(0).committed_count(), 4u);
   const ShardStats stats = supervisor.shard(0).stats();
   EXPECT_EQ(stats.crashes_contained, 1u);
@@ -160,9 +160,9 @@ TEST(SupervisorTest, KillBeforeJournalWriteReadmitsWithoutDuplicate) {
 }
 
 TEST(SupervisorTest, KillMidRestartReplayLeavesShardDownThenRecovers) {
-  // Boundary: shard.restart.replay — recovery itself crashes between the
-  // snapshot read and the journal replay. The shard stays down (a failed
-  // restart must not half-apply state) and the next op retries from scratch.
+  // Boundary: shard.restart.replay — recovery itself crashes before the
+  // journal replay. The shard stays down (a failed restart must not
+  // half-apply state) and the next op retries from scratch.
   Supervisor supervisor(test_power(), fleet_options("sup_replaykill", 1));
   ASSERT_TRUE(supervisor.submit("t", rich_task(0), "req-0").admission.admitted);
   ASSERT_TRUE(supervisor.submit("t", rich_task(1), "req-1").admission.admitted);
@@ -415,7 +415,7 @@ ShardOptions shard_options_of(const SupervisorOptions& options, std::size_t k) {
 }
 
 // Fill a fleet's data dir: admits over many tenants, a few completions, and
-// a snapshot behind the journal (the fleet is dropped without one).
+// a snapshot export behind the journal.
 void populate(const SupervisorOptions& options) {
   Supervisor fleet(test_power(), options);
   std::vector<std::pair<std::string, TaskId>> acked;
