@@ -7,12 +7,11 @@
 //   ./easched_cli --demo --scheduler optimal --gantt
 //   ./easched_cli run trace.csv --policy cc+dpm --acet-ratio 0.5
 //   ./easched_cli run --demo --policy la --acet-ratio 0.4 --migrate
-//   ./easched_cli serve --data-dir /tmp/fleet --clients 4 --requests 200 --fmax 1.0
+//   ./easched_cli serve --listen 7411 --shards 2 --data-dir /tmp/fleet
 //   ./easched_cli serve --data-dir /tmp/fleet --planner exact --plan-budget-ms 5
 //       --faults "seed=7;solver_stall:p=1"
 //   ./easched_cli serve --shards 4 --data-dir /tmp/fleet --brownout
 //       --faults "seed=7;kill:shard.submit@9;restart_after=5"
-//   ./easched_cli serve --listen 7411 --shards 2 --data-dir /tmp/fleet
 //
 // Schedulers: f1, f2 (paper heuristics), optimal (convex solver),
 // ipm (interior point), yds (uniprocessor), online (rolling-horizon F2).
@@ -25,13 +24,12 @@
 // consolidation. It reports realized vs planned energy, the full energy
 // breakdown, and every decision-point counter.
 //
-// The `serve` subcommand runs a supervised shard fleet, each shard a
-// journaled SchedulerService under --data-dir. Without --listen it drives
-// the fleet with a synthetic arrival stream (retrying unavailable, overload
-// and dropped decisions with the same rid and jittered backoff), and the
-// run ends with a no-lost-acks audit, an executed-plan check and a metrics
-// dump. Re-running on the same --data-dir resumes the committed state. With
-// --listen the fleet is served over TCP instead.
+// The `serve` subcommand serves a supervised shard fleet over TCP (port
+// --listen, 0 = ephemeral), each shard a journaled SchedulerService under
+// --data-dir; `bench/loadgen` and `bench/e2e` are its clients. Re-running on
+// the same --data-dir resumes the committed state. The server stops on the
+// protocol's shutdown op or SIGINT/SIGTERM and ends with a no-lost-acks
+// audit, a metrics dump and an executed-plan check.
 
 #include <chrono>
 #include <csignal>
@@ -40,8 +38,6 @@
 #include <iostream>
 #include <optional>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "easched/common/cli.hpp"
 #include "easched/easched.hpp"
@@ -50,7 +46,7 @@ namespace {
 
 using namespace easched;
 
-/// SIGINT/SIGTERM latch for the network server's main wait loop. A signal
+/// SIGINT/SIGTERM latch for the server's main wait loop. A signal
 /// is treated exactly like a client's kShutdown op: drain, audit, exit.
 volatile std::sig_atomic_t g_stop_signal = 0;
 
@@ -80,8 +76,8 @@ class TraceFile {
   std::optional<obs::TraceScope> scope_;
 };
 
-/// The fleet both `serve` paths run, from the shared flags. A bad flag is
-/// reported on stderr and yields nullopt.
+/// The fleet `serve` runs, from its flags. A bad flag is reported on stderr
+/// and yields nullopt.
 std::optional<SupervisorOptions> fleet_options(const CliParser& args) {
   const std::string planner = args.get("planner");
   if (planner != "f2" && planner != "exact") {
@@ -106,10 +102,7 @@ std::optional<SupervisorOptions> fleet_options(const CliParser& args) {
   sup.service.f_max = fmax > 0.0 ? fmax : kInf;
   sup.service.exact_first = planner == "exact";
   sup.service.plan_budget = std::chrono::milliseconds(std::max(0, args.get_int("plan-budget-ms")));
-  // A forced ladder walk and the pressure-driven ladder would fight (the
-  // ladder releases a forced level as soon as pressure looks calm), so the
-  // walk runs with observation off.
-  sup.brownout_enabled = args.get_switch("brownout") && !args.get_switch("brownout-walk");
+  sup.brownout_enabled = args.get_switch("brownout");
   sup.watchdog_deadline = std::chrono::milliseconds(std::max(0, args.get_int("watchdog-ms")));
   return sup;
 }
@@ -126,19 +119,30 @@ void recover_all(Supervisor& supervisor) {
   }
 }
 
-/// `serve --listen <port>`: expose the supervised fleet over TCP instead of
-/// driving it with a synthetic in-process stream. Runs until a client sends
+/// `serve`: expose the supervised fleet over TCP. Runs until a client sends
 /// the protocol's shutdown op or the process receives SIGINT/SIGTERM, then
-/// sweeps every shard back up and audits that no acked admit was lost.
-/// Exit codes: 0 clean, 3 when the audit finds a lost ack.
-int run_network_serve(const CliParser& args, const SupervisorOptions& sup,
-                      const PowerModel& power) {
+/// sweeps every shard back up, audits that no acked admit was lost and
+/// checks the executed plans. Re-running on the same `--data-dir` resumes
+/// the committed state. Exit codes: 0 clean, 3 when the audit finds a lost
+/// ack.
+int run_serve(const CliParser& args) {
+  const auto port = static_cast<std::uint16_t>(args.get_int("listen", 0, 65535));
+  const std::optional<SupervisorOptions> options = fleet_options(args);
+  if (!options) return 1;
+  const SupervisorOptions& sup = *options;
+  const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
   TraceFile trace(args.get("trace"));
   Supervisor supervisor(power, sup);
+  // On stderr: `serving on` must stay the first stdout line, because a
+  // script that selects on the pipe before each readline (bench/e2e/run.py)
+  // never sees a second line that one read already buffered.
+  if (const std::size_t recovered = supervisor.committed_total(); recovered > 0) {
+    std::cerr << "recovered " << recovered << " committed task(s) from " << sup.data_dir << "\n";
+  }
 
   net::FrontEndOptions fe;
   fe.bind_address = args.get("listen-host");
-  fe.port = static_cast<std::uint16_t>(args.get_int("listen"));
+  fe.port = port;
   fe.workers = static_cast<std::size_t>(std::max(1, args.get_int("net-workers")));
   fe.rate_limit_per_s = std::max(0.0, args.get_double("rate-limit"));
   fe.rate_limit_burst = std::max(1.0, args.get_double("rate-burst"));
@@ -201,144 +205,14 @@ int run_network_serve(const CliParser& args, const SupervisorOptions& sup,
 
   if (args.get("metrics-format") == "prometheus") {
     std::cout << "\n" << supervisor.prometheus();
+  } else {
+    std::cout << "\n" << to_text(supervisor.metrics_snapshot());
   }
-  trace.write();
-  return lost_acks == 0 ? 0 : 3;
-}
-
-/// `serve` without `--listen`: drive the fleet with a synthetic arrival
-/// stream, retrying with the same rid, then audit that every acked admit is
-/// still committed and check the executed plans. Re-running on the same
-/// `--data-dir` resumes the committed state. Exit codes: 0 clean, 3 when
-/// the audit finds a lost ack.
-int run_supervised_serve(const CliParser& args, const SupervisorOptions& sup,
-                         const PowerModel& power) {
-  TraceFile trace(args.get("trace"));
-  Supervisor supervisor(power, sup);
-  if (const std::size_t recovered = supervisor.committed_total(); recovered > 0) {
-    std::cout << "recovered " << recovered << " committed task(s) from " << sup.data_dir << "\n";
-  }
-  // Synthetic arrival stream (paper Section VI generator), fixed into
-  // arrival order by replaying the releases through the event engine.
-  const auto requests = static_cast<std::size_t>(args.get_int("requests"));
-  const auto tenants = static_cast<std::size_t>(std::max(1, args.get_int("clients")));
-  Rng rng(Rng::seed_of("easched-serve", static_cast<std::uint64_t>(args.get_int("seed"))));
-  WorkloadConfig config;
-  config.task_count = requests;
-  config.release_hi = args.get_double("horizon");
-  const TaskSet stream = generate_workload(config, rng);
-  std::vector<Task> ordered;
-  ordered.reserve(stream.size());
-  SimulationEngine arrivals;
-  for (const Task& t : stream) {
-    arrivals.schedule_at(t.release, [&ordered, t](SimulationEngine&) { ordered.push_back(t); });
-  }
-  arrivals.run();
-
-  // Brownout pressure: arrival-burst depth, the number of releases inside
-  // the trailing 5% of the horizon at each task's own release. Bursty
-  // streams push the ladder up; sparse ones leave it at level 0. Computed
-  // from the stream itself so the run is deterministic.
-  std::vector<std::size_t> pressure(ordered.size(), 0);
-  const double burst_window = std::max(1e-9, config.release_hi * 0.05);
-  for (std::size_t i = 0, j = 0; i < ordered.size(); ++i) {
-    while (ordered[j].release < ordered[i].release - burst_window) ++j;
-    pressure[i] = i - j + 1;
-  }
-
-  const bool walk = args.get_switch("brownout-walk");
-  const int retries = std::max(0, args.get_int("retries"));
-  const auto backoff_base =
-      std::chrono::microseconds(std::max(1, args.get_int("retry-backoff-us")));
-  const auto backoff_cap = backoff_base * 64;
-  Rng backoff_rng(Rng::seed_of("easched-serve-backoff", 0,
-                               static_cast<std::uint64_t>(args.get_int("seed"))));
-
-  std::size_t admitted = 0, deduplicated = 0, rejected = 0, retried = 0, gave_up = 0;
-  std::size_t watchdog_restarts = 0;
-  // Every acknowledged admit, keyed by rid: the post-run audit checks each
-  // one still exists on its shard after all crashes and recoveries.
-  struct AckedAdmit {
-    std::size_t shard = 0;
-    TaskId id = -1;
-  };
-  std::unordered_map<std::string, AckedAdmit> acked;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < ordered.size(); ++i) {
-    if (walk) {
-      // Force the ladder through 0 -> 1 -> 2 -> 3 at stream quarters so a
-      // CI run exercises (and exposes, via the brownout_level gauge) every
-      // degradation level.
-      const int quarter = static_cast<int>(i * 4 / ordered.size());
-      if (supervisor.max_brownout_level() != quarter) supervisor.force_brownout_level(quarter);
-    }
-    const std::string tenant = "tenant-" + std::to_string(i % tenants);
-    const std::string rid = "req-" + std::to_string(i);
-    auto wait = backoff_base;
-    bool decided = false;
-    for (int attempt = 0; attempt <= retries && !decided; ++attempt) {
-      if (attempt > 0) {
-        wait = decorrelated_backoff(backoff_rng, backoff_base, wait, backoff_cap);
-        // The shard's advertised brownout level stretches the backoff:
-        // degraded shards see retry pressure back off harder.
-        std::this_thread::sleep_for(wait * (1 + supervisor.max_brownout_level()));
-        ++retried;
-      }
-      const ServiceDecision decision = supervisor.submit(tenant, ordered[i], rid, pressure[i]);
-      if (decision.error_kind == AdmissionErrorKind::kUnavailable ||
-          decision.error_kind == AdmissionErrorKind::kOverload ||
-          decision.error_kind == AdmissionErrorKind::kDropped) {
-        continue;  // retryable: the same rid keeps the retry idempotent
-      }
-      decided = true;
-      if (decision.admission.admitted) {
-        ++admitted;
-        if (decision.deduplicated) ++deduplicated;
-        acked[rid] = AckedAdmit{supervisor.route(tenant), decision.id};
-      } else {
-        ++rejected;
-      }
-    }
-    if (!decided) ++gave_up;
-    if (i % 16 == 15) watchdog_restarts += supervisor.check_watchdogs();
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  recover_all(supervisor);
-
-  std::cout << "served " << requests << " request(s) across " << sup.shards << " shard(s) ("
-            << tenants << " tenant(s)) in " << format_fixed(wall_s, 3) << " s: " << admitted
-            << " admitted (" << deduplicated << " deduplicated), " << rejected << " rejected, "
-            << retried << " retried, " << gave_up << " gave up\n";
-
-  const SupervisorStats stats = supervisor.stats();
-  std::cout << "supervision: " << stats.crashes_contained << " crash(es) contained, "
-            << stats.restarts << " restart(s) (" << watchdog_restarts << " by watchdog), "
-            << stats.unavailable_rejects << " unavailable reject(s), " << stats.brownout_sheds
-            << " brownout shed(s), " << stats.compactions << " compaction(s), max brownout level "
-            << stats.max_brownout_level << ", " << stats.shards_up << "/" << sup.shards
-            << " shard(s) up\n";
-
-  // No-lost-acks audit: every acknowledged admit must still be committed on
-  // its shard — across every contained crash, restart, and replay.
-  std::size_t lost_acks = 0;
-  std::vector<std::unordered_set<TaskId>> committed(supervisor.shard_count());
-  for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
-    for (const TaskId id : supervisor.shard(k).committed_ids()) committed[k].insert(id);
-  }
-  for (const auto& [rid, ack] : acked) {
-    if (committed[ack.shard].count(ack.id) == 0) {
-      ++lost_acks;
-      std::cout << "LOST ACK: " << rid << " (task " << ack.id << " on shard " << ack.shard
-                << ") vanished across recovery\n";
-    }
-  }
-  std::cout << "audit: " << acked.size() << " acked admit(s), " << lost_acks << " lost\n";
 
   // Executed-plan check: every shard's committed set must meet every
-  // deadline under its plan.
+  // deadline under its plan. It runs after the metrics dump because its
+  // plan reads count in the plan cache and delta series, which should
+  // count client traffic only.
   double energy = 0.0;
   std::size_t misses = 0;
   std::string validation = "OK";
@@ -356,28 +230,9 @@ int run_supervised_serve(const CliParser& args, const SupervisorOptions& sup,
     std::cout << "committed plan: energy " << format_fixed(energy, 4) << ", validation "
               << validation << ", deadline misses " << misses << "\n";
   }
-
-  if (args.get("metrics-format") == "prometheus") {
-    std::cout << "\n" << supervisor.prometheus();
-  } else {
-    MetricsRegistry dump_registry;
-    const MetricsSnapshot merged = supervisor.metrics_snapshot();
-    for (const auto& [name, value] : merged.counters) dump_registry.set_counter(name, value);
-    for (const auto& [name, value] : merged.gauges) dump_registry.set_gauge(name, value);
-    std::cout << "\n" << dump_registry.dump();
-  }
   trace.write();
   return lost_acks == 0 ? 0 : 3;
 }
-
-int run_serve(const CliParser& args) {
-  const bool listen = args.get_int("listen", -1, 65535) >= 0;
-  const std::optional<SupervisorOptions> sup = fleet_options(args);
-  if (!sup) return 1;
-  const PowerModel power(args.get_double("alpha"), args.get_double("p0"));
-  return listen ? run_network_serve(args, *sup, power) : run_supervised_serve(args, *sup, power);
-}
-
 
 int run_online(const CliParser& args) {
   // --- Workload (trace acet column becomes the ground truth) --------------
@@ -684,29 +539,19 @@ int main(int argc, char** argv) {
   args.add_option("wake-energy", "0", "run: sleep->active transition energy");
   args.add_option("switch-energy", "0", "run: energy charged per DVFS switch");
   args.add_switch("migrate", "run: consolidate idle cores' queues onto busier cores");
-  args.add_option("clients", "4", "serve: tenant count of the synthetic stream");
-  args.add_option("requests", "200", "serve: synthetic admission requests to submit");
   args.add_option("fmax", "0", "serve: admission frequency ceiling (0 = unbounded)");
-  args.add_option("horizon", "200", "serve: release window of the synthetic stream");
   args.add_option("plan-budget-ms", "0",
                   "wall-clock budget per planning pass / exact solve (0 = unlimited)");
   args.add_option("planner", "f2", "serve: top planning rung: f2 | exact (budgeted, falls back)");
   args.add_option("faults", "",
                   "deterministic fault plan, e.g. seed=7;solver_stall:p=1;kill:journal.admit.post@3");
-  args.add_option("retries", "2",
-                  "serve: client retries of unavailable/overload/dropped decisions");
-  args.add_option("retry-backoff-us", "200",
-                  "serve: base client retry backoff (decorrelated jitter, capped at 64x)");
   args.add_option("shards", "1", "serve: shard fleet size (>= 1)");
   args.add_option("data-dir", "",
                   "serve: directory for per-shard journals + snapshots (required; re-running "
                   "on it resumes)");
   args.add_switch("brownout", "serve: enable the pressure-driven brownout ladder per shard");
-  args.add_switch("brownout-walk",
-                  "serve: force the ladder through levels 0..3 at stream quarters (CI)");
   args.add_option("watchdog-ms", "250", "serve: restart a down shard idle longer than this");
-  args.add_option("listen", "-1",
-                  "serve: expose the fleet over TCP on this port (0 = ephemeral; -1 = off)");
+  args.add_option("listen", "0", "serve: TCP port to serve the fleet on (0 = ephemeral)");
   args.add_option("listen-host", "127.0.0.1", "serve: bind address for --listen");
   args.add_option("net-workers", "2", "serve: op-handler threads behind the event loop");
   args.add_option("rate-limit", "0",

@@ -3,11 +3,11 @@
 /// \file prometheus.hpp
 /// \brief Prometheus text-exposition rendering of a MetricsSnapshot.
 ///
-/// Renders the same data as `MetricsRegistry::dump()` in the Prometheus
-/// text format (version 0.0.4): `# TYPE` headers and `_bucket{le="..."}` /
-/// `_sum` / `_count` series for the fixed-bucket histograms. Works from a
-/// `MetricsSnapshot`, never the live registry, so exposition cannot contend
-/// with the admission path.
+/// Renders the same data as the text exposition (`to_text` in
+/// `metrics.hpp`) in the Prometheus text format (version 0.0.4): `# TYPE`
+/// headers and `_bucket{le="..."}` / `_sum` / `_count` series for the
+/// fixed-bucket histograms. Works from a `MetricsSnapshot`, never the live
+/// registry, so exposition cannot contend with the admission path.
 
 #include <iosfwd>
 #include <string>

@@ -14,16 +14,6 @@ void MetricsRegistry::increment(std::string_view name, std::uint64_t by) {
   }
 }
 
-void MetricsRegistry::set_counter(std::string_view name, std::uint64_t value) {
-  std::lock_guard lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
-  }
-}
-
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
   std::lock_guard lock(mutex_);
   auto it = gauges_.find(name);
@@ -76,25 +66,23 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::dump() const {
-  // Snapshot first, format unlocked: the only work done under the registry
-  // mutex is the map copies, so concurrent admissions never stall behind
-  // stream formatting.
-  const MetricsSnapshot snap = snapshot();
+std::string to_text(const MetricsSnapshot& snapshot) {
   std::ostringstream out;
-  for (const auto& [name, value] : snap.counters) {
+  for (const auto& [name, value] : snapshot.counters) {
     out << "counter " << name << " " << value << "\n";
   }
-  for (const auto& [name, value] : snap.gauges) {
+  for (const auto& [name, value] : snapshot.gauges) {
     out << "gauge " << name << " " << value << "\n";
   }
-  for (const auto& [name, h] : snap.bucketed) {
+  for (const auto& [name, h] : snapshot.bucketed) {
     out << "bucket_histogram " << name << " count=" << h.count() << " mean=" << h.mean()
         << " p50=" << h.quantile(0.50) << " p90=" << h.quantile(0.90)
         << " p99=" << h.quantile(0.99) << " min=" << h.min() << " max=" << h.max() << "\n";
   }
   return out.str();
 }
+
+std::string MetricsRegistry::dump() const { return to_text(snapshot()); }
 
 void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);

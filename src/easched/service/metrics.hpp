@@ -33,6 +33,13 @@ struct MetricsSnapshot {
   std::map<std::string, obs::BucketHistogram> bucketed;
 };
 
+/// Text exposition of `snapshot`, one metric per line, sorted by kind then
+/// name:
+///   counter <name> <value>
+///   gauge <name> <value>
+///   bucket_histogram <name> count=<n> mean=<m> p50=<q> p90=<q> p99=<q> ...
+std::string to_text(const MetricsSnapshot& snapshot);
+
 /// Name-addressed counters, gauges, and histograms. All operations are
 /// thread-safe; names are created on first use.
 class MetricsRegistry {
@@ -40,9 +47,6 @@ class MetricsRegistry {
   /// \name Writers
   /// @{
   void increment(std::string_view name, std::uint64_t by = 1);
-  /// Overwrite a counter (copying totals from another registry's
-  /// snapshot). Normal accounting should use `increment`.
-  void set_counter(std::string_view name, std::uint64_t value);
   void set_gauge(std::string_view name, double value);
   /// Record into a fixed-bucket histogram (created on first use with
   /// `default_latency_buckets_us` unless `declare_buckets` ran first).
@@ -64,11 +68,7 @@ class MetricsRegistry {
   /// Copy every metric in one short critical section.
   MetricsSnapshot snapshot() const;
 
-  /// Text exposition, one metric per line, sorted by kind then name:
-  ///   counter <name> <value>
-  ///   gauge <name> <value>
-  ///   bucket_histogram <name> count=<n> mean=<m> p50=<q> p90=<q> p99=<q> ...
-  /// Formats from a `snapshot()`, so writers are blocked only for the copy.
+  /// `to_text(snapshot())`: writers are blocked only for the copy.
   std::string dump() const;
 
   /// Drop every metric (used between bench repetitions).

@@ -145,63 +145,42 @@ std::vector<ServiceDecision> ServiceShard::submit_batch(
   return out;
 }
 
-std::optional<bool> ServiceShard::complete(TaskId id) {
+template <class Op>
+auto ServiceShard::contain(Op&& op, bool compact)
+    -> std::optional<std::invoke_result_t<Op&, SchedulerService&>> {
   std::lock_guard lock(mutex_);
   if (!service_ && !tick_down_locked()) return std::nullopt;
   try {
-    const bool ok = service_->complete(id);
+    auto result = op(*service_);
     last_activity_ = std::chrono::steady_clock::now();
-    compact_if_over_threshold_locked();
-    return ok;
+    if (compact) compact_if_over_threshold_locked();
+    return result;
   } catch (const InjectedCrash& crash) {
     ++stats_.crashes_contained;
     mark_down_locked(crash.restart_after());
     return std::nullopt;
   }
+}
+
+std::optional<bool> ServiceShard::complete(TaskId id) {
+  return contain([id](SchedulerService& service) { return service.complete(id); },
+                 /*compact=*/true);
 }
 
 std::optional<bool> ServiceShard::cancel(TaskId id) {
-  std::lock_guard lock(mutex_);
-  if (!service_ && !tick_down_locked()) return std::nullopt;
-  try {
-    const bool ok = service_->cancel(id);
-    last_activity_ = std::chrono::steady_clock::now();
-    compact_if_over_threshold_locked();
-    return ok;
-  } catch (const InjectedCrash& crash) {
-    ++stats_.crashes_contained;
-    mark_down_locked(crash.restart_after());
-    return std::nullopt;
-  }
+  return contain([id](SchedulerService& service) { return service.cancel(id); },
+                 /*compact=*/true);
 }
 
 std::optional<AdmissionDecision> ServiceShard::quote(const Task& task) {
-  std::lock_guard lock(mutex_);
-  if (!service_ && !tick_down_locked()) return std::nullopt;
-  try {
-    const AdmissionDecision decision = service_->quote(task);
-    last_activity_ = std::chrono::steady_clock::now();
-    return decision;
-  } catch (const InjectedCrash& crash) {
-    ++stats_.crashes_contained;
-    mark_down_locked(crash.restart_after());
-    return std::nullopt;
-  }
+  return contain([&task](SchedulerService& service) { return service.quote(task); });
 }
 
 std::optional<RuntimeReport> ServiceShard::simulate_runtime(
     const RuntimeOptions& runtime_options) {
-  std::lock_guard lock(mutex_);
-  if (!service_ && !tick_down_locked()) return std::nullopt;
-  try {
-    RuntimeReport report = service_->simulate_runtime(runtime_options);
-    last_activity_ = std::chrono::steady_clock::now();
-    return report;
-  } catch (const InjectedCrash& crash) {
-    ++stats_.crashes_contained;
-    mark_down_locked(crash.restart_after());
-    return std::nullopt;
-  }
+  return contain([&runtime_options](SchedulerService& service) {
+    return service.simulate_runtime(runtime_options);
+  });
 }
 
 bool ServiceShard::up() const {

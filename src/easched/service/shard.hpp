@@ -55,6 +55,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "easched/power/power_model.hpp"
@@ -192,6 +193,14 @@ class ServiceShard {
   const ShardOptions& options() const { return options_; }
 
  private:
+  /// The crash-containment body of the single-task ops: under the shard
+  /// lock, tick the restart countdown while down, else run `op` on the
+  /// service, stamp the activity time and, with `compact`, check threshold
+  /// compaction. An `InjectedCrash` is counted and marks the shard down.
+  /// `nullopt` while down or after a crash.
+  template <class Op>
+  auto contain(Op&& op, bool compact = false)
+      -> std::optional<std::invoke_result_t<Op&, SchedulerService&>>;
   /// Bring the inner service up from its journal. Caller holds the shard
   /// lock. Returns false (shard stays down) when recovery itself
   /// crashes at `shard.restart.replay`, whose visit waits for this shard's

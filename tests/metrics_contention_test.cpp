@@ -72,14 +72,6 @@ TEST(MetricsContention, DumpDuringHotBurstIsConsistent) {
             static_cast<std::uint64_t>(kWriters) * kOpsPerWriter);
 }
 
-TEST(MetricsContention, SetCounterOverwritesForRestore) {
-  MetricsRegistry metrics;
-  metrics.increment("requests_total", 3);
-  metrics.set_counter("requests_total", 100);
-  metrics.increment("requests_total");
-  EXPECT_EQ(metrics.counter("requests_total"), 101u);
-}
-
 TEST(MetricsPrometheus, ExposesEveryMetricKind) {
   MetricsRegistry metrics;
   metrics.increment("requests_total", 7);

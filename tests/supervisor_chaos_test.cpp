@@ -4,12 +4,17 @@
 // same rid. The recovered fleet must end bit-identical to the uninterrupted
 // run — same committed ids, same task sets, same plans, same energy. A
 // separate test drives 4x overload through the brownout ladder and checks
-// the fleet keeps accepting.
+// the fleet keeps accepting, and another forces the ladder through every
+// level while a mixed kill schedule fires and audits every acked admit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +23,7 @@
 #include "easched/common/rng.hpp"
 #include "easched/faults/fault_injection.hpp"
 #include "easched/service/supervisor.hpp"
+#include "easched/tasksys/workload.hpp"
 
 namespace easched {
 namespace {
@@ -192,6 +198,92 @@ TEST(SupervisorChaosTest, FourTimesOverloadDegradesButKeepsAccepting) {
   EXPECT_EQ(supervisor.stats().shards_up, 2u);
 
   // The degradation is visible where operators look for it.
+  const std::string exposition = supervisor.prometheus();
+  EXPECT_NE(exposition.find("easched_brownout_level 3"), std::string::npos);
+}
+
+TEST(SupervisorChaosTest, ForcedBrownoutWalkUnderAKillScheduleLosesNoAckedAdmit) {
+  SupervisorOptions options;
+  options.shards = 4;
+  options.data_dir = ::testing::TempDir() + "/chaos_walk";
+  std::filesystem::remove_all(options.data_dir);
+  std::filesystem::create_directories(options.data_dir);
+  options.service.cores = 4;
+  options.service.f_max = kInf;
+  // The walk pins each level; a pressure-driven ladder would release a
+  // forced level as soon as pressure looks calm.
+  options.brownout_enabled = false;
+  options.watchdog_deadline = std::chrono::milliseconds(0);
+
+  // Shard crashes with restart countdowns, a shard-addressed kill, both
+  // journal boundaries, and one failed restart: the second visit of
+  // `shard.restart.replay` is shard 1's first bring-up.
+  FaultInjector injector(FaultPlan::parse(
+      "seed=11;kill:shard.submit@40;restart_after=6;kill:shard1.submit@120;restart_after=3;"
+      "kill:journal.admit.pre@200;kill:journal.admit.post@400;kill:shard2.submit@500;"
+      "kill:shard.restart.replay@2"));
+  faults::FaultScope scope(injector);
+  Supervisor supervisor(PowerModel(3.0, 0.1), options);
+
+  // 1000 paper-generator tasks in release order, over 8 tenants.
+  constexpr std::size_t kRequests = 1000;
+  WorkloadConfig config;
+  config.task_count = kRequests;
+  Rng rng(kStreamSeed);
+  const TaskSet generated = generate_workload(config, rng);
+  std::vector<Task> stream(generated.tasks().begin(), generated.tasks().end());
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Task& a, const Task& b) { return a.release < b.release; });
+
+  struct Ack {
+    std::size_t shard = 0;
+    TaskId id = -1;
+  };
+  std::map<std::string, Ack> acked;
+  std::set<int> levels_seen;
+  std::size_t undecided = 0;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    // Levels 0 -> 1 -> 2 -> 3 at stream quarters.
+    const int quarter = static_cast<int>(i * 4 / kRequests);
+    if (supervisor.max_brownout_level() != quarter) supervisor.force_brownout_level(quarter);
+    const std::string tenant = "tenant-" + std::to_string(i % 8);
+    const std::string rid = "req-" + std::to_string(i);
+    ServiceDecision decision;
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      decision = supervisor.submit(tenant, stream[i], rid);
+      if (decision.error_kind != AdmissionErrorKind::kUnavailable) break;
+    }
+    if (decision.error_kind == AdmissionErrorKind::kUnavailable) ++undecided;
+    levels_seen.insert(decision.brownout_level);
+    if (decision.admission.admitted) acked[rid] = Ack{supervisor.route(tenant), decision.id};
+    if (i % 16 == 15) supervisor.check_watchdogs();
+  }
+  // Bring every down shard back up so the audit reads live state.
+  for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
+    for (int attempt = 0; attempt < 8 && !supervisor.shard(k).restart_now(); ++attempt) {
+    }
+  }
+
+  const SupervisorStats stats = supervisor.stats();
+  EXPECT_EQ(stats.shards_up, 4u);
+  EXPECT_GE(stats.crashes_contained, 1u);
+  EXPECT_GE(stats.restart_failures, 1u);
+  EXPECT_EQ(undecided, 0u);
+  EXPECT_EQ(levels_seen, (std::set<int>{0, 1, 2, kBrownoutMaxLevel}));
+  EXPECT_EQ(stats.max_brownout_level, kBrownoutMaxLevel);
+
+  // No-lost-acks audit: every acked rid is still committed on its shard.
+  ASSERT_FALSE(acked.empty());
+  std::vector<std::set<TaskId>> committed(supervisor.shard_count());
+  for (std::size_t k = 0; k < supervisor.shard_count(); ++k) {
+    const std::vector<TaskId> ids = supervisor.shard(k).committed_ids();
+    committed[k].insert(ids.begin(), ids.end());
+  }
+  for (const auto& [rid, ack] : acked) {
+    EXPECT_EQ(committed[ack.shard].count(ack.id), 1u)
+        << rid << " (task " << ack.id << " on shard " << ack.shard << ") was lost";
+  }
+
   const std::string exposition = supervisor.prometheus();
   EXPECT_NE(exposition.find("easched_brownout_level 3"), std::string::npos);
 }

@@ -281,6 +281,12 @@ TEST(SupervisorTest, MergedMetricsCarryShardPrefixesAndFleetGauges) {
   };
   EXPECT_EQ(counter("shard0_admitted_total") + counter("shard1_admitted_total"), 8u);
 
+  // The text exposition of the merged snapshot carries the shard histograms.
+  const std::string text = to_text(merged);
+  EXPECT_NE(text.find("counter supervisor_requests_total 8"), std::string::npos);
+  EXPECT_NE(text.find("gauge shards_up 2"), std::string::npos);
+  EXPECT_NE(text.find("bucket_histogram shard0_admission_latency_us count="), std::string::npos);
+
   const std::string exposition = supervisor.prometheus();
   EXPECT_NE(exposition.find("easched_shards_up 2"), std::string::npos);
   EXPECT_NE(exposition.find("easched_shard0_up 1"), std::string::npos);
