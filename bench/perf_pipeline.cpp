@@ -5,8 +5,7 @@
 // serial by construction (see parallel/exec.hpp), so this binary measures
 // pure speedup, not a different computation.
 //
-//   perf_pipeline --threads=1,2,4,8 --benchmark_out=BENCH_pipeline.json \
-//                 --benchmark_out_format=json
+//   perf_pipeline --threads=1,2,4,8 --benchmark_out=BENCH_pipeline.json --benchmark_out_format=json
 //
 // The emitted JSON embeds google-benchmark's host context (num_cpus!) —
 // speedups are only meaningful when the host actually has the cores.

@@ -159,7 +159,7 @@ void BM_BatchedAdmission(benchmark::State& state) {
         state.SkipWithError(("batch item failed: " + item.reason).c_str());
         break;
       }
-      supervisor.complete("tenant-0", item.id);
+      supervisor.complete("tenant-0", static_cast<TaskId>(item.id));
     }
     state.ResumeTiming();
   }
@@ -214,7 +214,7 @@ void BM_PipelinedAdmission(benchmark::State& state) {
         state.SkipWithError(("admit failed: " + response.reason).c_str());
         break;
       }
-      admitted.push_back(response.id);
+      admitted.push_back(static_cast<TaskId>(response.id));
     }
     state.PauseTiming();
     for (const TaskId id : admitted) supervisor.complete("tenant-0", id);

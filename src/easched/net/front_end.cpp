@@ -595,8 +595,8 @@ std::string FrontEnd::handle_quote(const Frame& frame) {
     response.marginal_energy = decision->marginal_energy;
     response.reason = decision->rejection_reason;
     response.status = decision->admitted ? Status::kOk
-                      : task_well_formed(request.task) ? Status::kRejectedInfeasible
-                                                       : Status::kRejectedInvalid;
+                      : request.task.well_formed() ? Status::kRejectedInfeasible
+                                                   : Status::kRejectedInvalid;
   }
   return encode_frame(Op::kQuote, /*response=*/true, frame.correlation,
                       encode_quote_response(response));

@@ -1,7 +1,6 @@
 #include "easched/net/protocol.hpp"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 namespace easched::net {
@@ -28,11 +27,6 @@ bool is_retryable(Status status) {
          status == Status::kShedBrownout;
 }
 
-bool task_well_formed(const Task& task) {
-  return std::isfinite(task.release) && std::isfinite(task.deadline) &&
-         std::isfinite(task.work) && task.work > 0.0 && task.deadline > task.release;
-}
-
 Status admit_status(const ServiceDecision& decision, const Task& task) {
   switch (decision.error_kind) {
     case AdmissionErrorKind::kUnavailable:
@@ -56,7 +50,7 @@ Status admit_status(const ServiceDecision& decision, const Task& task) {
       break;
   }
   if (decision.admission.admitted) return Status::kOk;
-  return task_well_formed(task) ? Status::kRejectedInfeasible : Status::kRejectedInvalid;
+  return task.well_formed() ? Status::kRejectedInfeasible : Status::kRejectedInvalid;
 }
 
 // ---------------------------------------------------------------------------

@@ -113,11 +113,6 @@ std::string_view status_name(Status status);
 /// True for the statuses a client should retry (with the same rid).
 bool is_retryable(Status status);
 
-/// The well-formedness test admission applies (mirrored here so the status
-/// mapping can distinguish validation failures from infeasibility without
-/// parsing reason strings).
-bool task_well_formed(const Task& task);
-
 /// Map a service decision onto the wire taxonomy. `task` is the request's
 /// own task (used for the invalid-vs-infeasible split).
 Status admit_status(const ServiceDecision& decision, const Task& task);

@@ -21,9 +21,7 @@ AdmissionDecision admit_task(const TaskSet& committed, const Task& candidate, in
 
   // Candidate sanity first: malformed requests are rejected, not thrown,
   // since they arrive from outside the trust boundary.
-  if (!(std::isfinite(candidate.release) && std::isfinite(candidate.deadline) &&
-        std::isfinite(candidate.work)) ||
-      candidate.work <= 0.0 || candidate.deadline <= candidate.release) {
+  if (!candidate.well_formed()) {
     decision.rejection_reason = "malformed task (need work > 0 and deadline > release)";
     return decision;
   }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "easched/common/contracts.hpp"
+#include "easched/faults/fault_injection.hpp"
 #include "easched/obs/trace.hpp"
 #include "easched/parallel/exec.hpp"
 #include "easched/sched/ideal.hpp"
@@ -132,7 +133,6 @@ bool attempt_exact(const TaskSet& tasks, const SubintervalDecomposition& subs, i
       attempt.detail = std::string("solver status: ") + std::string(solver_status_name(solved.status));
       return false;
     }
-    if (solved.warm_started) attempt.detail = "warm_started";
     Schedule schedule = materialize_optimal_schedule(tasks, subs, cores, solved);
     return try_serve(tasks, std::move(schedule), solved.energy, options.validate_tol, attempt, plan);
   } catch (const std::exception& e) {
@@ -157,6 +157,29 @@ bool attempt_heuristic(const TaskSet& tasks, const SubintervalDecomposition& sub
     attempt.detail = e.what();
     return false;
   }
+}
+
+/// The F2 rung through the caller's delta planner. A plan that fails the
+/// gate, or a throw, leaves the planner invalidated, so its next call
+/// rebuilds from scratch instead of splicing onto a plan nobody served.
+bool attempt_delta(const TaskSet& tasks, DeltaPlanner& planner, const FallbackOptions& options,
+                   const Exec& exec, RungAttempt& attempt, FallbackPlan& plan) {
+  attempt.rung = PlanRung::kDer;
+  try {
+    DeltaPlan result = planner.plan_to(tasks, exec, &plan.delta);
+    if (try_serve(tasks, std::move(result.schedule), result.energy, options.validate_tol,
+                  attempt, plan)) {
+      return true;
+    }
+  } catch (const InjectedCrash&) {
+    planner.invalidate();
+    throw;  // a simulated process death is never a rung failure
+  } catch (const std::exception& e) {
+    attempt.failure = RungFailure::kException;
+    attempt.detail = e.what();
+  }
+  planner.invalidate();
+  return false;
 }
 
 /// Trace status for a finished rung attempt: "served" or the failure name
@@ -188,7 +211,8 @@ FallbackPlan plan_with_fallback(const TaskSet& tasks, int cores, const PowerMode
 }
 
 FallbackPlan plan_with_fallback(const TaskSet& tasks, int cores, const PowerModel& power,
-                                const FallbackOptions& options, const Exec& exec) {
+                                const FallbackOptions& options, const Exec& exec,
+                                DeltaPlanner* delta) {
   EASCHED_EXPECTS(!tasks.empty());
   EASCHED_EXPECTS(cores > 0);
 
@@ -198,20 +222,29 @@ FallbackPlan plan_with_fallback(const TaskSet& tasks, int cores, const PowerMode
   FallbackPlan plan;
   auto& attempts = plan.outcome.attempts;
 
-  // Shared geometry for every rung. If even this fails the request is
-  // structurally broken — record it once and reject.
+  // Geometry of the rungs that plan from scratch, built when the first of
+  // them runs: the decomposition for every such rung, the ideal case for
+  // the heuristic ones. If even this fails the request is structurally
+  // broken — record it once and reject.
   std::optional<SubintervalDecomposition> subs;
-  try {
-    subs.emplace(tasks, 1e-12, exec);
-  } catch (const std::exception& e) {
-    RungAttempt& attempt = attempts.emplace_back();
-    attempt.rung = options.try_exact ? PlanRung::kExact : PlanRung::kDer;
-    attempt.failure = RungFailure::kException;
-    attempt.detail = std::string("decomposition failed: ") + e.what();
-    return plan;
-  }
+  std::optional<IdealCase> ideal;
+  const auto build_geometry = [&](PlanRung rung) {
+    try {
+      if (!subs) subs.emplace(tasks, 1e-12, exec);
+      if (rung != PlanRung::kExact && !ideal) ideal.emplace(tasks, power);
+      return true;
+    } catch (const std::exception& e) {
+      RungAttempt& attempt = attempts.emplace_back();
+      attempt.rung = rung;
+      attempt.failure = RungFailure::kException;
+      attempt.detail = std::string(subs ? "ideal case failed: " : "decomposition failed: ") +
+                       e.what();
+      return false;
+    }
+  };
 
   if (options.try_exact) {
+    if (!build_geometry(PlanRung::kExact)) return plan;
     obs::Span rung_span("rung.exact");
     RungAttempt& attempt = attempts.emplace_back();
     const bool served = attempt_exact(tasks, *subs, cores, power, options, attempt, plan);
@@ -219,28 +252,19 @@ FallbackPlan plan_with_fallback(const TaskSet& tasks, int cores, const PowerMode
     if (served) return plan;
   }
 
-  // The heuristic rungs share the ideal case. A failure here fails both
-  // rungs at once (they cannot run without it).
-  std::optional<IdealCase> ideal;
-  try {
-    ideal.emplace(tasks, power);
-  } catch (const std::exception& e) {
-    RungAttempt& attempt = attempts.emplace_back();
-    attempt.rung = PlanRung::kDer;
-    attempt.failure = RungFailure::kException;
-    attempt.detail = std::string("ideal case failed: ") + e.what();
-    return plan;
-  }
-
   for (const AllocationMethod method : {AllocationMethod::kDer, AllocationMethod::kEven}) {
-    if (method == AllocationMethod::kDer && options.first_heuristic == PlanRung::kEven) {
+    const PlanRung rung = method == AllocationMethod::kDer ? PlanRung::kDer : PlanRung::kEven;
+    if (rung == PlanRung::kDer && options.first_heuristic == PlanRung::kEven) {
       continue;  // brownout ladder entered the chain below F2
     }
-    obs::Span rung_span(
-        rung_span_name(method == AllocationMethod::kDer ? PlanRung::kDer : PlanRung::kEven));
+    const bool spliced = rung == PlanRung::kDer && delta != nullptr;
+    if (!spliced && !build_geometry(rung)) return plan;
+    obs::Span rung_span(rung_span_name(rung));
     RungAttempt& attempt = attempts.emplace_back();
-    const bool served = attempt_heuristic(tasks, *subs, cores, power, *ideal, method, options,
-                                          exec, attempt, plan);
+    const bool served =
+        spliced ? attempt_delta(tasks, *delta, options, exec, attempt, plan)
+                : attempt_heuristic(tasks, *subs, cores, power, *ideal, method, options, exec,
+                                    attempt, plan);
     rung_span.set_status(attempt_status(attempt));
     if (served) return plan;
   }

@@ -24,12 +24,20 @@
 /// keeps F2 as its top rung by default — same plans as before this layer
 /// existed — and turns the exact rung on when a caller asks for optimal
 /// plans with a latency budget.
+///
+/// The F2 rung plans from scratch, or through a caller's `DeltaPlanner`
+/// (`sched/incremental.hpp`), whose plans are bit-identical to the
+/// from-scratch ones: a long-lived caller (a service shard) passes its
+/// planner so that every F2 plan — whichever rung was tried first — splices
+/// the previous plan instead of rebuilding it. The planner's plan faces the
+/// same gate as any rung's.
 
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "easched/power/power_model.hpp"
+#include "easched/sched/incremental.hpp"
 #include "easched/sched/schedule.hpp"
 #include "easched/solver/convex_solver.hpp"
 #include "easched/solver/plan_budget.hpp"
@@ -112,6 +120,9 @@ struct FallbackPlan {
   Schedule schedule;
   double energy = 0.0;
   FallbackOutcome outcome;
+  /// What the delta planner did on the F2 rung (left default when no
+  /// planner ran).
+  DeltaOutcome delta;
 };
 
 /// Walk the chain for `tasks` on `cores`. Never throws for rung-level
@@ -121,8 +132,13 @@ FallbackPlan plan_with_fallback(const TaskSet& tasks, int cores, const PowerMode
                                 const FallbackOptions& options = {});
 
 /// Parallel overload: kernels under each rung fan out over `exec`;
-/// bit-identical to the serial overload at any pool size.
+/// bit-identical to the serial overload at any pool size. With `delta`
+/// (built for the same `cores` and `power`), the F2 rung is that planner's
+/// `plan_to`; a plan that fails the gate, or a throw, invalidates the
+/// planner and the chain escalates to F1. An `InjectedCrash` out of the
+/// planner propagates (after invalidating it) instead of being recorded.
 FallbackPlan plan_with_fallback(const TaskSet& tasks, int cores, const PowerModel& power,
-                                const FallbackOptions& options, const Exec& exec);
+                                const FallbackOptions& options, const Exec& exec,
+                                DeltaPlanner* delta = nullptr);
 
 }  // namespace easched

@@ -63,18 +63,6 @@ void DeltaPlanner::reserve(std::size_t tasks, std::size_t boundaries, std::size_
   subs_.reserve(tasks, boundaries, overlap_mass);
 }
 
-Availability DeltaPlanner::refined_allocation() const {
-  EASCHED_EXPECTS(has_state_);
-  Availability refined(task_set_, subs_);
-  for (std::size_t i = 0; i < task_set_.size(); ++i) {
-    const std::span<const double> src = avail_.row(i);
-    const std::span<double> dst = refined.row_values(i);
-    EASCHED_ASSERT(src.size() == dst.size());
-    for (std::size_t k = 0; k < src.size(); ++k) dst[k] = src[k] * refinement_.scale[i];
-  }
-  return refined;
-}
-
 bool DeltaPlanner::insertable(double value) const {
   const auto it = std::lower_bound(bound_values_.begin(), bound_values_.end(), value);
   if (it != bound_values_.begin() && value - *(it - 1) <= options_.merge_tol) return false;

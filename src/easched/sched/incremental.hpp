@@ -113,17 +113,9 @@ class DeltaPlanner {
   /// True when a cached plan is available for delta application.
   bool has_plan() const { return has_state_; }
 
-  /// Cached availability of the last served plan (valid while `has_plan()`),
-  /// e.g. as a warm-start hint for the exact solver.
+  /// Cached availability of the last served plan (test hook; valid while
+  /// `has_plan()`).
   const Availability& availability() const { return avail_; }
-
-  /// The refined F2 allocation of the cached plan: availability rows scaled
-  /// down to each task's used fraction, so row totals sit at the
-  /// heuristic's T_i. The natural warm-start iterate for the exact solvers
-  /// (the unscaled availability overshoots the optimal totals). Only the
-  /// cells are meaningful — cached row/column sums are not finalized.
-  /// Valid while `has_plan()`.
-  Availability refined_allocation() const;
 
   /// Cached decomposition (test hook; valid while `has_plan()`).
   const SubintervalDecomposition& decomposition() const { return subs_; }

@@ -85,7 +85,6 @@ SchedulerService::SchedulerService(const PowerModel& power, ServiceOptions optio
   metrics_.declare_buckets("batch_size", obs::pow2_buckets(16));
   metrics_.declare_buckets("queue_depth_seen", obs::pow2_buckets(16));
   metrics_.declare_buckets("plan_cache_hit_age", obs::pow2_buckets(24));
-  metrics_.declare_buckets("plan_delta_latency_us", obs::default_latency_buckets_us());
   if (!options_.journal_path.empty()) {
     std::lock_guard lock(state_mutex_);
     replay_journal_locked();
@@ -412,52 +411,12 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
   metrics_.increment("plan_cache_misses_total");
   std::optional<TaskSet> built;
   if (tasks == nullptr) tasks = &built.emplace(task_set_of(live));
-  const TaskSet& task_set = *tasks;
-
-  // Delta fast path: with the exact rung off, a cache miss whose set is a
-  // few ops away from the previously planned one is spliced instead of
-  // re-planned. The planner's exactness contract makes the served plan
-  // bit-identical to the fallback chain's DER rung, so this changes
-  // latency, never answers. Any validation or planner failure invalidates
-  // the planner and falls through to the ordinary chain.
-  if (!options_.exact_first && brownout < 2) {
-    obs::Span delta_span("service.plan_delta");
-    delta_span.arg("tasks", static_cast<double>(live.size()));
-    const auto delta_started = std::chrono::steady_clock::now();
-    try {
-      DeltaOutcome outcome;
-      DeltaPlan delta = delta_planner_.plan_to(task_set, Exec::serial(), &outcome);
-      const ValidationReport report = delta.schedule.validate(task_set);
-      if (report.ok && std::isfinite(delta.energy)) {
-        const double spent = elapsed_us(delta_started);
-        metrics_.observe_bucketed("plan_delta_latency_us", spent);
-        metrics_.observe_bucketed(plan_latency_metric(PlanRung::kDer), spent);
-        metrics_.increment(outcome.delta ? "plan_delta_hits_total" : "plan_delta_full_total");
-        metrics_.increment("plans_by_rung_der");
-        delta_span.arg("ops", static_cast<double>(outcome.ops));
-        delta_span.set_status(outcome.delta ? "delta" : "rebuild");
-        CachedPlan plan{delta.energy, std::move(delta.schedule), PlanRung::kDer};
-        cache_.insert(signature, plan);
-        return plan;
-      }
-      delta_planner_.invalidate();
-      metrics_.increment("plan_delta_fallbacks_total");
-      delta_span.set_status("invalid");
-    } catch (const InjectedCrash&) {
-      delta_planner_.invalidate();
-      throw;
-    } catch (const std::exception&) {
-      delta_planner_.invalidate();
-      metrics_.increment("plan_delta_fallbacks_total");
-      delta_span.set_status("failed");
-    }
-  }
 
   obs::Span plan_span("service.plan");
   plan_span.arg("tasks", static_cast<double>(live.size()));
   const auto plan_started = std::chrono::steady_clock::now();
-  const FallbackPlan planned =
-      plan_with_fallback(task_set, options_.cores, power_, fallback_options(), Exec::serial());
+  FallbackPlan planned = plan_with_fallback(*tasks, options_.cores, power_, fallback_options(),
+                                            Exec::serial(), &delta_planner_);
   metrics_.observe_bucketed(plan_latency_metric(planned.outcome.served),
                             elapsed_us(plan_started));
   plan_span.set_status(plan_rung_name(planned.outcome.served).data());
@@ -473,8 +432,11 @@ CachedPlan SchedulerService::plan_set_locked(const std::vector<std::pair<TaskId,
   }
   metrics_.increment(std::string("plans_by_rung_") +
                      std::string(plan_rung_name(planned.outcome.served)));
+  if (planned.outcome.served == PlanRung::kDer) {
+    metrics_.increment(planned.delta.delta ? "plan_delta_hits_total" : "plan_delta_full_total");
+  }
   if (planned.outcome.degraded()) metrics_.increment("fallback_degraded_total");
-  CachedPlan plan{planned.energy, planned.schedule, planned.outcome.served};
+  CachedPlan plan{planned.energy, std::move(planned.schedule), planned.outcome.served};
   cache_.insert(signature, plan);
   return plan;
 }
@@ -529,9 +491,7 @@ AdmissionDecision SchedulerService::evaluate_locked(const Task& candidate,
   AdmissionDecision decision;
   decision.energy_before = energy_before;
 
-  if (!(std::isfinite(candidate.release) && std::isfinite(candidate.deadline) &&
-        std::isfinite(candidate.work)) ||
-      candidate.work <= 0.0 || candidate.deadline <= candidate.release) {
+  if (!candidate.well_formed()) {
     decision.rejection_reason = "malformed task (need work > 0 and deadline > release)";
     return decision;
   }

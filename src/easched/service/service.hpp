@@ -30,11 +30,11 @@
 ///     admits/completions/cancellations change the signature and thereby
 ///     invalidate structurally.
 ///
-///  3. **Planning on the caller's thread.** Every plan (delta path,
-///     fallback chain, quotes, `current_plan`) runs serially on the thread
-///     that holds the state lock: at a shard's sizes, fanning the kernel
-///     out over a pool costs more than the work it splits. Parallelism
-///     comes from running many services (shards) side by side.
+///  3. **Planning on the caller's thread.** Every plan (admits, quotes,
+///     `current_plan`) runs serially on the thread that holds the state
+///     lock: at a shard's sizes, fanning the kernel out over a pool costs
+///     more than the work it splits. Parallelism comes from running many
+///     services (shards) side by side.
 ///
 /// **Recovery.** With a `journal_path`, every admit is written ahead (and
 /// flushed) to the journal before its decision is returned, and
@@ -46,10 +46,11 @@
 /// counters start from zero in every incarnation, as ordinary Prometheus
 /// counters do across a process restart.
 ///
-/// **Failure model.** Planning runs through the fallback chain of
-/// `sched/fallback.hpp` (optionally exact-first under a `PlanBudget`), so a
-/// misbehaving solver degrades a plan instead of stalling the service; the
-/// chain's validator guarantee means an invalid plan is never served.
+/// **Failure model.** A plan-cache miss runs the fallback chain of
+/// `sched/fallback.hpp` once (optionally exact-first under a `PlanBudget`),
+/// with the service's delta planner as its F2 rung, so a misbehaving solver
+/// degrades a plan instead of stalling the service; the chain's validator
+/// guarantee means an invalid plan is never served.
 /// Injected faults (`faults/fault_injection.hpp`) surface as structured
 /// error kinds on decisions — except `InjectedCrash`, which is *never*
 /// swallowed: it propagates out of the admission call (simulating the
@@ -108,9 +109,9 @@ struct ServiceOptions {
   /// Try the exact convex solve as the top rung of every planning pass,
   /// falling back to F2 → F1 when it fails or runs out of budget. Off by
   /// default: the heuristic-only chain reproduces the pre-fallback plans
-  /// bit-for-bit. With it off, plan-cache misses are served by the
-  /// incremental delta planner (`sched/incremental.hpp`), whose plans are
-  /// bit-identical to the chain's.
+  /// bit-for-bit. Either way the F2 rung is the incremental delta planner
+  /// (`sched/incremental.hpp`), whose plans are bit-identical to a
+  /// from-scratch F2 plan.
   bool exact_first = false;
   /// Wall-clock budget per planning pass (only the exact rung consumes it
   /// cooperatively; the heuristic rescue rungs always run). 0 = unlimited.
@@ -129,7 +130,7 @@ class SchedulerService {
  public:
   /// Replays `options.journal_path` (when set) into an empty committed
   /// set. Nothing is planned here: the first request that needs the plan
-  /// derives it through the ordinary cache and delta-planner path.
+  /// derives it through the ordinary cache and fallback-chain path.
   explicit SchedulerService(const PowerModel& power, ServiceOptions options = {});
 
   SchedulerService(const SchedulerService&) = delete;
@@ -220,7 +221,7 @@ class SchedulerService {
 
   /// Set the degradation level (clamped to [0, kBrownoutMaxLevel]).
   /// Level ≥ 1 skips the exact rung; level ≥ 2 plans F1-only (the delta
-  /// path is bypassed too — it serves F2 plans). Plans produced at level
+  /// planner sits idle — it serves F2 plans). Plans produced at level
   /// > 0 are cached under a level-salted key, so a degraded plan never
   /// masquerades as the full-service plan for the same set. The level-3
   /// shed and tracing disarm are the owner's job (`ServiceShard`).
@@ -261,11 +262,11 @@ class SchedulerService {
   /// Fallback-chain configuration derived from the options; the budget
   /// deadline starts ticking at the call.
   FallbackOptions fallback_options() const;
-  /// Plan `live` (whose cache key is `signature`) through the cache and the
-  /// fallback chain; records rung metrics. `tasks`, when given, is `live`'s
-  /// tasks already built into a `TaskSet` (a cache miss builds it
-  /// otherwise). Throws `PlanningError` when every rung fails. Caller holds
-  /// `state_mutex_`.
+  /// Plan `live` (whose cache key is `signature`) through the cache and one
+  /// fallback-chain call with `delta_planner_` as its F2 rung; records rung
+  /// and delta metrics. `tasks`, when given, is `live`'s tasks already built
+  /// into a `TaskSet` (a cache miss builds it otherwise). Throws
+  /// `PlanningError` when every rung fails. Caller holds `state_mutex_`.
   CachedPlan plan_set_locked(const std::vector<std::pair<TaskId, Task>>& live,
                              const std::string& signature, const TaskSet* tasks = nullptr);
   /// Plan (and energy) for the current committed set, via the cache.
@@ -309,8 +310,8 @@ class SchedulerService {
   /// admit. Guarded by `state_mutex_`.
   std::unordered_map<std::string, TaskId> dedup_;
   PlanCache cache_;
-  /// Serves cache misses while the exact rung is off; guarded by
-  /// `state_mutex_` like the cache it sits behind.
+  /// The fallback chain's F2 rung: it splices the last F2 plan it served.
+  /// Guarded by `state_mutex_` like the cache it sits behind.
   DeltaPlanner delta_planner_;
   std::uint64_t next_sequence_ = 0;  ///< guarded by `state_mutex_`
   std::uint64_t batches_ = 0;

@@ -1,6 +1,5 @@
 #include "easched/service/snapshot.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string_view>
@@ -58,9 +57,7 @@ std::vector<Task> parse_tasks(std::string_view& rest) {
     const bool parsed = parse_number(trimmed(take_field(row, ',')), task.release) &&
                         parse_number(trimmed(take_field(row, ',')), task.deadline) &&
                         parse_number(trimmed(take_field(row, ',')), task.work) && row.empty();
-    // The checks a `TaskSet` applies: finite, work > 0, deadline > release.
-    if (!parsed || !std::isfinite(task.release) || !std::isfinite(task.deadline) ||
-        !std::isfinite(task.work) || !(task.work > 0.0) || !(task.deadline > task.release)) {
+    if (!parsed || !task.well_formed()) {
       throw std::runtime_error("malformed task row in snapshot: " + std::string(line));
     }
     tasks.push_back(task);

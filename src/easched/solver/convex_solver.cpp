@@ -74,31 +74,6 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
   // search, function-value restart with a guaranteed-descent fallback step,
   // and a scale-free gradient-mapping stopping criterion.
   std::vector<double> x = detail::interior_point(layout);
-  bool warm_started = false;
-  if (options.warm_start != nullptr && options.warm_start->task_count() == tasks.size() &&
-      options.warm_start->subinterval_count() == subs.size()) {
-    // Seed from the hint: matching cells clamped to their boxes, then
-    // projected feasible. The hint is rejected (cold start kept) when the
-    // projected point leaves the objective undefined.
-    std::vector<double> seeded(layout.variable_count, 0.0);
-    for (const auto& block : layout.blocks) {
-      for (std::size_t k = 0; k < block.tasks.size(); ++k) {
-        const double v = (*options.warm_start)(static_cast<std::size_t>(block.tasks[k]),
-                                               block.subinterval);
-        seeded[block.offset + k] = std::clamp(v, 0.0, block.length);
-      }
-    }
-    project_feasible(seeded, layout);
-    bool usable = true;
-    for (const double t : objective.totals(seeded)) {
-      if (!std::isfinite(t) || t <= 1e-300) usable = false;
-    }
-    if (usable) {
-      x = std::move(seeded);
-      warm_started = true;
-    }
-  }
-  solve_span.arg("warm", warm_started ? 1.0 : 0.0);
   std::vector<double> x_prev = x;
   std::vector<double> y = x;
   std::vector<double> grad, totals, candidate;
@@ -139,39 +114,21 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
     }
   };
 
-  // Gradient-mapping norm (KKT stationarity residual at step 1/L).
-  const auto gradient_mapping_at = [&](const std::vector<double>& point) {
-    objective.gradient(point, grad, totals);
-    std::vector<double> mapped = point;
+  // Gradient-mapping norm at x (KKT stationarity residual at step 1/L).
+  const auto gradient_mapping = [&]() {
+    objective.gradient(x, grad, totals);
+    std::vector<double> mapped = x;
     const double step = 1.0 / lipschitz;
     for (std::size_t k = 0; k < mapped.size(); ++k) mapped[k] -= step * grad[k];
     project_feasible(mapped, layout);
-    return std::sqrt(squared_distance(point, mapped)) / step;
+    return std::sqrt(squared_distance(x, mapped)) / step;
   };
-  const auto gradient_mapping = [&]() { return gradient_mapping_at(x); };
 
-  // The stopping criterion is relative to the residual at the *cold*
-  // starting point even when warm-started — otherwise a good hint would
-  // shrink the reference and make convergence strictly harder to certify
-  // than from scratch.
-  const double initial_residual =
-      warm_started
-          ? std::max(gradient_mapping_at(detail::interior_point(layout)), 1e-300)
-          : std::max(gradient_mapping(), 1e-300);
+  const double initial_residual = std::max(gradient_mapping(), 1e-300);
   double best_residual = initial_residual;
   std::size_t checks_without_progress = 0;
 
-  // A warm start may already satisfy the criterion; check once before the
-  // loop (never on cold runs, whose iteration trace must not change). An
-  // injected stall still stalls — it outranks the shortcut so fault drills
-  // exercise the same degradation path warm or cold.
-  if (warm_started && !stall_injected &&
-      gradient_mapping() <= options.objective_tol * initial_residual) {
-    converged = true;
-    status = SolverStatus::kConverged;
-  }
-
-  for (std::size_t iter = 0; !converged && iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     if (stall_injected) {
       status = SolverStatus::kStallInjected;
       break;
@@ -244,10 +201,7 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
     // Stationarity check (cheap relative to a step); scale-free: relative
     // to the residual at the starting point. The projection's bisection puts
     // a noise floor under the residual, so a long plateau also terminates.
-    // Warm runs check every iteration — seeded near the solution, the first
-    // qualifying iterate is worth catching immediately; cold runs keep the
-    // sparser cadence (and their exact iteration trace).
-    if (warm_started || iter % 4 == 3 || iter + 1 == options.max_iterations) {
+    if (iter % 4 == 3 || iter + 1 == options.max_iterations) {
       const double gm = gradient_mapping();
       iter_span.arg("residual", gm);
       if (gm <= options.objective_tol * initial_residual) {
@@ -279,7 +233,6 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
   result.kkt_residual = residual;
   result.converged = converged;
   result.status = status;
-  result.warm_started = warm_started;
   return result;
 }
 

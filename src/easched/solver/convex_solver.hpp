@@ -61,15 +61,6 @@ struct SolverOptions {
   /// between iterations; on expiry the solver returns its best-so-far
   /// iterate with `SolverStatus::kBudgetExhausted`.
   PlanBudget budget{};
-  /// Optional warm-start hint: a previous solve's allocation over a nearby
-  /// problem (e.g. the cached plan one admission ago). Each variable seeds
-  /// from the hint's matching (task, subinterval) cell, clamped to its box
-  /// and projected feasible. The convergence criterion stays referenced to
-  /// the *cold* starting point's residual, so a warm start can only tighten
-  /// (never relax) the accepted solution; an unusable hint (non-finite or
-  /// vanishing task totals after projection) silently falls back to the
-  /// cold start. Not owned; must outlive the call. Null = cold start.
-  const Availability* warm_start = nullptr;
 };
 
 /// Solution of the convex program.
@@ -88,9 +79,6 @@ struct SolverResult {
   bool converged = false;
   /// Structured ending (refines `converged`).
   SolverStatus status = SolverStatus::kIterationCap;
-  /// True when the run actually seeded from `SolverOptions::warm_start`
-  /// (false when no hint was given or the hint was unusable).
-  bool warm_started = false;
 };
 
 /// Solve for the optimal energy. `cores ≥ 1`.

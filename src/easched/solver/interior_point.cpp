@@ -107,43 +107,9 @@ InteriorPointResult solve_optimal_interior_point(const TaskSet& tasks,
 
   // Strictly interior start: half the even split.
   std::vector<double> x = detail::interior_point(layout, 0.5);
-  bool warm_started = false;
-  if (options.warm_start != nullptr && options.warm_start->task_count() == n_tasks &&
-      options.warm_start->subinterval_count() == subs.size() &&
-      options.warm_barrier_scale > 0.0 && options.warm_barrier_scale <= 1.0) {
-    // Blend the hint toward the interior anchor: a previous solution sits on
-    // (or numerically at) the boundary where the barrier is undefined, so
-    // 0.9·hint + 0.1·anchor restores strict interiority while staying close.
-    std::vector<double> seeded(n_vars);
-    for (const auto& block : layout.blocks) {
-      for (std::size_t k = 0; k < block.tasks.size(); ++k) {
-        const std::size_t v = block.offset + k;
-        const double hint = (*options.warm_start)(static_cast<std::size_t>(block.tasks[k]),
-                                                  block.subinterval);
-        seeded[v] = 0.9 * std::clamp(hint, 0.0, block.length) + 0.1 * x[v];
-      }
-    }
-    bool interior = true;
-    for (std::size_t v = 0; v < n_vars; ++v) {
-      if (!(seeded[v] > 0.0 && seeded[v] < vars[v].cap)) interior = false;
-    }
-    if (interior) {
-      for (const double s : block_slacks(layout, seeded, exec)) {
-        if (!(s > 0.0)) interior = false;
-      }
-    }
-    if (interior && std::isfinite(objective.value(seeded))) {
-      x = std::move(seeded);
-      warm_started = true;
-    }
-  }
-  solve_span.arg("warm", warm_started ? 1.0 : 0.0);
 
   InteriorPointResult result;
   double mu = (std::abs(objective.value(x)) + 1.0) / constraint_count;
-  // The hint has already walked most of the central path; restart the
-  // barrier schedule near its end instead of from the top.
-  if (warm_started) mu *= options.warm_barrier_scale;
 
   SolverStatus status = SolverStatus::kIterationCap;
   bool aborted = false;
@@ -336,7 +302,6 @@ InteriorPointResult solve_optimal_interior_point(const TaskSet& tasks,
   solve_span.arg("newton_steps", static_cast<double>(result.newton_steps));
   solve_span.set_status(solver_status_name(status).data());
   result.solution.status = status;
-  result.solution.warm_started = warm_started;
   return result;
 }
 

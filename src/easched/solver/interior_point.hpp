@@ -43,16 +43,6 @@ struct InteriorPointOptions {
   /// Cooperative deadline/iteration budget (default: unlimited). Checked
   /// between Newton steps; `max_solver_iterations` caps Newton steps.
   PlanBudget budget{};
-  /// Optional warm-start hint (see `SolverOptions::warm_start`): the seed
-  /// blends the hint toward the interior anchor (the hint may sit on the
-  /// boundary where the barrier is undefined) and the initial barrier weight
-  /// shrinks by `warm_barrier_scale`, skipping the outer path the hint has
-  /// already walked. An unusable hint (wrong shape, non-interior after
-  /// blending, non-finite objective) silently falls back to the cold start.
-  /// Not owned; must outlive the call. Null = cold start.
-  const Availability* warm_start = nullptr;
-  /// Initial-μ reduction applied only when the warm start is accepted.
-  double warm_barrier_scale = 1e-3;
 };
 
 /// Statistics of an interior-point run (returned alongside the solution).

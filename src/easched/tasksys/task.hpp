@@ -3,6 +3,7 @@
 /// \file task.hpp
 /// \brief The aperiodic task model of the paper (Section III-A).
 
+#include <cmath>
 #include <cstdint>
 
 namespace easched {
@@ -30,6 +31,13 @@ struct Task {
   /// The task's intensity C_i / (D_i − R_i): the minimum constant frequency
   /// at which it can finish if it may run whenever it is live.
   double intensity() const { return work / window(); }
+
+  /// Finite fields, `work > 0` and `deadline > release`: the conditions a
+  /// `TaskSet` requires of every member, as a test for input from outside.
+  bool well_formed() const {
+    return std::isfinite(release) && std::isfinite(deadline) && std::isfinite(work) &&
+           work > 0.0 && deadline > release;
+  }
 
   friend bool operator==(const Task&, const Task&) = default;
 };

@@ -9,6 +9,7 @@
 #include "easched/common/contracts.hpp"
 #include "easched/common/rng.hpp"
 #include "easched/faults/fault_injection.hpp"
+#include "easched/parallel/exec.hpp"
 #include "easched/sched/fallback.hpp"
 #include "easched/sched/pipeline.hpp"
 #include "easched/tasksys/workload.hpp"
@@ -38,6 +39,35 @@ TEST(FallbackTest, DefaultChainServesDerBitIdenticalToPipeline) {
   const PipelineResult pipeline = run_pipeline(tasks, 4, power);
   EXPECT_EQ(plan.energy, pipeline.der.final_energy);
   EXPECT_EQ(plan.schedule.segments(), pipeline.der.final_schedule.segments());
+
+  // Through a delta planner the F2 rung serves the same plan, bit for bit.
+  DeltaPlanner planner(power, DeltaOptions{});
+  const FallbackPlan spliced =
+      plan_with_fallback(tasks, 4, power, FallbackOptions{}, Exec::serial(), &planner);
+  EXPECT_EQ(spliced.outcome.served, PlanRung::kDer);
+  EXPECT_EQ(spliced.energy, plan.energy);
+  EXPECT_EQ(spliced.schedule.segments(), plan.schedule.segments());
+  EXPECT_TRUE(planner.has_plan());
+}
+
+// The delta planner's plan faces the gate every rung's plan faces: one that
+// fails it is recorded as invalid, the planner is invalidated (its next call
+// rebuilds from scratch), and the chain goes on to F1.
+TEST(FallbackTest, DeltaPlanFailingTheGateInvalidatesThePlannerAndEscalates) {
+  const TaskSet tasks = test_tasks();
+  const PowerModel power(3.0, 0.1);
+  DeltaPlanner planner(power, DeltaOptions{});
+  FallbackOptions options;
+  options.validate_tol = -1.0;  // no schedule meets a negative tolerance
+
+  const FallbackPlan plan =
+      plan_with_fallback(tasks, 4, power, options, Exec::serial(), &planner);
+  EXPECT_FALSE(planner.has_plan());
+  ASSERT_EQ(plan.outcome.attempts.size(), 2u);
+  EXPECT_EQ(plan.outcome.attempts[0].rung, PlanRung::kDer);
+  EXPECT_EQ(plan.outcome.attempts[0].failure, RungFailure::kInvalidPlan);
+  EXPECT_EQ(plan.outcome.attempts[1].rung, PlanRung::kEven);
+  EXPECT_TRUE(plan.outcome.rejected());
 }
 
 TEST(FallbackTest, ExactRungServesWhenSolverConverges) {

@@ -8,10 +8,7 @@
 
 #include "easched/faults/fault_injection.hpp"
 #include "easched/faults/fault_plan.hpp"
-#include "easched/parallel/exec.hpp"
 #include "easched/parallel/thread_pool.hpp"
-#include "easched/sched/fallback.hpp"
-#include "easched/sched/incremental.hpp"
 
 namespace easched {
 namespace {
@@ -134,46 +131,6 @@ TEST(FaultInjectionTest, InjectedJobFailureFlowsIntoTheFutureAndSparesTheWorker)
   auto healthy = pool.submit([] { return 41 + 1; });
   EXPECT_EQ(healthy.get(), 42);
   EXPECT_EQ(injector.fired(FaultSite::kJobFail), 1u);
-}
-
-// A warm-start hint must not change the degradation story: an injected
-// stall outranks the warm path's early-convergence shortcut, so the exact
-// rung still fails with `kStallInjected` and the chain degrades
-// exact → F2 exactly as it does cold.
-TEST(FaultInjectionTest, WarmStartedExactRungStillDegradesUnderStall) {
-  const TaskSet tasks({{0.0, 10.0, 4.0}, {2.0, 8.0, 3.0}, {5.0, 12.0, 2.0}});
-  const PowerModel power(3.0, 0.1);
-
-  DeltaOptions delta_options;
-  delta_options.cores = 4;
-  DeltaPlanner planner(power, delta_options);
-  planner.plan_to(tasks, Exec::serial());
-  const Availability hint = planner.refined_allocation();
-
-  FallbackOptions options;
-  options.try_exact = true;
-  options.exact.warm_start = &hint;
-
-  {
-    FaultInjector injector(FaultPlan::parse("seed=1;solver_stall:p=1"));
-    faults::FaultScope scope(injector);
-    const FallbackPlan plan = plan_with_fallback(tasks, 4, power, options);
-
-    EXPECT_EQ(plan.outcome.served, PlanRung::kDer);
-    EXPECT_TRUE(plan.outcome.degraded());
-    ASSERT_EQ(plan.outcome.attempts.size(), 2u);
-    EXPECT_EQ(plan.outcome.attempts[0].rung, PlanRung::kExact);
-    EXPECT_EQ(plan.outcome.attempts[0].failure, RungFailure::kStallInjected);
-    EXPECT_TRUE(plan.outcome.attempts[1].served);
-    EXPECT_TRUE(plan.schedule.validate(tasks, 1e-5, 1e-5).ok);
-  }
-
-  // Without the stall, the same warm-started chain serves the exact rung
-  // and reports the warm start in its audit detail.
-  const FallbackPlan clean = plan_with_fallback(tasks, 4, power, options);
-  EXPECT_EQ(clean.outcome.served, PlanRung::kExact);
-  ASSERT_FALSE(clean.outcome.attempts.empty());
-  EXPECT_EQ(clean.outcome.attempts[0].detail, "warm_started");
 }
 
 TEST(FaultInjectionTest, SiteNamesAreStable) {

@@ -266,8 +266,7 @@ TEST(Tracer, ServiceEmitsQueuePlanJournalChainPerAdmittedRequest) {
   std::remove(journal_path.c_str());
 
   // Group spans by request id: every admitted request must show the full
-  // lifecycle — queue wait, request processing, a plan (served by either the
-  // fallback chain or the incremental delta path) and the WAL append —
+  // lifecycle — queue wait, request processing, a plan and the WAL append —
   // under its own id.
   std::map<std::uint64_t, std::set<std::string>> by_request;
   for (const SpanRecord& r : tracer.records()) {
@@ -277,9 +276,7 @@ TEST(Tracer, ServiceEmitsQueuePlanJournalChainPerAdmittedRequest) {
   for (const auto& [request, names] : by_request) {
     EXPECT_TRUE(names.count("service.queue_wait")) << "request " << request;
     EXPECT_TRUE(names.count("service.request")) << "request " << request;
-    EXPECT_TRUE(names.count("service.plan") ||
-                names.count("service.plan_delta"))
-        << "request " << request;
+    EXPECT_TRUE(names.count("service.plan")) << "request " << request;
     EXPECT_TRUE(names.count("service.journal_append")) << "request " << request;
   }
 

@@ -1,14 +1,15 @@
-// Service-level contract of the incremental delta path: plans and quotes
-// are identical to a from-scratch fallback-chain plan of the same set,
-// cache signatures follow the *post-delta* set (the admit → remove →
-// re-quote poisoning scenario), and the `plan_delta_*` metrics account for
-// every cache miss.
+// Service-level contract of the delta planner as the fallback chain's F2
+// rung: plans and quotes are identical to a from-scratch fallback-chain plan
+// of the same set, cache signatures follow the *post-delta* set (the admit →
+// remove → re-quote poisoning scenario), the `plan_delta_*` metrics account
+// for every cache miss, and F2 plans splice whichever rung was tried first.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
+#include "easched/faults/fault_injection.hpp"
 #include "easched/parallel/exec.hpp"
 #include "easched/power/power_model.hpp"
 #include "easched/sched/fallback.hpp"
@@ -67,10 +68,10 @@ TEST(ServiceDelta, DepartureInvalidatesCachedDeltaPlan) {
   ASSERT_EQ(quote.marginal_energy, fresh_quote.marginal_energy);
 }
 
-// The delta path changes latency, never answers: at every step of an admit
-// / complete sequence, the service's decisions, energies and plans equal a
-// from-scratch plan of the same set through the fallback chain — the path
-// the service takes when the delta planner is bypassed.
+// The delta planner changes latency, never answers: at every step of an
+// admit / complete sequence, the service's decisions, energies and plans
+// equal a from-scratch plan of the same set through the planner-less
+// fallback chain.
 TEST(ServiceDelta, IncrementalAndFullReplanServeIdenticalPlans) {
   const PowerModel power(3.0, 0.05);
   SchedulerService service(power, service_options());
@@ -103,8 +104,8 @@ TEST(ServiceDelta, IncrementalAndFullReplanServeIdenticalPlans) {
   }
 }
 
-// Every plan-cache miss in an incremental service is accounted to exactly
-// one of the delta counters, and steady-state misses ride the splice.
+// Every plan-cache miss is accounted to exactly one of the delta counters
+// or an F2 rung failure, and steady-state misses ride the splice.
 TEST(ServiceDelta, DeltaMetricsAccountForCacheMisses) {
   const PowerModel power(3.0, 0.05);
   SchedulerService service(power, service_options());
@@ -124,14 +125,66 @@ TEST(ServiceDelta, DeltaMetricsAccountForCacheMisses) {
   const MetricsSnapshot snap = service.metrics().snapshot();
   const std::uint64_t hits = service.metrics().counter("plan_delta_hits_total");
   const std::uint64_t full = service.metrics().counter("plan_delta_full_total");
-  const std::uint64_t fallbacks = service.metrics().counter("plan_delta_fallbacks_total");
+  const std::uint64_t failures = service.metrics().counter("fallback_rung_failures_der");
   const std::uint64_t misses = service.metrics().counter("plan_cache_misses_total");
-  EXPECT_EQ(hits + full + fallbacks, misses);
-  EXPECT_EQ(fallbacks, 0u);
+  EXPECT_EQ(hits + full + failures, misses);
+  EXPECT_EQ(failures, 0u);
   EXPECT_EQ(full, 1u);  // only the cold first plan rebuilds
   EXPECT_GE(hits, arrivals.size());
-  ASSERT_NE(snap.bucketed.find("plan_delta_latency_us"), snap.bucketed.end());
-  EXPECT_EQ(snap.bucketed.at("plan_delta_latency_us").count(), hits + full);
+  ASSERT_NE(snap.bucketed.find("plan_latency_us_der"), snap.bucketed.end());
+  EXPECT_EQ(snap.bucketed.at("plan_latency_us_der").count(), hits + full);
+}
+
+// With the exact rung first and always stalling, every plan degrades to F2,
+// and F2 is still the delta planner: after the cold first plan every cache
+// miss splices, and every decision, energy and plan equals a default-planner
+// service's, bit for bit.
+TEST(ServiceDelta, StalledExactRungDegradesThroughTheDeltaPlanner) {
+  const PowerModel power(3.0, 0.05);
+  ServiceOptions exact_options = service_options();
+  exact_options.exact_first = true;
+  SchedulerService service(power, exact_options);
+  SchedulerService reference(power, service_options());
+  FaultInjector injector(FaultPlan::parse("seed=1;solver_stall:p=1"));
+  faults::FaultScope scope(injector);
+  const auto expect_same_plan = [&] {
+    ASSERT_EQ(service.current_energy(), reference.current_energy());
+    expect_same_segments(service.current_plan(), reference.current_plan());
+  };
+
+  const std::vector<Task> arrivals = {
+      {0.0, 10.0, 4.0}, {2.0, 8.0, 3.0},  {5.0, 15.0, 2.0},
+      {1.0, 6.0, 1.5},  {7.0, 14.0, 2.5}, {3.0, 11.0, 3.5},
+  };
+  std::vector<TaskId> ids;
+  for (std::size_t k = 0; k < arrivals.size(); ++k) {
+    SCOPED_TRACE(k);
+    const ServiceDecision got = service.submit(arrivals[k]);
+    const ServiceDecision want = reference.submit(arrivals[k]);
+    ASSERT_TRUE(got.admission.admitted);
+    ASSERT_EQ(got.id, want.id);
+    ASSERT_EQ(got.plan_rung, PlanRung::kDer);
+    ASSERT_EQ(got.admission.energy_before, want.admission.energy_before);
+    ASSERT_EQ(got.admission.energy_after, want.admission.energy_after);
+    ASSERT_EQ(got.admission.marginal_energy, want.admission.marginal_energy);
+    ids.push_back(got.id);
+    expect_same_plan();
+    if (HasFatalFailure()) return;
+
+    if (k % 2 == 1) {  // interleave departures
+      ASSERT_TRUE(service.complete(ids[k / 2]));
+      ASSERT_TRUE(reference.complete(ids[k / 2]));
+      expect_same_plan();
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  const MetricsRegistry& metrics = service.metrics();
+  const std::uint64_t misses = metrics.counter("plan_cache_misses_total");
+  EXPECT_EQ(metrics.counter("fallback_rung_failures_exact"), misses);
+  EXPECT_EQ(metrics.counter("plans_by_rung_der"), misses);
+  EXPECT_EQ(metrics.counter("plan_delta_full_total"), 1u);
+  EXPECT_EQ(metrics.counter("plan_delta_hits_total"), misses - 1);
 }
 
 }  // namespace

@@ -130,7 +130,9 @@ TEST(SubintervalsTest, CoveringMatchesLinearScanOracle) {
       ASSERT_EQ(subs.covering(probe), expected);
       const SubRange range = subs.covering_range(probe);
       ASSERT_EQ(range.count, expected.size());
-      if (!expected.empty()) ASSERT_EQ(range.first, expected.front());
+      if (!expected.empty()) {
+        ASSERT_EQ(range.first, expected.front());
+      }
     };
 
     // Member tasks (their precomputed ranges must agree too) ...
