@@ -5,14 +5,16 @@
 #include <utility>
 #include <vector>
 
-/// Stable LSD radix sorting of (u64 key, u32 index) pairs, shared by the
-/// allocator's descending-DER order (Algorithm 2) and `Schedule::validate`'s
-/// start-time ordering. Each pass pays a fixed 256-bucket histogram, so it
-/// wins only on larger inputs: `Schedule::validate` sorts every segment of a
-/// plan (thousands and more), while the allocator sorts one heavy
-/// subinterval's positive DERs at a time — a handful on the service's sets,
-/// hundreds on the paper's dense ones — and uses this only above
-/// `kDerRadixCutoff` keys (`sched/allocation.hpp`), a comparison sort below.
+/// Stable LSD radix sorting of (u64 key, u32 index) pairs, for the
+/// allocator's descending-DER order (Algorithm 2), and the order-preserving
+/// double key that `Schedule::validate`'s start order also sorts by. Each
+/// radix pass pays a fixed 256-bucket histogram, so it wins only on larger
+/// inputs: the allocator sorts one heavy subinterval's positive DERs at a
+/// time — a handful on the service's sets, hundreds on the paper's dense
+/// ones — and uses this only above `kDerRadixCutoff` keys
+/// (`sched/allocation.hpp`), a comparison sort below. (`Schedule::validate`
+/// buckets its starts by value instead: about half the cost of the radix
+/// passes on a plan's segments.)
 
 namespace easched {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "easched/common/contracts.hpp"
@@ -22,20 +23,19 @@ const char* to_string(AllocationMethod method) {
 }
 
 Availability::Availability(const TaskSet& tasks, const SubintervalDecomposition& subs) {
-  reshape(tasks, subs);
-}
-
-void Availability::reshape(const TaskSet& tasks, const SubintervalDecomposition& subs) {
   EASCHED_EXPECTS(subs.size() > 0);
   subintervals_ = subs.size();
-  spans_.clear();
   spans_.reserve(tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     spans_.push_back(subs.range_of(static_cast<TaskId>(i)));
   }
   offsets_.reserve(spans_.size() + 1);
-  offsets_.assign(1, 0);
+  offsets_.push_back(0);
   for (const SubRange& r : spans_) offsets_.push_back(offsets_.back() + r.count);
+  // Headroom for the delta planner, whose splices grow rows in place: a
+  // regrowth there copies every cell into fresh pages, while capacity
+  // nothing writes costs address space, not memory.
+  values_.reserve(offsets_.back() + offsets_.back() / 8);
   values_.assign(offsets_.back(), 0.0);
   row_sum_.assign(spans_.size(), 0.0);
   col_sum_.assign(subintervals_, 0.0);
@@ -54,27 +54,141 @@ Availability::Availability(std::vector<SubRange> spans, std::size_t subintervals
   col_sum_.assign(subintervals_, 0.0);
 }
 
-void Availability::rebuild_sums(const SubintervalDecomposition& subs, const Exec& exec) {
-  EASCHED_EXPECTS(subs.size() == subintervals_);
-  exec.loop(subintervals_, [&](std::size_t j) {
-    // Ascending-member order — the order `set_in_column` accumulates column
-    // j during a bulk fill (and x + 0.0 == x exactly for x ≥ +0.0, so
-    // structural zeros cannot perturb the fold).
-    double sum = 0.0;
-    for (const TaskId i : subs[j].overlapping) sum += (*this)(static_cast<std::size_t>(i), j);
-    col_sum_[j] = sum;
-  });
-  finalize_row_sums(exec);
+double Availability::fold_row(std::size_t task) const {
+  // Ascending-subinterval order — the same order a dense accumulate over
+  // the full row visits the nonzeros, so the sum is bit-identical to it.
+  double sum = 0.0;
+  for (std::size_t k = offsets_[task]; k < offsets_[task + 1]; ++k) sum += values_[k];
+  return sum;
+}
+
+void Availability::set_column(std::size_t subinterval, std::span<const TaskId> members,
+                              std::span<const double> values) {
+  EASCHED_EXPECTS(subinterval < subintervals_ && members.size() == values.size());
+  double sum = 0.0;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    const auto task = static_cast<std::size_t>(members[k]);
+    EASCHED_EXPECTS(task < spans_.size());
+    const SubRange& r = spans_[task];
+    // One unsigned comparison checks both ends of the span.
+    EASCHED_EXPECTS_MSG(subinterval - r.first < r.count,
+                        "cell outside the task's live range is structurally zero");
+    EASCHED_EXPECTS(values[k] >= 0.0);
+    values_[offsets_[task] + (subinterval - r.first)] = values[k];
+    sum += values[k];
+  }
+  col_sum_[subinterval] = sum;
 }
 
 void Availability::finalize_row_sums(const Exec& exec) {
-  exec.loop(spans_.size(), [&](std::size_t i) {
-    // Ascending-subinterval order — the same order a dense accumulate over
-    // the full row visits the nonzeros, so the sum is bit-identical to it.
-    double sum = 0.0;
-    for (std::size_t k = offsets_[i]; k < offsets_[i + 1]; ++k) sum += values_[k];
-    row_sum_[i] = sum;
-  });
+  exec.loop(spans_.size(), [&](std::size_t i) { row_sum_[i] = fold_row(i); });
+}
+
+void Availability::splice_rows(const SubintervalDecomposition& subs, std::span<const char> dirty,
+                               TaskId removed, std::size_t window_first, std::size_t window_count) {
+  const std::size_t n = subs.task_count();
+  const std::size_t old_n = spans_.size();
+  const std::size_t columns = subs.size();
+  EASCHED_EXPECTS(dirty.size() == n);
+  EASCHED_EXPECTS(removed >= 0 ? old_n == n + 1 && static_cast<std::size_t>(removed) <= n
+                               : old_n + 1 == n && dirty[n - 1]);
+  EASCHED_EXPECTS(window_first + window_count <= columns);
+  // The old window holds the columns the splice inserted or erased.
+  const std::size_t old_window_end = window_first + window_count + subintervals_ - columns;
+  EASCHED_EXPECTS(old_window_end <= subintervals_);
+  const auto cut = static_cast<std::size_t>(removed >= 0 ? removed : static_cast<TaskId>(n));
+  const auto old_row = [&](std::size_t i) { return i >= cut ? i + 1 : i; };
+  next_offsets_.resize(n + 1);
+  next_offsets_[0] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const SubRange r = subs.range_of(static_cast<TaskId>(i));
+    EASCHED_ASSERT(dirty[i] || r.count == spans_[old_row(i)].count);
+    next_offsets_[i + 1] = next_offsets_[i] + r.count;
+  }
+
+  // A row's cells left of the window keep their column, those right of it
+  // move with theirs; a clean row lies wholly on one side, a dirty row's
+  // cells inside the window are the caller's to rewrite. Rows only grow on
+  // an append and only shrink on a removal, so the pieces move back to
+  // front in the first case and front to back in the second, and none
+  // overwrites one still to move. Adjacent pieces with one shift move as
+  // one block.
+  const bool grow = removed < 0;
+  std::size_t block_from = 0;
+  std::size_t block_to = 0;
+  std::size_t block_count = 0;
+  const auto flush = [&] {
+    if (block_count > 0 && block_from != block_to) {
+      std::memmove(values_.data() + block_to, values_.data() + block_from,
+                   block_count * sizeof(double));
+    }
+    block_count = 0;
+  };
+  const auto move = [&](std::size_t from, std::size_t to, std::size_t count) {
+    if (count == 0) return;
+    const bool joins = block_count > 0 && (grow ? from + count == block_from && to + count == block_to
+                                                : block_from + block_count == from &&
+                                                      block_to + block_count == to);
+    if (!joins) {
+      flush();
+      block_from = from;
+      block_to = to;
+    } else if (grow) {
+      block_from = from;
+      block_to = to;
+    }
+    block_count += count;
+  };
+  const auto move_row = [&](std::size_t i) {
+    if (!grow || i + 1 < n) {  // the appended row has no old cells
+      const SubRange r = spans_[old_row(i)];
+      const std::size_t from = offsets_[old_row(i)];
+      const std::size_t to = next_offsets_[i];
+      const std::size_t left = std::min(r.first + r.count, window_first);
+      const std::size_t right = std::max(r.first, old_window_end);
+      const std::size_t left_count = left > r.first ? left - r.first : 0;
+      const std::size_t right_count = r.first + r.count > right ? r.first + r.count - right : 0;
+      // New column of old column `right`: shifted by the inserted count.
+      const std::size_t right_to = to + (right + columns - subintervals_) -
+                                   subs.range_of(static_cast<TaskId>(i)).first;
+      if (grow) {
+        move(from + (right - r.first), right_to, right_count);
+        move(from, to, left_count);
+      } else {
+        move(from, to, left_count);
+        move(from + (right - r.first), right_to, right_count);
+      }
+    }
+  };
+  if (grow) {
+    values_.resize(next_offsets_[n]);
+    for (std::size_t i = n; i-- > 0;) move_row(i);
+    flush();
+    row_sum_.push_back(0.0);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) move_row(i);
+    flush();
+    values_.resize(next_offsets_[n]);
+    row_sum_.erase(row_sum_.begin() + removed);
+  }
+  offsets_.swap(next_offsets_);
+  spans_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) spans_[i] = subs.range_of(static_cast<TaskId>(i));
+
+  const auto first = col_sum_.begin() + static_cast<std::ptrdiff_t>(window_first);
+  if (columns > subintervals_) {
+    col_sum_.insert(first, columns - subintervals_, 0.0);
+  } else {
+    col_sum_.erase(first, first + static_cast<std::ptrdiff_t>(subintervals_ - columns));
+  }
+  subintervals_ = columns;
+}
+
+void Availability::refold_rows(std::span<const TaskId> rows) {
+  for (const TaskId i : rows) {
+    EASCHED_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < spans_.size());
+    row_sum_[static_cast<std::size_t>(i)] = fold_row(static_cast<std::size_t>(i));
+  }
 }
 
 std::vector<double> even_ration(std::size_t task_count, int cores, double length) {
@@ -180,23 +294,17 @@ Availability allocate_available_time(const TaskSet& tasks,
 void allocate_column(const SubintervalDecomposition& subintervals, std::size_t j, int cores,
                      const IdealCase& ideal, AllocationMethod method, Availability& avail) {
   const Subinterval& si = subintervals[j];
-  if (si.overlapping.empty()) return;
-
-  if (!si.heavy(cores)) {
-    // Observation 2: each overlapping task may occupy a whole core.
-    for (const TaskId i : si.overlapping) {
-      avail.set_in_column(static_cast<std::size_t>(i), j, si.length());
-    }
-    return;
-  }
-
   // Thread-local scratch: each worker reuses one set of rationing buffers
   // across its subintervals instead of allocating fresh vectors per heavy
   // subinterval. The computed values are independent of the buffers'
   // history, so the result stays bit-identical at any pool size.
   thread_local RationScratch scratch;
   thread_local std::vector<double> ders;
-  if (method == AllocationMethod::kEven) {
+  if (!si.heavy(cores)) {
+    // Observation 2: each overlapping task may occupy a whole core. (An
+    // empty column still gets its zero sum.)
+    scratch.ration.assign(si.overlapping.size(), si.length());
+  } else if (method == AllocationMethod::kEven) {
     const double share = std::min(si.length(), static_cast<double>(cores) * si.length() /
                                                    static_cast<double>(si.overlapping.size()));
     scratch.ration.assign(si.overlapping.size(), share);
@@ -209,9 +317,7 @@ void allocate_column(const SubintervalDecomposition& subintervals, std::size_t j
     }
     der_ration_into(ders, cores, si.length(), scratch);
   }
-  for (std::size_t k = 0; k < si.overlapping.size(); ++k) {
-    avail.set_in_column(static_cast<std::size_t>(si.overlapping[k]), j, scratch.ration[k]);
-  }
+  avail.set_column(j, si.overlapping, scratch.ration);
 }
 
 Availability allocate_available_time(const TaskSet& tasks,

@@ -54,10 +54,6 @@ class Availability {
   /// Rows keyed by each member task's live range in `subs`; all values 0.
   Availability(const TaskSet& tasks, const SubintervalDecomposition& subs);
 
-  /// Re-initialize in place as `Availability(tasks, subs)` would, reusing
-  /// the buffers (no allocation while their capacities suffice).
-  void reshape(const TaskSet& tasks, const SubintervalDecomposition& subs);
-
   /// Rows from explicit `(first, count)` spans per task (tests, adapters).
   Availability(std::vector<SubRange> spans, std::size_t subintervals);
 
@@ -129,26 +125,42 @@ class Availability {
     col_sum_[subinterval] += value - *cell;
     *cell = value;
   }
+  /// Write a whole column: `values[k]` for member `members[k]`, and the
+  /// column sum as their fold in that order — what `set_in_column` over
+  /// the same cells of a zero column gives, without its per-cell sum
+  /// round trip. Every member's span must cover the column.
+  void set_column(std::size_t subinterval, std::span<const TaskId> members,
+                  std::span<const double> values);
   void finalize_row_sums(const Exec& exec);
   /// @}
 
   /// \name Delta-replanning path (DeltaPlanner)
-  /// An incremental replan copies the untouched rows of the previous plan
-  /// wholesale and recomputes only dirty columns, then restores the cached
-  /// sums by *refolding* — never by incremental add/subtract, which would
-  /// break the bit-identity contract with a from-scratch plan.
+  /// A single-task splice edits the previous plan's matrix in place. Only
+  /// the changed window's columns ration differently: every other column
+  /// keeps its geometry, its members and their ideal-case values, so its
+  /// cells and sum stay as they are. The caller rewrites the window's
+  /// columns through `allocate_column` (which sets their sums) and then
+  /// refolds the sums of the rows crossing it — never by incremental
+  /// add/subtract, which would break the bit-identity contract with a
+  /// from-scratch plan.
   /// @{
-  /// Mutable row slice (same indexing as `row`). Writers bypass the sum
-  /// caches; call `rebuild_sums` before any sum is read.
-  std::span<double> row_values(std::size_t task) {
-    EASCHED_EXPECTS(task < spans_.size());
-    return std::span<double>(values_).subspan(offsets_[task], spans_[task].count);
-  }
-  /// Recompute every cached column sum (ascending-member fold over the CSR
-  /// overlap set of each column) and row sum (ascending-subinterval fold) —
-  /// the exact folds the bulk-fill path produces, so the cached sums are
-  /// bit-identical to a from-scratch allocation over the same values.
-  void rebuild_sums(const SubintervalDecomposition& subs, const Exec& exec);
+  /// Re-lay the rows after `subs` gained a last member (`removed < 0`) or
+  /// lost member `removed`, which changed columns
+  /// `[window_first, window_first + window_count)` (in `subs`'s indexing;
+  /// the columns it inserted or erased lie there). Columns left of the
+  /// window keep their index, columns right of it move by the inserted
+  /// count. `dirty[i]` flags each new row crossing the window, the
+  /// appended row among them; every other row lies wholly on one side and
+  /// keeps its length, cells and sum. A dirty row keeps its cells outside
+  /// the window; its cells inside hold unspecified values until rewritten.
+  /// Cells move with one memmove per run of unchanged layout, and the
+  /// column sums move with their columns.
+  void splice_rows(const SubintervalDecomposition& subs, std::span<const char> dirty,
+                   TaskId removed, std::size_t window_first, std::size_t window_count);
+  /// Refold the sums of `rows` in ascending-subinterval order — the fold
+  /// the bulk-fill path produces, so the cached sums are bit-identical to
+  /// a from-scratch allocation over the same values.
+  void refold_rows(std::span<const TaskId> rows);
   /// @}
 
  private:
@@ -159,6 +171,8 @@ class Availability {
                         "cell outside the task's live range is structurally zero");
     return &values_[offsets_[task] + (subinterval - r.first)];
   }
+  /// Row `task`'s values summed in ascending-subinterval order.
+  double fold_row(std::size_t task) const;
 
   std::vector<SubRange> spans_;         ///< per-task row support
   std::vector<std::size_t> offsets_;    ///< per-task offset into values_
@@ -166,6 +180,7 @@ class Availability {
   std::vector<double> row_sum_;
   std::vector<double> col_sum_;
   std::size_t subintervals_ = 0;
+  std::vector<std::size_t> next_offsets_;  ///< `splice_rows` scratch
 };
 
 /// Allocate available execution times for all subintervals.
@@ -191,8 +206,8 @@ Availability allocate_available_time(const TaskSet& tasks,
 
 /// Ration one subinterval: write column `subinterval` of `avail` exactly as
 /// `allocate_available_time` fills it (the full length per task when light,
-/// `method`'s share when heavy). Updates the column sum but no row sum —
-/// call `finalize_row_sums` or `rebuild_sums` once every column is written.
+/// `method`'s share when heavy). Sets the column sum but no row sum —
+/// call `finalize_row_sums` or `refold_rows` once every column is written.
 /// The delta planner recomputes its dirty columns through this, so they
 /// match a from-scratch fill bit for bit.
 void allocate_column(const SubintervalDecomposition& subintervals, std::size_t subinterval,

@@ -26,6 +26,15 @@ class IdealCase {
  public:
   IdealCase(const TaskSet& tasks, const PowerModel& power);
 
+  /// \name Single-task edits (the delta planner)
+  /// Both leave exactly the state construction over the edited set builds:
+  /// an append extends the in-order energy fold by one term, an erase
+  /// re-folds it.
+  /// @{
+  void push_back(const Task& task, const PowerModel& power);
+  void erase(TaskId i);
+  /// @}
+
   /// Optimal frequency `f_i^O` of equation (19).
   double frequency(TaskId i) const { return frequency_[static_cast<std::size_t>(i)]; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "easched/common/contracts.hpp"
@@ -30,11 +31,14 @@ namespace easched {
 //     choice of t_lo/t_hi forces one of the two) keeps its availability row,
 //     row sum, refined frequency and scale unchanged, so its schedule
 //     segments outside the repack window are reproduced exactly;
+//  *  so the window's columns are the only ones whose rationing changes:
+//     re-rationing them and refolding the rows that cross them gives every
+//     from-scratch row sum, and re-refining those rows every frequency and
+//     scale;
 //  *  the dirty span D1 — the window's columns plus the full live ranges of
 //     every task overlapping them — therefore covers every column whose
-//     packed segments can differ, and recomputing exactly those columns
-//     (rows of window tasks included) plus re-running the O(n) refinement
-//     yields the from-scratch state.
+//     packed segments can differ, and repacking exactly those columns
+//     yields the from-scratch schedule.
 //
 // The schedule splice drops the old segments inside the repack window,
 // repacks the window's columns from the fresh state, and re-runs the
@@ -64,37 +68,26 @@ void DeltaPlanner::reserve(std::size_t tasks, std::size_t boundaries, std::size_
 }
 
 bool DeltaPlanner::insertable(double value) const {
-  const auto it = std::lower_bound(bound_values_.begin(), bound_values_.end(), value);
-  if (it != bound_values_.begin() && value - *(it - 1) <= options_.merge_tol) return false;
-  if (it != bound_values_.end() && *it - value <= options_.merge_tol) return false;
+  const std::vector<double>& bv = subs_.boundaries();
+  const auto it = std::lower_bound(bv.begin(), bv.end(), value);
+  if (it != bv.begin() && value - *(it - 1) <= options_.merge_tol) return false;
+  if (it != bv.end() && *it - value <= options_.merge_tol) return false;
   return true;
 }
 
-void DeltaPlanner::insert_boundary(double value) {
-  const auto it = std::lower_bound(bound_values_.begin(), bound_values_.end(), value);
-  if (it != bound_values_.end() && *it == value) {
-    ++bound_counts_[static_cast<std::size_t>(it - bound_values_.begin())];
-    return;
+void DeltaPlanner::index_segments() {
+  const std::vector<Segment>& segs = schedule_.segments();
+  seg_begin_.assign(tasks_.size() + 1, 0);
+  for (std::size_t k = 0; k < segs.size(); ++k) {
+    EASCHED_ASSERT(k == 0 || segs[k - 1].task <= segs[k].task);
+    ++seg_begin_[static_cast<std::size_t>(segs[k].task) + 1];
   }
-  const std::size_t pos = static_cast<std::size_t>(it - bound_values_.begin());
-  bound_values_.insert(it, value);
-  bound_counts_.insert(bound_counts_.begin() + static_cast<std::ptrdiff_t>(pos), 1);
-}
-
-bool DeltaPlanner::erase_boundary(double value) {
-  const auto it = std::lower_bound(bound_values_.begin(), bound_values_.end(), value);
-  EASCHED_ASSERT(it != bound_values_.end() && *it == value);
-  const std::size_t pos = static_cast<std::size_t>(it - bound_values_.begin());
-  if (--bound_counts_[pos] > 0) return false;
-  bound_values_.erase(it);
-  bound_counts_.erase(bound_counts_.begin() + static_cast<std::ptrdiff_t>(pos));
-  return true;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) seg_begin_[i + 1] += seg_begin_[i];
 }
 
 void DeltaPlanner::full_rebuild(const TaskSet& live, const Exec& exec) {
   has_state_ = false;  // stays down until every piece of state is consistent
   tasks_.assign(live.begin(), live.end());
-  task_set_ = TaskSet(tasks_);
 
   // Rebuild the boundary multiset: sorted distinct values with counts. The
   // set is *clean* when no two distinct values sit within the merge
@@ -110,16 +103,17 @@ void DeltaPlanner::full_rebuild(const TaskSet& live, const Exec& exec) {
     all.push_back(t.deadline);
   }
   std::sort(all.begin(), all.end());
-  bound_values_.clear();
+  std::vector<double> bv;
+  bv.reserve(all.size());
   bound_counts_.clear();
   clean_ = true;
   for (const double v : all) {
-    if (!bound_values_.empty() && v == bound_values_.back()) {
+    if (!bv.empty() && v == bv.back()) {
       ++bound_counts_.back();
       continue;
     }
-    if (!bound_values_.empty() && v - bound_values_.back() <= options_.merge_tol) clean_ = false;
-    bound_values_.push_back(v);
+    if (!bv.empty() && v - bv.back() <= options_.merge_tol) clean_ = false;
+    bv.push_back(v);
     bound_counts_.push_back(1);
   }
 
@@ -129,7 +123,6 @@ void DeltaPlanner::full_rebuild(const TaskSet& live, const Exec& exec) {
     // of regrowing the arena and the intervals. A clean array holds every
     // task's release and deadline, so each task covers past − first − 1
     // subintervals; the reservation is a no-op once capacities suffice.
-    const std::vector<double>& bv = bound_values_;
     std::size_t mass = 0;
     for (const Task& t : tasks_) {
       const auto first = std::lower_bound(bv.begin(), bv.end(), t.release);
@@ -139,126 +132,128 @@ void DeltaPlanner::full_rebuild(const TaskSet& live, const Exec& exec) {
     subs_.reserve(std::max(reserve_tasks_, grown(tasks_.size(), options_.max_ops)),
                   std::max(reserve_bounds_, grown(bv.size(), 2 * options_.max_ops)),
                   std::max(reserve_mass_, grown(mass, 0)));
-    subs_.assign(task_set_, bv, exec);
+    subs_.assign(live, bv, exec);
   } else {
-    subs_ = SubintervalDecomposition(task_set_, options_.merge_tol, exec);
+    subs_ = SubintervalDecomposition(live, options_.merge_tol, exec);
   }
-  ideal_.emplace(task_set_, power_);
+  ideal_.emplace(live, power_);
 
-  FinalPlan plan =
-      plan_final(task_set_, subs_, options_.cores, power_, *ideal_, options_.method, exec);
+  FinalPlan plan = plan_final(live, subs_, options_.cores, power_, *ideal_, options_.method, exec);
   avail_ = std::move(plan.availability);
   refinement_ = std::move(plan.refinement);
   schedule_ = std::move(plan.schedule);
+  index_segments();
   has_state_ = true;
 }
 
-void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count,
-                                      TaskId removed_old, const Exec& exec, DeltaOutcome& out) {
-  // An empty dirty span happens only when a removed task lay entirely
-  // outside the surviving horizon: no surviving column changes geometry or
-  // membership, so the whole rebuild reduces to re-keying the rows and
-  // dropping the removed task's schedule groups.
-  const std::size_t n = task_set_.size();
+namespace {
+
+/// Call `fn` on each segment of `run` — one task's segments, ordered by core
+/// and then by start — whose interior holds `cut`. A core's segments are
+/// disjoint, so at most one per core does: the last one starting below it.
+template <typename Fn>
+void for_each_straddler(std::span<const Segment> run, double cut, Fn&& fn) {
+  const auto start_below = [](const Segment& s, double v) { return s.start < v; };
+  for (auto group = run.begin(); group != run.end();) {
+    const CoreId core = group->core;
+    const auto group_end =
+        std::partition_point(group, run.end(), [core](const Segment& s) { return s.core == core; });
+    const auto it = std::lower_bound(group, group_end, cut, start_below);
+    if (it != group && (it - 1)->end > cut) fn(*(it - 1));
+    group = group_end;
+  }
+}
+
+}  // namespace
+
+void DeltaPlanner::splice(std::size_t lo_idx, std::size_t hi_idx, std::size_t d1_first,
+                          std::size_t d1_count, TaskId removed, const Exec& exec,
+                          DeltaOutcome& out) {
+  const std::size_t n = tasks_.size();
   const std::size_t columns = subs_.size();
   EASCHED_ASSERT(d1_count == 0 || d1_first + d1_count <= columns);
-  EASCHED_ASSERT(d1_count > 0 || removed_old >= 0);
-  EASCHED_ASSERT(dirty_.size() == n);
+  EASCHED_ASSERT(d1_count > 0 || removed >= 0);
+  EASCHED_ASSERT(dirty_.size() == n && subs_.task_count() == n);
   out.dirty_columns += d1_count;
 
-  // --- Availability: copy clean rows, recompute dirty columns, refold sums,
-  // into the spare matrix, which then trades places with the current one.
-  Availability& fresh = spare_avail_;
-  fresh.reshape(task_set_, subs_);
-  exec.loop(n, [&](std::size_t i) {
-    if (dirty_[i]) return;  // fully covered by the dirty-column pass
-    const std::size_t old_i =
-        removed_old >= 0 && i >= static_cast<std::size_t>(removed_old) ? i + 1 : i;
-    const std::span<const double> src = avail_.row(old_i);
-    const std::span<double> dst = fresh.row_values(i);
-    EASCHED_ASSERT(src.size() == dst.size());
-    std::copy(src.begin(), src.end(), dst.begin());
+  // --- Availability, in place. Only the window's columns ration anew
+  // (outside it geometry, members and their ideal-case values are
+  // unchanged), through the allocator's own per-column rule, so the cells
+  // and column sums match a from-scratch fill bit for bit; every other
+  // cell keeps its value and only the dirty rows' sums refold.
+  const std::size_t window = lo_idx < hi_idx ? hi_idx - lo_idx : 0;
+  avail_.splice_rows(subs_, dirty_, removed, lo_idx, window);
+  exec.loop(window, [&](std::size_t k) {
+    allocate_column(subs_, lo_idx + k, options_.cores, *ideal_, options_.method, avail_);
   });
-  exec.loop(d1_count, [&](std::size_t k) {
-    // The allocator's own per-column rationing: the recomputed cells match a
-    // from-scratch fill bit for bit.
-    allocate_column(subs_, d1_first + k, options_.cores, *ideal_, options_.method, fresh);
-  });
-  fresh.rebuild_sums(subs_, exec);
-  std::swap(avail_, spare_avail_);
+  avail_.refold_rows(dirty_tasks_);
 
-  // --- Refinement: O(n) closed form; recomputing every task (not just the
-  // dirty ones) costs microseconds and is trivially from-scratch-identical.
-  refine_final(task_set_, power_, avail_, exec, refinement_);
-
-  // --- Schedule splice. Index the old schedule's (task, core) groups.
-  const std::size_t stride = static_cast<std::size_t>(options_.cores) + 1;
-  const std::vector<Segment>& osegs = schedule_.segments();
-  std::vector<OldGroup>& old_groups = old_groups_;
-  old_groups.clear();
-  // Every group holds a segment, so the segment count bounds the groups: no
-  // regrowth within an op, and only the part the groups fill is faulted in.
-  // The headroom spares the following, slightly larger plans a regrowth.
-  if (old_groups.capacity() < osegs.size()) old_groups.reserve(osegs.size() + osegs.size() / 8);
-  for (std::size_t b = 0; b < osegs.size();) {
-    std::size_t e = b + 1;
-    while (e < osegs.size() && osegs[e].task == osegs[b].task && osegs[e].core == osegs[b].core) {
-      ++e;
+  // --- Refinement: a clean row keeps its frequency, scale and energy; the
+  // energy refolds over all of them in task order, as from scratch.
+  for (std::vector<double>* slots : {&refinement_.total_available, &refinement_.frequency,
+                                     &refinement_.scale, &refinement_.task_energy}) {
+    if (removed >= 0) {
+      slots->erase(slots->begin() + removed);
+    } else {
+      slots->push_back(0.0);
     }
-    const TaskId old_task = osegs[b].task;
-    if (old_task != removed_old) {
-      const TaskId new_task =
-          removed_old >= 0 && old_task > removed_old ? old_task - 1 : old_task;
-      OldGroup g;
-      g.key = static_cast<std::size_t>(new_task) * stride + static_cast<std::size_t>(osegs[b].core);
-      g.new_task = new_task;
-      g.begin = b;
-      g.end = e;
-      EASCHED_ASSERT(old_groups.empty() || old_groups.back().key < g.key);
-      old_groups.push_back(g);
-    }
-    b = e;
   }
+  for (const TaskId i : dirty_tasks_) {
+    refine_task(tasks_[static_cast<std::size_t>(i)], static_cast<std::size_t>(i), power_, avail_,
+                refinement_);
+  }
+  fold_refined_energy(refinement_);
+
+  // --- Schedule splice. New task i's old segments; the appended task has
+  // none, and ids at or past a removed one moved down by one.
+  const std::vector<Segment>& osegs = schedule_.segments();
+  const std::size_t cut = removed >= 0 ? static_cast<std::size_t>(removed) : n;
+  const auto old_id = [&](std::size_t i) { return i >= cut ? i + 1 : i; };
+  const auto old_run = [&](std::size_t i) {
+    if (removed < 0 && i + 1 == n) return std::span<const Segment>();
+    const std::size_t o = old_id(i);
+    return std::span<const Segment>(osegs).subspan(seg_begin_[o], seg_begin_[o + 1] - seg_begin_[o]);
+  };
 
   // Expand the repack window until no surviving old segment straddles a
-  // cut. Cuts only move outward onto boundary values shared with the old
-  // array, which no old raw segment crosses, so the loop strictly
-  // progresses; past the cap the whole horizon is repacked instead (exact
-  // either way — expansion only bounds the work).
-  const std::vector<double>& bv = bound_values_;
+  // cut. A segment straddling cut t belongs to a task whose window holds t
+  // strictly inside, so the task is a member both of the column starting at
+  // t and of the one ending there: the left cut's candidates are the
+  // members of column jlo released before it, the right cut's the members
+  // of column jhi due after it. Cuts only move outward onto boundary values
+  // shared with the old array, which no old raw segment crosses, so the
+  // loop strictly progresses; past the cap the whole horizon is repacked
+  // instead (exact either way — expansion only bounds the work).
+  const std::vector<double>& bv = subs_.boundaries();
   const bool have_window = d1_count > 0;
   std::size_t jlo = d1_first;
   std::size_t jhi = have_window ? d1_first + d1_count - 1 : d1_first;
-  const auto start_below = [](const Segment& s, double v) { return s.start < v; };
   for (std::size_t steps = 0; have_window;) {
     const double t_lo = bv[jlo];
     const double t_hi = bv[jhi + 1];
-    bool moved = false;
-    for (const OldGroup& g : old_groups) {
-      // Only a group whose span strictly contains a cut can straddle it.
-      if (osegs[g.begin].start >= t_hi || osegs[g.end - 1].end <= t_lo) continue;
-      const auto first = osegs.begin() + static_cast<std::ptrdiff_t>(g.begin);
-      const auto last = osegs.begin() + static_cast<std::ptrdiff_t>(g.end);
-      // Segments in a group are disjoint and start-sorted, so at most one
-      // contains a cut in its interior: the last one starting below it.
-      auto it = std::lower_bound(first, last, t_lo, start_below);
-      if (it != first && (it - 1)->end > t_lo) {
-        const auto b = std::upper_bound(bv.begin(), bv.end(), (it - 1)->start);
-        EASCHED_ASSERT(b != bv.begin());
-        jlo = static_cast<std::size_t>(b - bv.begin()) - 1;
-        moved = true;
-        break;
-      }
-      it = std::lower_bound(first, last, t_hi, start_below);
-      if (it != first && (it - 1)->end > t_hi) {
-        const auto b = std::lower_bound(bv.begin(), bv.end(), (it - 1)->end);
-        EASCHED_ASSERT(b != bv.end());
-        jhi = static_cast<std::size_t>(b - bv.begin()) - 1;
-        moved = true;
-        break;
-      }
+    double low_start = t_lo;
+    for (const TaskId m : subs_[jlo].overlapping) {
+      if (!(tasks_[static_cast<std::size_t>(m)].release < t_lo)) continue;
+      for_each_straddler(old_run(static_cast<std::size_t>(m)), t_lo,
+                         [&](const Segment& s) { low_start = std::min(low_start, s.start); });
     }
-    if (!moved) break;
+    double high_end = t_hi;
+    for (const TaskId m : subs_[jhi].overlapping) {
+      if (!(tasks_[static_cast<std::size_t>(m)].deadline > t_hi)) continue;
+      for_each_straddler(old_run(static_cast<std::size_t>(m)), t_hi,
+                         [&](const Segment& s) { high_end = std::max(high_end, s.end); });
+    }
+    if (low_start == t_lo && high_end == t_hi) break;
+    if (low_start < t_lo) {
+      const auto b = std::upper_bound(bv.begin(), bv.end(), low_start);
+      EASCHED_ASSERT(b != bv.begin());
+      jlo = static_cast<std::size_t>(b - bv.begin()) - 1;
+    }
+    if (high_end > t_hi) {
+      const auto b = std::lower_bound(bv.begin(), bv.end(), high_end);
+      EASCHED_ASSERT(b != bv.end());
+      jhi = static_cast<std::size_t>(b - bv.begin()) - 1;
+    }
     if (++steps > options_.max_cut_expansion) {
       jlo = 0;
       jhi = columns - 1;
@@ -271,23 +266,13 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
   const double t_lo = have_window ? bv[jlo] : std::numeric_limits<double>::infinity();
   const double t_hi = have_window ? bv[jhi + 1] : std::numeric_limits<double>::infinity();
 
-  // Classify each group: a start-sorted disjoint run splits into a prefix
-  // (ends at or before t_lo), a middle (dropped — the repack regenerates
-  // it) and a suffix (starts at or after t_hi). Expansion guarantees the
-  // middle lies fully inside the window.
-  std::size_t kept = 0;
-  for (OldGroup& g : old_groups) {
-    std::size_t p = g.begin;
-    while (p < g.end && osegs[p].end <= t_lo) ++p;
-    g.pre_end = p;
-    std::size_t s = g.end;
-    while (s > p && osegs[s - 1].start >= t_hi) --s;
-    g.suf_begin = s;
-    for (std::size_t q = p; q < s; ++q) {
-      EASCHED_ASSERT(osegs[q].start >= t_lo && osegs[q].end <= t_hi);
-    }
-    kept += (g.pre_end - g.begin) + (g.end - g.suf_begin);
+  // The window's tasks — the members of its columns — are the only ones the
+  // repack touches; every other task keeps its segments as they are.
+  in_window_.assign(n, 0);
+  for (std::size_t j = jlo; have_window && j <= jhi; ++j) {
+    for (const TaskId m : subs_[j].overlapping) in_window_[static_cast<std::size_t>(m)] = 1;
   }
+  EASCHED_ASSERT(removed >= 0 || in_window_[n - 1]);
 
   // Repack the window columns from the fresh state — the pipeline's own
   // final pack, restricted to [jlo, jhi].
@@ -295,29 +280,16 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
       have_window ? pack_final(subs_, options_.cores, avail_, refinement_, jlo, jhi + 1, exec)
                   : Schedule(options_.cores, std::vector<Segment>{});
   const std::vector<Segment>& msegs = middle.segments();
-  std::vector<MidGroup>& mid_groups = mid_groups_;
-  mid_groups.clear();
-  for (std::size_t b = 0; b < msegs.size();) {
-    std::size_t e = b + 1;
-    while (e < msegs.size() && msegs[e].task == msegs[b].task && msegs[e].core == msegs[b].core) {
-      ++e;
-    }
-    mid_groups.push_back({static_cast<std::size_t>(msegs[b].task) * stride +
-                              static_cast<std::size_t>(msegs[b].core),
-                          b, e});
-    b = e;
-  }
 
-  // Two-stream merge by group key (both streams ascending; the old→new id
-  // map is monotone): per key, prefix ++ repacked ++ suffix is start-sorted
-  // by construction (group segments are disjoint, so the coalescing fold's
-  // per-group sort would be an identity), and the fold runs fused with the
-  // splice instead of as a second pass. Groups the delta did not cut and
-  // did not repack are still maximally coalesced from the previous fold
-  // (same tolerances, a left fold is idempotent), so they bulk-copy.
+  // One pass in task order. A run of tasks outside the window copies as one
+  // block (renumbered past a removed task). A window task's groups, per
+  // core, are prefix (ends at or before t_lo) ++ repacked ++ suffix (starts
+  // at or after t_hi) — start-sorted by construction — through the
+  // coalescing fold; expansion guarantees the dropped middle lies inside
+  // the window. Folding an untouched group again is the identity (a left
+  // fold of already-merged runs), so the result is the from-scratch fold.
   std::vector<Segment> spliced;
-  spliced.reserve(kept + msegs.size());
-  constexpr std::size_t kNoKey = std::numeric_limits<std::size_t>::max();
+  spliced.reserve(osegs.size() + msegs.size());
   const auto append_merged = [&](Segment s, std::size_t group_begin) {
     // The coalescing rule, with `coalesce`'s default tolerances.
     if (spliced.size() > group_begin) {
@@ -329,64 +301,71 @@ void DeltaPlanner::rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count
     }
     spliced.push_back(s);
   };
-  std::size_t oi = 0;
+  next_seg_begin_.resize(n + 1);
+  next_seg_begin_[0] = 0;
   std::size_t mi = 0;
-  while (oi < old_groups.size() || mi < mid_groups.size()) {
-    const std::size_t ko = oi < old_groups.size() ? old_groups[oi].key : kNoKey;
-    const std::size_t km = mi < mid_groups.size() ? mid_groups[mi].key : kNoKey;
-    const std::size_t key = std::min(ko, km);
-    const std::size_t group_begin = spliced.size();
-    const bool cut = ko == key && old_groups[oi].pre_end != old_groups[oi].suf_begin;
-    if (km != key && !cut) {
-      // Untouched old run: nothing dropped, nothing repacked — splice it
-      // back wholesale (re-keying on removal).
-      const OldGroup& g = old_groups[oi++];
-      if (g.new_task == osegs[g.begin].task) {
-        spliced.insert(spliced.end(), osegs.begin() + static_cast<std::ptrdiff_t>(g.begin),
-                       osegs.begin() + static_cast<std::ptrdiff_t>(g.end));
-      } else {
-        for (std::size_t q = g.begin; q < g.end; ++q) {
-          Segment s = osegs[q];
-          s.task = g.new_task;
-          spliced.push_back(s);
-        }
+  for (std::size_t i = 0; i < n;) {
+    if (!in_window_[i]) {
+      std::size_t k = i + 1;
+      while (k < n && !in_window_[k] && k != cut) ++k;
+      const std::size_t from = seg_begin_[old_id(i)];
+      const std::size_t at = spliced.size();
+      spliced.insert(spliced.end(), osegs.begin() + static_cast<std::ptrdiff_t>(from),
+                     osegs.begin() + static_cast<std::ptrdiff_t>(seg_begin_[old_id(k - 1) + 1]));
+      if (old_id(i) != i) {
+        for (std::size_t q = at; q < spliced.size(); ++q) --spliced[q].task;
+      }
+      for (; i < k; ++i) {
+        next_seg_begin_[i + 1] = at + (seg_begin_[old_id(i) + 1] - from);
       }
       continue;
     }
-    if (ko == key) {
-      const OldGroup& g = old_groups[oi];
-      for (std::size_t q = g.begin; q < g.pre_end; ++q) {
-        Segment s = osegs[q];
-        s.task = g.new_task;
-        append_merged(s, group_begin);
+    const std::span<const Segment> run = old_run(i);
+    std::size_t me = mi;
+    while (me < msegs.size() && static_cast<std::size_t>(msegs[me].task) == i) ++me;
+    const auto task = static_cast<TaskId>(i);
+    const auto retagged = [task](Segment s) {
+      s.task = task;
+      return s;
+    };
+    for (std::size_t po = 0, pm = mi; po < run.size() || pm < me;) {
+      const CoreId core = std::min(po < run.size() ? run[po].core : std::numeric_limits<CoreId>::max(),
+                                   pm < me ? msegs[pm].core : std::numeric_limits<CoreId>::max());
+      std::size_t go = po;
+      while (go < run.size() && run[go].core == core) ++go;
+      std::size_t gm = pm;
+      while (gm < me && msegs[gm].core == core) ++gm;
+      const std::size_t group_begin = spliced.size();
+      std::size_t p = po;
+      for (; p < go && run[p].end <= t_lo; ++p) append_merged(retagged(run[p]), group_begin);
+      std::size_t s = go;
+      while (s > p && run[s - 1].start >= t_hi) --s;
+      for (std::size_t q = p; q < s; ++q) {
+        EASCHED_ASSERT(run[q].start >= t_lo && run[q].end <= t_hi);
       }
+      for (std::size_t q = pm; q < gm; ++q) append_merged(msegs[q], group_begin);
+      for (std::size_t q = s; q < go; ++q) append_merged(retagged(run[q]), group_begin);
+      po = go;
+      pm = gm;
     }
-    if (km == key) {
-      const MidGroup& g = mid_groups[mi];
-      for (std::size_t q = g.begin; q < g.end; ++q) append_merged(msegs[q], group_begin);
-    }
-    if (ko == key) {
-      const OldGroup& g = old_groups[oi];
-      for (std::size_t q = g.suf_begin; q < g.end; ++q) {
-        Segment s = osegs[q];
-        s.task = g.new_task;
-        append_merged(s, group_begin);
-      }
-      ++oi;
-    }
-    if (km == key) ++mi;
+    mi = me;
+    next_seg_begin_[++i] = spliced.size();
   }
+  EASCHED_ASSERT(mi == msegs.size());
   schedule_ = Schedule(options_.cores, std::move(spliced));
+  seg_begin_.swap(next_seg_begin_);
 }
 
 void DeltaPlanner::mark_dirty(std::size_t lo_idx, std::size_t hi_idx, std::size_t& d1_first,
                               std::size_t& d1_last) {
-  dirty_.assign(task_set_.size(), 0);
+  dirty_.assign(tasks_.size(), 0);
+  dirty_tasks_.clear();
   for (std::size_t j = lo_idx; j < hi_idx; ++j) {
     for (const TaskId m : subs_[j].overlapping) {
       char& flag = dirty_[static_cast<std::size_t>(m)];
       if (flag) continue;
       flag = 1;
+      dirty_tasks_.push_back(m);
       const SubRange r = subs_.range_of(m);
       EASCHED_ASSERT(r.count > 0);
       d1_first = std::min(d1_first, r.first);
@@ -399,31 +378,37 @@ bool DeltaPlanner::apply_add(const Task& task, const Exec& exec, DeltaOutcome& o
   // Pre-check both boundary insertions before mutating anything: a value
   // landing within the merge tolerance of an existing (or the sibling new)
   // boundary would force a tolerance merge the splice cannot reproduce.
+  const std::vector<double>& bv = subs_.boundaries();
+  const auto index_of = [&](double v) {
+    return static_cast<std::size_t>(std::lower_bound(bv.begin(), bv.end(), v) - bv.begin());
+  };
   const auto exact_present = [&](double v) {
-    const auto it = std::lower_bound(bound_values_.begin(), bound_values_.end(), v);
-    return it != bound_values_.end() && *it == v;
+    const std::size_t at = index_of(v);
+    return at < bv.size() && bv[at] == v;
   };
   const bool r_new = !exact_present(task.release);
   const bool d_new = !exact_present(task.deadline);
   if ((r_new && !insertable(task.release)) || (d_new && !insertable(task.deadline))) return false;
   if (r_new && d_new && task.deadline - task.release <= options_.merge_tol) return false;
 
-  insert_boundary(task.release);
-  insert_boundary(task.deadline);
+  subs_.append_task(task);
+  for (const auto& [value, fresh] : {std::pair{task.release, r_new}, std::pair{task.deadline, d_new}}) {
+    const std::size_t at = index_of(value);
+    if (fresh) {
+      bound_counts_.insert(bound_counts_.begin() + static_cast<std::ptrdiff_t>(at), 1);
+    } else {
+      ++bound_counts_[at];
+    }
+  }
   tasks_.push_back(task);
-  task_set_ = TaskSet(tasks_);
-  subs_.assign(task_set_, bound_values_, exec);
-  ideal_.emplace(task_set_, power_);
+  ideal_->push_back(task, power_);
 
   // Dirty window: everything between the nearest boundaries shared with the
   // old array around [R, D]. A freshly inserted value's flanking columns
   // changed geometry (the insert split an old column), so the window steps
   // one boundary outward on that side.
-  const std::vector<double>& bv = bound_values_;
-  const auto idx_r = static_cast<std::size_t>(
-      std::lower_bound(bv.begin(), bv.end(), task.release) - bv.begin());
-  const auto idx_d = static_cast<std::size_t>(
-      std::lower_bound(bv.begin(), bv.end(), task.deadline) - bv.begin());
+  const std::size_t idx_r = index_of(task.release);
+  const std::size_t idx_d = index_of(task.deadline);
   const std::size_t lo_idx = r_new && idx_r > 0 ? idx_r - 1 : idx_r;
   const std::size_t hi_idx = d_new && idx_d + 1 < bv.size() ? idx_d + 1 : idx_d;
 
@@ -432,7 +417,7 @@ bool DeltaPlanner::apply_add(const Task& task, const Exec& exec, DeltaOutcome& o
   mark_dirty(lo_idx, hi_idx, d1_first, d1_last);
   EASCHED_ASSERT(dirty_.back());  // the appended task overlaps its own window
 
-  rebuild_from_dirty(d1_first, d1_last - d1_first + 1, /*removed_old=*/-1, exec, out);
+  splice(lo_idx, hi_idx, d1_first, d1_last - d1_first + 1, /*removed=*/-1, exec, out);
   ++out.ops;
   return true;
 }
@@ -440,17 +425,25 @@ bool DeltaPlanner::apply_add(const Task& task, const Exec& exec, DeltaOutcome& o
 void DeltaPlanner::apply_remove(std::size_t index, const Exec& exec, DeltaOutcome& out) {
   EASCHED_ASSERT(index < tasks_.size() && tasks_.size() > 1);
   const Task task = tasks_[index];
-  erase_boundary(task.release);
-  erase_boundary(task.deadline);
+  const std::vector<double>& bv = subs_.boundaries();
+  const auto index_of = [&](double v) {
+    const auto it = std::lower_bound(bv.begin(), bv.end(), v);
+    EASCHED_ASSERT(it != bv.end() && *it == v);
+    return static_cast<std::size_t>(it - bv.begin());
+  };
+  const std::size_t at_r = index_of(task.release);
+  const std::size_t at_d = index_of(task.deadline);
+  const bool drop_r = --bound_counts_[at_r] == 0;
+  const bool drop_d = --bound_counts_[at_d] == 0;
+  subs_.remove_task(static_cast<TaskId>(index), drop_r, drop_d);
+  if (drop_d) bound_counts_.erase(bound_counts_.begin() + static_cast<std::ptrdiff_t>(at_d));
+  if (drop_r) bound_counts_.erase(bound_counts_.begin() + static_cast<std::ptrdiff_t>(at_r));
   tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(index));
-  task_set_ = TaskSet(tasks_);
-  subs_.assign(task_set_, bound_values_, exec);
-  ideal_.emplace(task_set_, power_);
+  ideal_->erase(static_cast<TaskId>(index));
 
   // Dirty window: the nearest *surviving* boundaries bracketing [R, D]. A
   // vanished value merged its two flanking columns, which the bracketing
   // absorbs; a vanished horizon extreme clamps to the new horizon edge.
-  const std::vector<double>& bv = bound_values_;
   const auto lo_it = std::upper_bound(bv.begin(), bv.end(), task.release);
   const std::size_t lo_idx =
       lo_it == bv.begin() ? 0 : static_cast<std::size_t>(lo_it - bv.begin()) - 1;
@@ -464,8 +457,8 @@ void DeltaPlanner::apply_remove(std::size_t index, const Exec& exec, DeltaOutcom
   // the surviving horizon: no surviving column changes, the dirty window
   // is empty.
   mark_dirty(lo_idx, hi_idx, d1_first, d1_last);
-  rebuild_from_dirty(d1_first, lo_idx < hi_idx ? d1_last - d1_first + 1 : 0,
-                     static_cast<TaskId>(index), exec, out);
+  splice(lo_idx, hi_idx, d1_first, lo_idx < hi_idx ? d1_last - d1_first + 1 : 0,
+         static_cast<TaskId>(index), exec, out);
   ++out.ops;
 }
 

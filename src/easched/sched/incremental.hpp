@@ -10,21 +10,32 @@
 /// changed task's `[R_i, D_i]` window change geometry or membership, and the
 /// per-task refinement of every *other* task is untouched unless its
 /// availability row shares a dirty subinterval. `DeltaPlanner` exploits
-/// this: it caches the previous plan's full state (decomposition,
-/// availability, refinement arrays, packed schedule) and, per delta,
+/// this: it caches the previous plan's full state (decomposition, ideal
+/// case, availability, refinement arrays, packed schedule with each task's
+/// offset into it) and edits it in place per delta, so an op costs its
+/// *dirty span* — the changed window's columns plus the full live ranges of
+/// every task overlapping them — rather than the size of the set:
 ///
-///   1. splices the boundary array (an O(N) insert/erase into the sorted
-///      distinct-value array, with multiplicities),
-///   2. rebuilds the decomposition *in place* from the spliced boundaries
-///      (`SubintervalDecomposition::assign` — linear passes, no allocation
-///      within reserved capacity, bit-identical to a from-scratch build),
-///   3. recomputes only the dirty columns of the availability matrix — the
-///      columns inside the changed window plus the full live ranges of every
-///      task overlapping it — and copies all other rows wholesale,
-///   4. re-runs the O(n) F2 frequency refinement (closed form per task),
-///   5. re-packs only the dirty subinterval span and splices the resulting
-///      segment groups into the cached schedule, re-running the coalescing
-///      fold once over the spliced groups.
+///   1. splices the decomposition: at most two boundaries go in or out, the
+///      columns they touch split or merge, and the task's id joins or
+///      leaves its columns' overlap sets (`append_task` / `remove_task`);
+///      the ideal case gains or loses one entry;
+///   2. re-lays the availability rows in place (every cell outside the
+///      changed window keeps its value), re-rations the window's columns
+///      through the allocator's own per-column rule, and refolds only the
+///      window's column sums and the sums of the rows crossing it;
+///   3. re-refines only the dirty rows (closed form per task) and refolds
+///      the energy over the cached per-task energies in task order;
+///   4. re-packs the dirty span, widened until no old segment straddles a
+///      cut, and splices the resulting segment groups into the cached
+///      schedule: tasks outside the window copy as contiguous blocks,
+///      window tasks re-run the coalescing fold over prefix ++ repacked ++
+///      suffix.
+///
+/// Linear work is left only where it is a plain copy or shift: a removal
+/// renumbers every higher id (arena, segment list), an insert moves the
+/// columns and rows right of it, and the new segment list is one copy of
+/// the old (the schedule is shared with the plans already served).
 ///
 /// The headline contract is *exactness*: the plan after `plan_to` is
 /// bit-identical — same availability values, same frequencies, same energy
@@ -37,6 +48,7 @@
 /// randomized admit/remove sequences.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,7 +91,9 @@ struct DeltaOutcome {
   bool delta = false;
   /// Single-task ops applied (0 when the set was unchanged).
   std::size_t ops = 0;
-  /// Availability columns recomputed, summed over ops.
+  /// Columns of the dirty span — the changed window plus the live ranges
+  /// of the tasks overlapping it, whose rows and segments are redone —
+  /// summed over ops.
   std::size_t dirty_columns = 0;
   /// Subintervals re-packed, summed over ops.
   std::size_t repacked_columns = 0;
@@ -120,54 +134,43 @@ class DeltaPlanner {
   /// Cached decomposition (test hook; valid while `has_plan()`).
   const SubintervalDecomposition& decomposition() const { return subs_; }
 
+  /// Cached refinement of the last served plan (test hook; valid while
+  /// `has_plan()`).
+  const FinalRefinement& refinement() const { return refinement_; }
+
   /// Pre-size the cached decomposition's buffers (see
   /// `SubintervalDecomposition::reserve`) so deltas within the bounds splice
   /// without reallocating the CSR arena.
   void reserve(std::size_t tasks, std::size_t boundaries, std::size_t overlap_mass);
 
  private:
-  /// One (task, core) segment group of the cached schedule, keyed by the
-  /// post-op task id, split around the repack window.
-  struct OldGroup {
-    std::size_t key = 0;  ///< new-id group key, `task · (cores+1) + core`
-    TaskId new_task = 0;
-    std::size_t begin = 0, end = 0;  ///< run in the old segment list
-    std::size_t pre_end = 0;         ///< prefix = [begin, pre_end)
-    std::size_t suf_begin = 0;       ///< suffix = [suf_begin, end)
-  };
-  /// One (task, core) segment group of the repacked window.
-  struct MidGroup {
-    std::size_t key = 0;
-    std::size_t begin = 0, end = 0;
-  };
-
   void full_rebuild(const TaskSet& live, const Exec& exec);
   void apply_remove(std::size_t index, const Exec& exec, DeltaOutcome& out);
   /// Returns false (leaving state untouched) when the task's boundaries
   /// cannot be spliced cleanly; the caller falls back to a full rebuild.
   bool apply_add(const Task& task, const Exec& exec, DeltaOutcome& out);
-  /// Shared tail of both single-task ops: recompute the `d1_count` dirty
-  /// availability columns starting at `d1_first`, refold the sums, re-run
-  /// the refinement, and splice the repacked window into the cached
-  /// schedule. `removed_old` is the removed task's *old* id (or -1 for an
-  /// append): its old segment groups are dropped and higher old ids shift
-  /// down by one. `d1_count == 0` (removals only) means the removed task lay
-  /// entirely outside the surviving horizon and only the schedule re-key
-  /// runs.
-  void rebuild_from_dirty(std::size_t d1_first, std::size_t d1_count, TaskId removed_old,
-                          const Exec& exec, DeltaOutcome& out);
-  /// Flag in `dirty_` every task overlapping columns `[lo_idx, hi_idx)` and
-  /// widen `[d1_first, d1_last]` to cover their live ranges.
+  /// Shared tail of both single-task ops, run once the decomposition and
+  /// ideal case are spliced and `mark_dirty` has flagged the dirty rows:
+  /// re-ration the changed window's columns `[lo_idx, hi_idx)`, re-refine
+  /// the dirty rows, re-pack the `d1_count` columns of the dirty span from
+  /// `d1_first` on (widened past straddling segments), and splice them into
+  /// the cached schedule. `removed` is the removed task's id (or -1 for an
+  /// append): its segments are dropped and higher ids shift down by one.
+  /// `d1_count == 0` (removals only) means the removed task lay entirely
+  /// outside the surviving horizon and only the re-keying runs.
+  void splice(std::size_t lo_idx, std::size_t hi_idx, std::size_t d1_first,
+              std::size_t d1_count, TaskId removed, const Exec& exec, DeltaOutcome& out);
+  /// Flag in `dirty_` (and list in `dirty_tasks_`) every task overlapping
+  /// columns `[lo_idx, hi_idx)` and widen `[d1_first, d1_last]` to cover
+  /// their live ranges.
   void mark_dirty(std::size_t lo_idx, std::size_t hi_idx, std::size_t& d1_first,
                   std::size_t& d1_last);
   /// True when `value` can be spliced into the boundary array without
   /// violating the constructor's merge invariant (every pair of distinct
   /// values farther apart than `merge_tol`).
   bool insertable(double value) const;
-  /// Splice one boundary value in (count bump or clean insert).
-  void insert_boundary(double value);
-  /// Splice one boundary value out; returns true when the value vanished.
-  bool erase_boundary(double value);
+  /// Rebuild `seg_begin_` from `schedule_` (one counting pass).
+  void index_segments();
 
   PowerModel power_;
   DeltaOptions options_;
@@ -177,23 +180,23 @@ class DeltaPlanner {
   /// splice cannot maintain the merge's keep-first-representative choice, so
   /// every delta declines until a clean rebuild.
   bool clean_ = true;
-  std::vector<Task> tasks_;  ///< the planned set, in TaskId order
-  TaskSet task_set_;         ///< the same set, validated
-  std::vector<double> bound_values_;        ///< sorted distinct boundary values
-  std::vector<std::int32_t> bound_counts_;  ///< multiplicity per value
+  std::vector<Task> tasks_;                 ///< the planned set, in TaskId order
+  std::vector<std::int32_t> bound_counts_;  ///< multiplicity of each `subs_` boundary
   SubintervalDecomposition subs_;
   std::optional<IdealCase> ideal_;
   Availability avail_;
   FinalRefinement refinement_;
   Schedule schedule_;
+  /// Task `i`'s segments are `schedule_.segments()[seg_begin_[i],
+  /// seg_begin_[i+1])`: the packer orders them by (task, core, start).
+  std::vector<std::size_t> seg_begin_;
 
   /// Per-op scratch, kept across ops so a delta reuses the previous one's
-  /// buffers: the availability matrix the next op fills (it swaps with
-  /// `avail_`), the dirty-task flags and the two group indexes.
-  Availability spare_avail_;
-  std::vector<char> dirty_;
-  std::vector<OldGroup> old_groups_;
-  std::vector<MidGroup> mid_groups_;
+  /// buffers.
+  std::vector<char> dirty_;          ///< dirty-row flags
+  std::vector<TaskId> dirty_tasks_;  ///< the flagged rows, in flagging order
+  std::vector<char> in_window_;      ///< members of the repack window's columns
+  std::vector<std::size_t> next_seg_begin_;
 
   /// Pending `reserve` request, applied when the decomposition exists.
   std::size_t reserve_tasks_ = 0;

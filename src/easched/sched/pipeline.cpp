@@ -134,19 +134,26 @@ void refine_final(const TaskSet& tasks, const PowerModel& power, const Availabil
   out.frequency.resize(n);
   out.scale.resize(n);
   out.task_energy.resize(n);
-  exec.loop(n, [&](std::size_t i) {
-    const double a_total = avail.row_sum(i);
-    EASCHED_ASSERT(a_total > 0.0);  // every task covers at least one subinterval
-    out.total_available[i] = a_total;
-    const double f = power.optimal_frequency(tasks[i].work, a_total);
-    out.frequency[i] = f;
-    out.task_energy[i] = power.energy_for_work(tasks[i].work, f);
-    const double used = tasks[i].work / f;
-    EASCHED_ASSERT(leq_tol(used, a_total, 1e-9 * a_total));
-    out.scale[i] = std::min(1.0, used / a_total);
-  });
+  exec.loop(n, [&](std::size_t i) { refine_task(tasks[i], i, power, avail, out); });
+  fold_refined_energy(out);
+}
+
+void refine_task(const Task& task, std::size_t i, const PowerModel& power,
+                 const Availability& avail, FinalRefinement& out) {
+  const double a_total = avail.row_sum(i);
+  EASCHED_ASSERT(a_total > 0.0);  // every task covers at least one subinterval
+  out.total_available[i] = a_total;
+  const double f = power.optimal_frequency(task.work, a_total);
+  out.frequency[i] = f;
+  out.task_energy[i] = power.energy_for_work(task.work, f);
+  const double used = task.work / f;
+  EASCHED_ASSERT(leq_tol(used, a_total, 1e-9 * a_total));
+  out.scale[i] = std::min(1.0, used / a_total);
+}
+
+void fold_refined_energy(FinalRefinement& out) {
   out.energy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) out.energy += out.task_energy[i];
+  for (const double e : out.task_energy) out.energy += e;
 }
 
 Schedule pack_final(const SubintervalDecomposition& subs, int cores, const Availability& avail,

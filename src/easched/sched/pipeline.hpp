@@ -59,6 +59,16 @@ struct FinalRefinement {
 void refine_final(const TaskSet& tasks, const PowerModel& power, const Availability& avail,
                   const Exec& exec, FinalRefinement& out);
 
+/// Refine task `i` (`task`) alone: fill its slots of `out`, which must
+/// already hold `avail.task_count()` of each. `refine_final` is this for
+/// every task plus `fold_refined_energy`; the delta planner re-refines only
+/// the tasks whose availability row changed.
+void refine_task(const Task& task, std::size_t i, const PowerModel& power,
+                 const Availability& avail, FinalRefinement& out);
+
+/// Sum `out.task_energy` into `out.energy` in task order.
+void fold_refined_energy(FinalRefinement& out);
+
 /// Pack subintervals `[begin, end)` of a refined allocation with Algorithm 1
 /// and coalesce: task `i`'s budget in subinterval `j` runs
 /// `min(avail(i, j)·scale_i, |s_j|)` at `f_i`. Subintervals outside the range

@@ -1,6 +1,7 @@
 #include "easched/sched/schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -65,6 +66,69 @@ std::size_t merge_grouped_segments(
   }
   grouped.resize(w);
   return merges;
+}
+
+/// Fill `order` with one (ordered_double_key(start), index) pair per
+/// segment, ascending — the order a stable sort of the indices by start
+/// key gives. `lo` and `hi` bound the starts. The segments are bucketed by
+/// start over [lo, hi], about one per bucket; a bucket's index is monotone
+/// in the start and equal starts share a bucket, so every key of a bucket
+/// is below every key of the next. A bucket of more than
+/// `kSmallBucket` entries (a start far from the rest piles nearly all of
+/// them into one) is sorted on its own, O(n log n) at worst; then one
+/// insertion pass over the whole list orders the small buckets, each entry
+/// moving only within its bucket. A span the arithmetic cannot scale falls
+/// back to one comparison sort. Both scratch buffers keep headroom for the
+/// next, slightly larger plan.
+void start_order(const std::vector<Segment>& segs, double lo, double hi,
+                 std::vector<std::pair<std::uint64_t, std::uint32_t>>& order,
+                 std::vector<std::uint32_t>& bucket_end) {
+  const std::size_t n = segs.size();
+  EASCHED_EXPECTS(n <= std::size_t{UINT32_MAX});
+  if (order.capacity() < n) order.reserve(n + n / 8);
+  order.resize(n);
+  if (n == 0) return;
+  const double buckets = static_cast<double>(n);
+  const double scale = buckets / (hi - lo);
+  if (!(hi > lo) || !std::isfinite(hi - lo) || !std::isfinite(scale)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      order[i] = {ordered_double_key(segs[i].start), static_cast<std::uint32_t>(i)};
+    }
+    std::sort(order.begin(), order.end());
+    return;
+  }
+  const auto bucket_of = [&](double start) {
+    const double x = (start - lo) * scale;
+    return x < buckets ? static_cast<std::size_t>(x) : n - 1;
+  };
+  if (bucket_end.capacity() < n) bucket_end.reserve(n + n / 8);
+  bucket_end.assign(n, 0);
+  for (const Segment& s : segs) ++bucket_end[bucket_of(s.start)];
+  // Exclusive prefix sums (bucket starts), advanced by the scatter to the
+  // bucket ends; the scatter keeps each bucket in ascending index order.
+  std::uint32_t run = 0;
+  for (std::uint32_t& slot : bucket_end) run += std::exchange(slot, run);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[bucket_end[bucket_of(segs[i].start)]++] = {ordered_double_key(segs[i].start),
+                                                     static_cast<std::uint32_t>(i)};
+  }
+  constexpr std::uint32_t kSmallBucket = 32;
+  for (std::size_t b = 0; b < n; ++b) {
+    const std::uint32_t begin = b == 0 ? 0 : bucket_end[b - 1];
+    if (bucket_end[b] - begin > kSmallBucket) {
+      std::sort(order.begin() + begin, order.begin() + bucket_end[b]);
+    }
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    if (!(order[i] < order[i - 1])) continue;
+    const auto entry = order[i];
+    std::size_t hole = i;
+    do {
+      order[hole] = order[hole - 1];
+      --hole;
+    } while (hole > 0 && entry < order[hole - 1]);
+    order[hole] = entry;
+  }
 }
 
 }  // namespace
@@ -138,7 +202,11 @@ ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
   // segment list is O(T·S) — admission validates after every plan, so this
   // function stays one sort plus linear scans).
   std::vector<double> done(tasks.size(), 0.0);
+  double first_start = segs.empty() ? 0.0 : segs.front().start;
+  double last_start = first_start;
   for (const Segment& s : segs) {
+    first_start = std::min(first_start, s.start);
+    last_start = std::max(last_start, s.start);
     if (s.task < 0 || static_cast<std::size_t>(s.task) >= tasks.size()) {
       report.fail("segment references unknown " + describe(s));
       continue;
@@ -160,24 +228,15 @@ ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
   // per-task sorted copies: scanning in that order, the previously seen
   // segment on the same core (resp. of the same task) is exactly the
   // start-sorted predecessor the adjacent-pair overlap check compares
-  // against. The order comes from a stable radix sort on the
-  // order-preserving key of each start time (equal starts keep ascending
-  // index). Failures are bucketed and emitted grouped by core then by
-  // task, matching the historical report order (the buckets only exist on
-  // the failure path; a valid schedule allocates nothing but the index,
-  // and that lives in per-thread scratch reused by the next validation).
+  // against. The order is ascending (order-preserving key of the start,
+  // index): equal starts keep ascending index, and −0 precedes +0.
+  // Failures are bucketed and emitted grouped by core then by task,
+  // matching the historical report order (the buckets only exist on the
+  // failure path; a valid schedule allocates nothing but the index, and
+  // that lives in per-thread scratch reused by the next validation).
   thread_local std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
-  thread_local std::vector<std::pair<std::uint64_t, std::uint32_t>> swap;
-  order.clear();
-  // Headroom for the next, slightly larger plan: the radix sort trades the
-  // two buffers, so both must fit it or one of them regrows every time.
-  for (auto* scratch : {&order, &swap}) {
-    if (scratch->capacity() < segs.size()) scratch->reserve(segs.size() + segs.size() / 8);
-  }
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    order.push_back({ordered_double_key(segs[i].start), static_cast<std::uint32_t>(i)});
-  }
-  radix_sort_keys(order, swap);
+  thread_local std::vector<std::uint32_t> bucket_end;
+  start_order(segs, first_start, last_start, order, bucket_end);
   std::vector<const Segment*> last_on_core(static_cast<std::size_t>(std::max(core_count_, 0)),
                                            nullptr);
   std::vector<const Segment*> last_of_task(tasks.size(), nullptr);
@@ -211,11 +270,11 @@ ValidationReport Schedule::validate(const TaskSet& tasks, double work_tol,
   // Scratch past the service's plan sizes is returned rather than pinned
   // to the thread for its lifetime.
   constexpr std::size_t kKeptScratch = std::size_t{1} << 18;
-  for (auto* scratch : {&order, &swap}) {
-    if (scratch->capacity() > kKeptScratch) {
-      scratch->clear();
-      scratch->shrink_to_fit();
-    }
+  if (order.capacity() > kKeptScratch) {
+    order.clear();
+    order.shrink_to_fit();
+    bucket_end.clear();
+    bucket_end.shrink_to_fit();
   }
 
   // Execution requirements are met.

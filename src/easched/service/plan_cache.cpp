@@ -50,7 +50,12 @@ std::string plan_signature(std::span<const std::pair<TaskId, Task>> live, double
   return out;
 }
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
+PlanCache::PlanCache(std::size_t capacity, std::size_t max_bytes)
+    : capacity_(capacity), max_bytes_(max_bytes) {}
+
+std::size_t PlanCache::plan_bytes(const std::string& signature, const CachedPlan& plan) {
+  return plan.schedule.segments().size() * sizeof(Segment) + signature.size();
+}
 
 std::optional<CachedPlan> PlanCache::lookup(const std::string& signature,
                                             std::uint64_t* hit_age) {
@@ -66,28 +71,47 @@ std::optional<CachedPlan> PlanCache::lookup(const std::string& signature,
   return it->second->plan;
 }
 
+void PlanCache::evict_coldest() {
+  bytes_ -= lru_.back().bytes;
+  entries_.erase(lru_.back().signature);
+  lru_.pop_back();
+  ++evictions_;
+}
+
 void PlanCache::insert(const std::string& signature, CachedPlan plan) {
   if (capacity_ == 0) return;
   ++ops_;
+  const std::size_t size = plan_bytes(signature, plan);
   auto it = entries_.find(signature);
-  if (it != entries_.end()) {
-    it->second->plan = std::move(plan);
-    it->second->written_op = ops_;
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (size > max_bytes_) {
+    // Served, not cached; an older plan for the signature goes with it.
+    if (it != entries_.end()) {
+      bytes_ -= it->second->bytes;
+      lru_.erase(it->second);
+      entries_.erase(it);
+    }
     return;
   }
-  lru_.push_front(Entry{signature, std::move(plan), ops_});
-  entries_.emplace(signature, lru_.begin());
-  if (entries_.size() > capacity_) {
-    entries_.erase(lru_.back().signature);
-    lru_.pop_back();
-    ++evictions_;
+  if (it != entries_.end()) {
+    bytes_ += size - it->second->bytes;
+    it->second->plan = std::move(plan);
+    it->second->written_op = ops_;
+    it->second->bytes = size;
+    lru_.splice(lru_.begin(), lru_, it->second);
+  } else {
+    lru_.push_front(Entry{signature, std::move(plan), ops_, size});
+    entries_.emplace(signature, lru_.begin());
+    bytes_ += size;
   }
+  // The new entry is at the front and fits alone, so eviction stops before
+  // reaching it.
+  while (entries_.size() > capacity_ || bytes_ > max_bytes_) evict_coldest();
 }
 
 void PlanCache::clear() {
   lru_.clear();
   entries_.clear();
+  bytes_ = 0;
 }
 
 double PlanCache::hit_rate() const {

@@ -14,7 +14,10 @@
 ///
 /// Invalidation is structural: any mutation changes the signature, so stale
 /// entries can never be returned; an LRU bound keeps dead signatures from
-/// accumulating.
+/// accumulating. The bound is two caps: the entry count and the summed size
+/// of the cached plans (segments plus signature bytes), since a plan's size
+/// scales with its set — 128 plans of a 1000-task shard whose tasks all
+/// overlap held gigabytes.
 
 #include <cstdint>
 #include <list>
@@ -57,8 +60,19 @@ std::string plan_signature(std::span<const std::pair<TaskId, Task>> live,
 /// Thread-compatible (externally synchronized) LRU cache of plans.
 class PlanCache {
  public:
-  /// Keep at most `capacity` plans; `capacity == 0` disables caching.
-  explicit PlanCache(std::size_t capacity = 128);
+  /// The service's byte cap: about 640 of the 418 KB plans (12k segments
+  /// plus a 33 KB signature) a 1000-task shard of the end-to-end
+  /// benchmark's `dense_live` workload serves, so there the 128-entry bound
+  /// still binds first.
+  static constexpr std::size_t kDefaultMaxBytes = std::size_t{256} << 20;
+
+  /// Keep at most `capacity` plans totalling at most `max_bytes` (see
+  /// `plan_bytes`); `capacity == 0` disables caching.
+  explicit PlanCache(std::size_t capacity = 128, std::size_t max_bytes = kDefaultMaxBytes);
+
+  /// What an entry counts against the byte cap: its segments plus its
+  /// signature.
+  static std::size_t plan_bytes(const std::string& signature, const CachedPlan& plan);
 
   /// Look up a signature; a hit refreshes its LRU position. When
   /// `hit_age != nullptr` and the lookup hits, it receives the entry's age
@@ -67,14 +81,18 @@ class PlanCache {
   std::optional<CachedPlan> lookup(const std::string& signature,
                                    std::uint64_t* hit_age = nullptr);
 
-  /// Insert (or overwrite) the plan for `signature`, evicting the least
-  /// recently used entry when over capacity.
+  /// Insert (or overwrite) the plan for `signature`, evicting least
+  /// recently used entries while over either cap. A plan bigger than the
+  /// byte cap on its own is not cached (and drops any older entry for its
+  /// signature).
   void insert(const std::string& signature, CachedPlan plan);
 
   void clear();
 
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
+  /// Summed `plan_bytes` of the cached entries.
+  std::size_t bytes() const { return bytes_; }
 
   /// \name Lifetime statistics (not reset by `clear`)
   /// @{
@@ -90,9 +108,15 @@ class PlanCache {
     std::string signature;
     CachedPlan plan;
     std::uint64_t written_op = 0;  ///< operation count when the plan was written
+    std::size_t bytes = 0;         ///< `plan_bytes` of this entry
   };
 
+  /// Drop the least recently used entry.
+  void evict_coldest();
+
   std::size_t capacity_;
+  std::size_t max_bytes_;
+  std::size_t bytes_ = 0;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> entries_;
   std::uint64_t hits_ = 0;

@@ -573,6 +573,7 @@ void SchedulerService::refresh_gauges_locked() {
   metrics_.set_gauge("committed_tasks", static_cast<double>(committed_.size()));
   metrics_.set_gauge("committed_work", work);
   metrics_.set_gauge("plan_cache_size", static_cast<double>(cache_.size()));
+  metrics_.set_gauge("plan_cache_bytes", static_cast<double>(cache_.bytes()));
   metrics_.set_gauge("plan_cache_hit_rate", cache_.hit_rate());
 }
 

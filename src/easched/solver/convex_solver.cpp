@@ -64,8 +64,39 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
   EASCHED_EXPECTS(cores > 0);
   EASCHED_EXPECTS(options.max_iterations > 0);
 
+  // Fault-injection verdicts for this invocation (always false outside
+  // fault-injected tests/CI), drawn before any setup and always in this
+  // order, so each site's verdict sequence does not depend on the budget: a
+  // forced stall ends the solve before its first iteration; a poisoned
+  // iterate exercises the breakdown detection below. A budget already spent
+  // ends the solve there too.
+  const bool stall_injected = faults::fire(FaultSite::kSolverStall);
+  const bool poison_injected = faults::fire(FaultSite::kSolverNan);
+  const bool ends_at_entry = stall_injected || options.budget.expired();
+
   const detail::SolverLayout layout = detail::SolverLayout::build(subs, cores);
   const detail::SeparableObjective objective(tasks, power, layout);
+  std::vector<double> x = detail::interior_point(layout);
+
+  const auto result_at = [&](SolverStatus status, std::size_t iterations, double residual) {
+    SolverResult result;
+    result.allocation = layout.to_availability(x, tasks, subs);
+    result.execution_time = objective.totals(x);
+    result.energy = objective.value(x);
+    result.iterations = iterations;
+    result.kkt_residual = residual;
+    result.converged = status == SolverStatus::kConverged;
+    result.status = status;
+    return result;
+  };
+  // Ending at entry returns the starting point as the best-so-far iterate,
+  // without the solver state or the starting residual (a projection of
+  // every block), so its residual is not measured.
+  if (ends_at_entry) {
+    return result_at(stall_injected ? SolverStatus::kStallInjected
+                                    : SolverStatus::kBudgetExhausted,
+                     0, std::numeric_limits<double>::quiet_NaN());
+  }
 
   obs::Span solve_span("solver.fista");
   solve_span.arg("tasks", static_cast<double>(tasks.size()));
@@ -73,7 +104,6 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
   // Monotone FISTA (accelerated projected gradient): backtracking line
   // search, function-value restart with a guaranteed-descent fallback step,
   // and a scale-free gradient-mapping stopping criterion.
-  std::vector<double> x = detail::interior_point(layout);
   std::vector<double> x_prev = x;
   std::vector<double> y = x;
   std::vector<double> grad, totals, candidate;
@@ -81,14 +111,7 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
   double lipschitz = std::max(options.initial_lipschitz, 1e-12);
   double f_x = objective.value(x);
   std::size_t iterations = 0;
-  bool converged = false;
   SolverStatus status = SolverStatus::kIterationCap;
-
-  // Fault-injection verdicts for this invocation (always false outside
-  // fault-injected tests/CI): a forced stall exits before the first
-  // iteration; a poisoned iterate exercises the breakdown detection below.
-  const bool stall_injected = faults::fire(FaultSite::kSolverStall);
-  const bool poison_injected = faults::fire(FaultSite::kSolverNan);
 
   // One backtracked projected-gradient step from `base` (with value f_base
   // and gradient g_base): returns the candidate and its value, growing
@@ -124,15 +147,13 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
     return std::sqrt(squared_distance(x, mapped)) / step;
   };
 
-  const double initial_residual = std::max(gradient_mapping(), 1e-300);
+  const double starting_residual = gradient_mapping();
+  const double initial_residual = std::max(starting_residual, 1e-300);
   double best_residual = initial_residual;
   std::size_t checks_without_progress = 0;
 
+  // The first pass's budget check comes once setup is done.
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    if (stall_injected) {
-      status = SolverStatus::kStallInjected;
-      break;
-    }
     if (options.budget.expired() || options.budget.iterations_exhausted(iter)) {
       status = SolverStatus::kBudgetExhausted;
       break;
@@ -205,7 +226,6 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
       const double gm = gradient_mapping();
       iter_span.arg("residual", gm);
       if (gm <= options.objective_tol * initial_residual) {
-        converged = true;
         status = SolverStatus::kConverged;
         break;
       }
@@ -214,26 +234,18 @@ SolverResult solve_optimal_allocation(const TaskSet& tasks,
         checks_without_progress = 0;
       } else if (++checks_without_progress >= 50) {
         // Numerically stationary: accept if within a relaxed band.
-        converged = gm <= 1e-4 * initial_residual;
-        if (converged) status = SolverStatus::kConverged;
+        if (gm <= 1e-4 * initial_residual) status = SolverStatus::kConverged;
         break;
       }
     }
   }
 
-  const double residual = gradient_mapping();
+  // Without an iteration x is still the starting point, whose residual is
+  // known.
+  const double residual = iterations == 0 ? starting_residual : gradient_mapping();
   solve_span.arg("iterations", static_cast<double>(iterations));
   solve_span.set_status(solver_status_name(status).data());
-
-  SolverResult result;
-  result.allocation = layout.to_availability(x, tasks, subs);
-  result.execution_time = objective.totals(x);
-  result.energy = objective.value(x);
-  result.iterations = iterations;
-  result.kkt_residual = residual;
-  result.converged = converged;
-  result.status = status;
-  return result;
+  return result_at(status, iterations, residual);
 }
 
 Schedule materialize_optimal_schedule(const TaskSet& tasks, const SubintervalDecomposition& subs,

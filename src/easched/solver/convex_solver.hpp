@@ -58,8 +58,9 @@ struct SolverOptions {
   /// Initial inverse step size (backtracking adapts it in both directions).
   double initial_lipschitz = 1.0;
   /// Cooperative deadline/iteration budget (default: unlimited). Checked
-  /// between iterations; on expiry the solver returns its best-so-far
-  /// iterate with `SolverStatus::kBudgetExhausted`.
+  /// before the solver's setup and between iterations; on expiry the
+  /// solver returns its best-so-far iterate (its starting point, when
+  /// spent at entry) with `SolverStatus::kBudgetExhausted`.
   PlanBudget budget{};
 };
 
@@ -73,7 +74,8 @@ struct SolverResult {
   double energy = 0.0;
   /// Iterations consumed.
   std::size_t iterations = 0;
-  /// Projected-gradient norm at the solution (KKT stationarity residual).
+  /// Projected-gradient norm at the solution (KKT stationarity residual);
+  /// NaN when a stall or a spent budget ended the solve at entry.
   double kkt_residual = 0.0;
   /// False when the solve ended for any reason other than convergence.
   bool converged = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "easched/common/contracts.hpp"
 #include "easched/obs/trace.hpp"
@@ -127,6 +128,170 @@ void SubintervalDecomposition::build_from_boundaries(const TaskSet& tasks, const
     si.end = boundaries_[j + 1];
     si.overlapping = arena.subspan(offsets_[j], offsets_[j + 1] - offsets_[j]);
   });
+}
+
+void SubintervalDecomposition::refresh_intervals(std::size_t first, const TaskId* arena_before) {
+  if (arena_.data() != arena_before) first = 0;
+  const std::span<const TaskId> arena(arena_);
+  for (std::size_t j = first; j < intervals_.size(); ++j) {
+    Subinterval& si = intervals_[j];
+    si.begin = boundaries_[j];
+    si.end = boundaries_[j + 1];
+    si.overlapping = arena.subspan(offsets_[j], offsets_[j + 1] - offsets_[j]);
+  }
+}
+
+void SubintervalDecomposition::append_task(const Task& task) {
+  EASCHED_EXPECTS_MSG(boundaries_.size() >= 2, "splice needs a built decomposition");
+  EASCHED_EXPECTS(task.deadline > task.release);
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const std::size_t old_columns = intervals_.size();
+
+  // Insert the values that are new and note their indices. The deadline
+  // lies right of the release, so its insert leaves the release's index.
+  const auto insert = [&](double value) {
+    const auto it = std::lower_bound(boundaries_.begin(), boundaries_.end(), value);
+    if (it != boundaries_.end() && *it == value) return kNone;
+    const auto at = static_cast<std::size_t>(it - boundaries_.begin());
+    boundaries_.insert(it, value);
+    return at;
+  };
+  const std::size_t p_r = insert(task.release);
+  const std::size_t p_d = insert(task.deadline);
+  const std::size_t inserted = std::size_t{p_r != kNone} + std::size_t{p_d != kNone};
+  if (inserted > 0) {
+    // A member boundary at or past an insert moves up by one.
+    const auto moved = [&](std::size_t b) {
+      if (p_r != kNone && b >= p_r) ++b;
+      if (p_d != kNone && b >= p_d) ++b;
+      return b;
+    };
+    for (SubRange& r : ranges_) {
+      const std::size_t first = moved(r.first);
+      r.count = moved(r.first + r.count) - first;
+      r.first = first;
+    }
+  }
+  const auto index_of = [&](double value) {
+    return static_cast<std::size_t>(
+        std::lower_bound(boundaries_.begin(), boundaries_.end(), value) - boundaries_.begin());
+  };
+  const std::size_t rb = index_of(task.release);
+  const std::size_t db = index_of(task.deadline);
+  const auto id = static_cast<TaskId>(ranges_.size());
+  ranges_.push_back({rb, db - rb});
+
+  // The window [lo, hi) of new columns: the task's own plus one on each side
+  // (the other half of a split). Columns left of it keep their index and
+  // set; columns right of it keep their set and move up by `inserted`. New
+  // column j inside lies in old column j − (inserts at or left of boundary
+  // j), when that column exists.
+  const std::size_t columns = boundaries_.size() - 1;
+  const std::size_t lo = rb > 0 ? rb - 1 : 0;
+  const std::size_t hi = std::min(db + 1, columns);
+  const std::size_t old_hi = hi - inserted;
+  const auto source = [&](std::size_t j) {
+    const std::size_t shift =
+        std::size_t{p_r != kNone && p_r <= j} + std::size_t{p_d != kNone && p_d <= j};
+    return j >= shift && j - shift < old_columns ? j - shift : kNone;
+  };
+  window_offsets_.assign(offsets_.begin() + static_cast<std::ptrdiff_t>(lo),
+                         offsets_.begin() + static_cast<std::ptrdiff_t>(old_hi) + 1);
+  const std::size_t base = window_offsets_.front();
+  const std::size_t tail = window_offsets_.back();
+  window_.assign(arena_.begin() + static_cast<std::ptrdiff_t>(base),
+                 arena_.begin() + static_cast<std::ptrdiff_t>(tail));
+  std::size_t mass = 0;
+  for (std::size_t j = lo; j < hi; ++j) {
+    const std::size_t k = source(j);
+    if (k != kNone) mass += window_offsets_[k - lo + 1] - window_offsets_[k - lo];
+    if (j >= rb && j < db) ++mass;
+  }
+  const std::size_t grow = mass - window_.size();
+
+  // Move the columns right of the window, then lay the window out.
+  const TaskId* before = arena_.data();
+  const std::size_t old_mass = arena_.size();
+  arena_.resize(old_mass + grow);
+  std::copy_backward(arena_.begin() + static_cast<std::ptrdiff_t>(tail),
+                     arena_.begin() + static_cast<std::ptrdiff_t>(old_mass), arena_.end());
+  offsets_.resize(columns + 1);
+  for (std::size_t t = old_columns; t > old_hi; --t) offsets_[t + inserted] = offsets_[t] + grow;
+  std::size_t pos = base;
+  for (std::size_t j = lo; j < hi; ++j) {
+    if (const std::size_t k = source(j); k != kNone) {
+      const auto set_begin =
+          window_.begin() + static_cast<std::ptrdiff_t>(window_offsets_[k - lo] - base);
+      const auto set_end =
+          window_.begin() + static_cast<std::ptrdiff_t>(window_offsets_[k - lo + 1] - base);
+      std::copy(set_begin, set_end, arena_.begin() + static_cast<std::ptrdiff_t>(pos));
+      pos += static_cast<std::size_t>(set_end - set_begin);
+    }
+    if (j >= rb && j < db) arena_[pos++] = id;
+    offsets_[j + 1] = pos;
+  }
+  EASCHED_ASSERT(pos == base + mass);
+  intervals_.resize(columns);
+  refresh_intervals(lo, before);
+}
+
+void SubintervalDecomposition::remove_task(TaskId id, bool drop_release, bool drop_deadline) {
+  EASCHED_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < ranges_.size());
+  const SubRange gone = ranges_[static_cast<std::size_t>(id)];
+  EASCHED_EXPECTS(gone.count > 0);
+  const std::size_t rb = gone.first;
+  const std::size_t db = gone.first + gone.count;
+  const auto vanishes = [&](std::size_t b) {
+    return (drop_release && b == rb) || (drop_deadline && b == db);
+  };
+
+  // Old column k survives when its start does and a surviving boundary
+  // follows it: the second column of a merged pair and an edge column whose
+  // outer boundary vanished go. A survivor keeps its set minus `id`, with
+  // the higher ids shifted down (the merged pair's sets agree once `id` is
+  // out). Survivors compact leftwards, so the pass writes in place.
+  std::size_t last = boundaries_.size() - 1;
+  while (vanishes(last)) --last;
+  const TaskId* before = arena_.data();
+  TaskId* const arena = arena_.data();
+  // Columns left of both the task and every dropped column stay in place.
+  std::size_t column = std::min(rb, last);
+  std::size_t write = offsets_[column];
+  std::size_t read = write;
+  for (std::size_t q = 0; q < write; ++q) arena[q] -= TaskId{arena[q] > id};
+  for (std::size_t k = column; k < intervals_.size(); ++k) {
+    const std::size_t end = offsets_[k + 1];
+    if (!vanishes(k) && k < last) {
+      offsets_[column++] = write;
+      if (k >= rb && k < db) {  // the removed task's own columns hold its id
+        for (std::size_t q = read; q < end; ++q) {
+          const TaskId m = arena[q];
+          if (m != id) arena[write++] = m - TaskId{m > id};
+        }
+      } else {
+        for (std::size_t q = read; q < end; ++q) arena[write++] = arena[q] - TaskId{arena[q] > id};
+      }
+    }
+    read = end;
+  }
+  offsets_[column] = write;
+  offsets_.resize(column + 1);
+  arena_.resize(write);
+
+  if (drop_deadline) boundaries_.erase(boundaries_.begin() + static_cast<std::ptrdiff_t>(db));
+  if (drop_release) boundaries_.erase(boundaries_.begin() + static_cast<std::ptrdiff_t>(rb));
+  EASCHED_ASSERT(boundaries_.size() == column + 1);
+  ranges_.erase(ranges_.begin() + id);
+  const auto moved = [&](std::size_t b) {
+    return b - std::size_t{drop_release && rb < b} - std::size_t{drop_deadline && db < b};
+  };
+  for (SubRange& r : ranges_) {
+    const std::size_t first = moved(r.first);
+    r.count = moved(r.first + r.count) - first;
+    r.first = first;
+  }
+  intervals_.resize(column);
+  refresh_intervals(0, before);
 }
 
 std::vector<std::size_t> SubintervalDecomposition::covering(const Task& task) const {

@@ -89,6 +89,32 @@ class SubintervalDecomposition {
   /// the overlap spans follow the arena if it moves.
   void reserve(std::size_t tasks, std::size_t boundaries, std::size_t overlap_mass);
 
+  /// \name In-place splice (the delta planner)
+  /// Each edit leaves exactly the state a from-scratch build over the edited
+  /// set produces, field by field, provided the boundary array stays merge
+  /// free: the caller guarantees that a value it inserts lies farther than
+  /// the merge tolerance from every other boundary, and that every member's
+  /// release and deadline are boundaries. Within reserved capacity the arena
+  /// keeps its data pointer.
+  /// @{
+  /// Add `task` as member `task_count()` (the largest id). A release or
+  /// deadline not yet in the boundary array is inserted, splitting the
+  /// column it falls in (both halves keep its overlap set) or opening an
+  /// empty column at a horizon edge; the new id is then appended to the
+  /// overlap set of every column of its window, which keeps each set
+  /// ascending. Costs the window plus a move of the columns right of it.
+  void append_task(const Task& task);
+  /// Remove member `id`. `drop_release` / `drop_deadline` say that no other
+  /// member shares its release / deadline, so the value leaves the boundary
+  /// array: the two columns beside an inner value merge, and an edge column
+  /// goes. One pass over the arena erases `id` and shifts every higher id
+  /// down by one.
+  void remove_task(TaskId id, bool drop_release, bool drop_deadline);
+  /// @}
+
+  /// Member count (the tasks the decomposition was built or spliced over).
+  std::size_t task_count() const { return ranges_.size(); }
+
   std::size_t size() const { return intervals_.size(); }
   const Subinterval& operator[](std::size_t j) const { return intervals_[j]; }
 
@@ -129,12 +155,18 @@ class SubintervalDecomposition {
   /// Shared tail of construction: sweep + counting + fill + interval views,
   /// assuming `boundaries_` already holds the merged sorted boundary array.
   void build_from_boundaries(const TaskSet& tasks, const Exec& exec);
+  /// Point the intervals from `first` on at their boundaries and arena
+  /// slices (all of them when the arena moved since `arena_before`).
+  void refresh_intervals(std::size_t first, const TaskId* arena_before);
 
   std::vector<double> boundaries_;
   std::vector<Subinterval> intervals_;
   std::vector<std::size_t> offsets_;  ///< CSR offsets, size N(subintervals)+1
   std::vector<TaskId> arena_;         ///< flat overlap storage, length P
   std::vector<SubRange> ranges_;      ///< per-task live range
+  /// `append_task` scratch: the window's old overlap sets and offsets.
+  std::vector<TaskId> window_;
+  std::vector<std::size_t> window_offsets_;
 };
 
 }  // namespace easched

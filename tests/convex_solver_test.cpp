@@ -5,9 +5,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <string_view>
 
 #include "easched/common/rng.hpp"
 #include "easched/faults/fault_injection.hpp"
+#include "easched/obs/trace.hpp"
 #include "easched/sched/pipeline.hpp"
 #include "easched/sim/executor.hpp"
 #include "easched/solver/convex_solver.hpp"
@@ -200,6 +202,59 @@ TEST(ConvexSolverTest, InjectedFaultsSurfaceAsStatuses) {
     EXPECT_FALSE(result.converged);
     EXPECT_EQ(result.status, SolverStatus::kNumericalBreakdown);
   }
+}
+
+// A stalled solve and one whose budget is spent at entry stop before the
+// solver's setup: no `solver.fista` span (it opens once setup starts), no
+// iteration, and the starting point comes back as the usable iterate.
+TEST(ConvexSolverTest, StallAndSpentBudgetEndBeforeSetup) {
+  Rng rng(Rng::seed_of("solver-entry-exit", 2));
+  WorkloadConfig config;
+  config.task_count = 12;
+  const TaskSet tasks = generate_workload(config, rng);
+  const PowerModel power(3.0, 0.1);
+  const auto fista_spans = [](const obs::Tracer& tracer) {
+    std::size_t count = 0;
+    for (const obs::SpanRecord& record : tracer.records()) {
+      if (std::string_view(record.name) == "solver.fista") ++count;
+    }
+    return count;
+  };
+
+  SolverOptions spent_options;
+  spent_options.budget = PlanBudget::within(std::chrono::microseconds(0));
+  obs::Tracer tracer;
+  SolverResult stalled;
+  SolverResult spent;
+  {
+    const obs::TraceScope scope(tracer);
+    {
+      FaultInjector injector(FaultPlan::parse("solver_stall:p=1"));
+      faults::FaultScope faults(injector);
+      stalled = solve_optimal_allocation(tasks, 4, power);
+    }
+    spent = solve_optimal_allocation(tasks, 4, power, spent_options);
+  }
+  EXPECT_EQ(fista_spans(tracer), 0u);
+  EXPECT_EQ(stalled.status, SolverStatus::kStallInjected);
+  EXPECT_EQ(spent.status, SolverStatus::kBudgetExhausted);
+  for (const SolverResult* result : {&stalled, &spent}) {
+    EXPECT_FALSE(result->converged);
+    EXPECT_EQ(result->iterations, 0u);
+    EXPECT_EQ(result->execution_time.size(), tasks.size());
+    EXPECT_TRUE(std::isfinite(result->energy));
+  }
+  // Both return the same starting point.
+  EXPECT_EQ(stalled.energy, spent.energy);
+  EXPECT_EQ(stalled.execution_time, spent.execution_time);
+
+  // Control: a solve with budget to spare records its span.
+  obs::Tracer control;
+  {
+    const obs::TraceScope scope(control);
+    EXPECT_TRUE(solve_optimal_allocation(tasks, 4, power).converged);
+  }
+  EXPECT_EQ(fista_spans(control), 1u);
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 /// Replays a seeded random admit/remove sequence through two planners at
 /// once — the stateful `DeltaPlanner` (splice path) and the stateless
 /// from-scratch kernel (`schedule_with_method`) — and asserts after every
-/// step that the two plans are *bit-identical*: same availability values and
-/// cached sums, same refined frequencies, same energy fold, same segment
-/// list. Every comparison is exact (`==`), never a tolerance: the delta
+/// step that the two plans are *bit-identical*: same decomposition (CSR
+/// arena, offsets, per-task ranges), same availability values and cached
+/// sums, same refined frequencies and scales, same energy fold, same
+/// segment list. Every comparison is exact (`==`), never a tolerance: the delta
 /// path's contract is exact equality with the from-scratch path, and any
 /// drift — a re-associated fold, a re-ordered ration, a lost splice segment
 /// — must fail loudly rather than hide inside an epsilon.
@@ -40,6 +41,8 @@ struct ReplayStats {
   std::size_t delta_steps = 0;  ///< steps served by the splice path
   std::size_t single_ops = 0;   ///< single-task ops applied across all steps
   std::size_t full_rebuilds = 0;
+  std::size_t dirty_columns = 0;  ///< availability columns recomputed by delta steps
+  std::size_t delta_columns = 0;  ///< columns of the plans those steps served
 };
 
 /// Exact equality of a delta-planner availability against the from-scratch
@@ -75,6 +78,46 @@ inline void expect_schedule_identical(const Schedule& got, const Schedule& want)
   }
 }
 
+/// Exact equality of the delta planner's spliced decomposition against a
+/// from-scratch build: boundaries, CSR offsets and arena, per-task ranges,
+/// and every interval's geometry and overlap view (which must point into
+/// the planner's own arena at its offsets).
+inline void expect_decomposition_identical(const SubintervalDecomposition& got,
+                                           const SubintervalDecomposition& want,
+                                           std::size_t tasks) {
+  ASSERT_EQ(got.boundaries(), want.boundaries());
+  ASSERT_EQ(got.offsets(), want.offsets());
+  ASSERT_EQ(got.overlap_mass(), want.overlap_mass());
+  for (std::size_t k = 0; k < want.overlap_mass(); ++k) {
+    ASSERT_EQ(got.overlap_arena()[k], want.overlap_arena()[k]) << "arena slot " << k;
+  }
+  ASSERT_EQ(got.task_count(), tasks);
+  for (std::size_t i = 0; i < tasks; ++i) {
+    const SubRange gr = got.range_of(static_cast<TaskId>(i));
+    const SubRange wr = want.range_of(static_cast<TaskId>(i));
+    ASSERT_EQ(gr.first, wr.first) << "range of task " << i;
+    ASSERT_EQ(gr.count, wr.count) << "range of task " << i;
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(got[j].begin, want[j].begin) << "subinterval " << j;
+    ASSERT_EQ(got[j].end, want[j].end) << "subinterval " << j;
+    ASSERT_EQ(got[j].overlapping.data(), got.overlap_arena().data() + got.offsets()[j])
+        << "subinterval " << j << " views a stale arena slice";
+    ASSERT_EQ(got[j].overlapping.size(), want[j].overlapping.size()) << "subinterval " << j;
+  }
+}
+
+/// Exact equality of the planner's cached refinement against the one the
+/// from-scratch kernel derives from its own availability.
+inline void expect_refinement_identical(const FinalRefinement& got, const FinalRefinement& want) {
+  ASSERT_EQ(got.total_available, want.total_available);
+  ASSERT_EQ(got.frequency, want.frequency);
+  ASSERT_EQ(got.scale, want.scale);
+  ASSERT_EQ(got.task_energy, want.task_energy);
+  ASSERT_EQ(got.energy, want.energy);
+}
+
 /// One step of the differential: quote `live` through the delta planner and
 /// through the from-scratch DER pipeline, then assert exact agreement and
 /// (optionally) validator success.
@@ -92,6 +135,11 @@ inline void expect_step_identical(DeltaPlanner& planner, const TaskSet& live,
   ASSERT_EQ(got.energy, want.final_energy) << "energy fold diverged";
   expect_schedule_identical(got.schedule, want.final_schedule);
   expect_availability_identical(planner.availability(), want.availability);
+  expect_decomposition_identical(planner.decomposition(), subs, live.size());
+  FinalRefinement refined;
+  refine_final(live, power, want.availability, exec, refined);
+  ASSERT_EQ(refined.frequency, want.final_frequency);
+  expect_refinement_identical(planner.refinement(), refined);
   if (validate) {
     const ValidationReport delta_report = got.schedule.validate(live);
     EXPECT_TRUE(delta_report.ok) << (delta_report.violations.empty()
@@ -107,6 +155,8 @@ inline void expect_step_identical(DeltaPlanner& planner, const TaskSet& live,
   if (outcome.delta) {
     ++stats.delta_steps;
     stats.single_ops += outcome.ops;
+    stats.dirty_columns += outcome.dirty_columns;
+    stats.delta_columns += subs.size();
   } else {
     ++stats.full_rebuilds;
   }

@@ -5,10 +5,12 @@
 // fold, segment list — and both schedules must pass the validator. A second
 // battery replays the same sequences on different pool sizes and asserts the
 // delta plans agree across pools step for step (the determinism contract of
-// `parallel/exec.hpp` extended to the splice path).
+// `parallel/exec.hpp` extended to the splice path). A third replays a
+// constant-density stream, where each op dirties only a few columns.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -63,6 +65,68 @@ TEST(IncrementalDifferential, PooledSequencesMatchFromScratch) {
       if (HasFatalFailure()) return;
       ASSERT_EQ(stats.steps, kOps + 1);
       ASSERT_GE(stats.delta_steps * 10, (stats.steps - 1) * 9);
+    }
+  }
+}
+
+// Constant-density replay, shaped like the service's traffic and
+// `perf_pipeline`'s stream rows: releases advance with a clock, so a window
+// holds a handful of tasks however many are live, arrivals land at the
+// front of the horizon and completions mostly take the oldest task. Most of
+// an op's columns stay clean here, so this exercises the local splice —
+// clean rows and sums kept in place, block copies of untouched tasks, cut
+// expansion — where the fixed-horizon replays above dirty nearly every
+// column.
+TEST(IncrementalDifferential, ConstantDensityStreamMatchesFromScratch) {
+  constexpr std::size_t kSeeds = 6;
+  constexpr std::size_t kBase = 120;
+  constexpr std::size_t kStreamOps = 80;
+  constexpr double kSpacing = 10.0;  // mean release gap, as in `make_stream`
+  ThreadPool pool(2);
+  for (const Exec& exec : {Exec::serial(), Exec::on(pool)}) {
+    for (std::size_t w = 0; w < kSeeds; ++w) {
+      SCOPED_TRACE(::testing::Message() << "parallel=" << exec.parallel(2) << " seed=" << w);
+      Rng rng(Rng::seed_of("incremental-stream", w));
+      WorkloadConfig config;
+      config.task_count = kBase;
+      config.release_hi = kSpacing * static_cast<double>(kBase);
+      const TaskSet base = generate_workload(config, rng);
+      std::vector<Task> live(base.begin(), base.end());
+      double clock = config.release_hi;
+
+      const PowerModel power(3.0, 0.05);
+      DeltaOptions options;
+      options.cores = cores_for(w);
+      DeltaPlanner planner(power, options);
+      ReplayStats stats;
+      differential::expect_step_identical(planner, TaskSet(live), power, options.cores, exec,
+                                          stats);
+      if (HasFatalFailure()) return;
+      for (std::size_t op = 0; op < kStreamOps; ++op) {
+        if (live.size() <= 1 || rng.uniform() < 0.55) {
+          WorkloadConfig one;
+          one.task_count = 1;
+          one.release_lo = clock;
+          one.release_hi = clock + kSpacing;
+          live.push_back(generate_workload(one, rng)[0]);
+          clock += kSpacing;
+        } else {
+          const auto oldest = std::min_element(
+              live.begin(), live.end(),
+              [](const Task& a, const Task& b) { return a.release < b.release; });
+          const auto victim =
+              rng.uniform() < 0.7
+                  ? oldest
+                  : live.begin() + static_cast<std::ptrdiff_t>(rng.uniform_index(live.size()));
+          live.erase(victim);
+        }
+        differential::expect_step_identical(planner, TaskSet(live), power, options.cores, exec,
+                                            stats);
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(stats.delta_steps, stats.steps - 1);
+      // Local: the ops recompute well under a third of the columns they see.
+      ASSERT_LT(stats.dirty_columns * 3, stats.delta_columns);
     }
   }
 }

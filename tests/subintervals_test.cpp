@@ -7,6 +7,7 @@
 #include "easched/common/contracts.hpp"
 
 #include "easched/common/rng.hpp"
+#include "easched/parallel/exec.hpp"
 #include "easched/tasksys/subintervals.hpp"
 #include "easched/tasksys/workload.hpp"
 
@@ -189,6 +190,69 @@ TEST(SubintervalsTest, OverlapArenaIsExactlySizedFromSweepCounts) {
   }
   EXPECT_EQ(by_interval, subs.overlap_mass());
   EXPECT_EQ(by_task, subs.overlap_mass());
+}
+
+// Field-by-field equality of a spliced decomposition with a scratch build.
+void expect_same_decomposition(const SubintervalDecomposition& got, const TaskSet& tasks) {
+  const SubintervalDecomposition want(tasks);
+  ASSERT_EQ(got.boundaries(), want.boundaries());
+  ASSERT_EQ(got.offsets(), want.offsets());
+  ASSERT_TRUE(std::equal(got.overlap_arena().begin(), got.overlap_arena().end(),
+                         want.overlap_arena().begin(), want.overlap_arena().end()));
+  ASSERT_EQ(got.task_count(), tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_EQ(got.range_of(static_cast<TaskId>(i)).first,
+              want.range_of(static_cast<TaskId>(i)).first);
+    ASSERT_EQ(got.range_of(static_cast<TaskId>(i)).count,
+              want.range_of(static_cast<TaskId>(i)).count);
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(got[j].begin, want[j].begin);
+    ASSERT_EQ(got[j].end, want[j].end);
+    ASSERT_EQ(got[j].overlapping.data(), got.overlap_arena().data() + got.offsets()[j]);
+    ASSERT_EQ(got[j].overlapping.size(), want[j].overlapping.size());
+  }
+}
+
+// `append_task` / `remove_task` against scratch builds. Windows on a coarse
+// integer grid share boundaries often, land on and beyond both horizon
+// edges, and sit next to each other, so every split, merge and edge case
+// comes up: a shared value only changes multiplicity, a fresh one splits a
+// column or opens an edge column, and a vanishing one merges or drops one.
+TEST(SubintervalsTest, SpliceMatchesScratchBuild) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(Rng::seed_of("subs-splice", seed));
+    const auto draw = [&] {
+      const double release = static_cast<double>(rng.uniform_index(12));
+      const double width = 1.0 + static_cast<double>(rng.uniform_index(4));
+      return Task{release, release + width, 1.0};
+    };
+    std::vector<Task> live = {draw(), draw()};
+    SubintervalDecomposition subs;
+    subs.assign(TaskSet(live), SubintervalDecomposition(TaskSet(live)).boundaries(),
+                Exec::serial());
+    for (std::size_t op = 0; op < 60; ++op) {
+      if (live.size() <= 1 || rng.uniform() < 0.55) {
+        live.push_back(draw());
+        subs.append_task(live.back());
+      } else {
+        const std::size_t victim = static_cast<std::size_t>(rng.uniform_index(live.size()));
+        const Task gone = live[victim];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        const auto shared = [&](double value) {
+          return std::any_of(live.begin(), live.end(), [&](const Task& t) {
+            return t.release == value || t.deadline == value;
+          });
+        };
+        subs.remove_task(static_cast<TaskId>(victim), !shared(gone.release),
+                         !shared(gone.deadline));
+      }
+      expect_same_decomposition(subs, TaskSet(live));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace
